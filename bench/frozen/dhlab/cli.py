@@ -1,0 +1,259 @@
+"""Command-line verification runner.
+
+Subcommands:
+    verify        - run the full identity/invariant suite, emit CheckRecords
+    correlations  - correlation table over a direction set and kappa list
+    locality      - per-point operator-support report, with/without auxiliaries
+    qubit         - first-quantized oracle: exact vs second-order values
+
+Exit codes: 0 all checks pass (or table written), 1 at least one verify
+check failed, 2 configuration error.
+
+Configuration is a version-tagged INI file; every command-line flag
+overrides its file counterpart, and all defaults are valid without a file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import configparser
+import csv
+import dataclasses
+import io
+import json
+import sys
+
+from .checks import RunConfig, run_correlations, run_locality, run_qubit, run_verify
+from .errors import ConfigError
+
+_SCHEMA = {
+    "run": {
+        "config_version": int,
+        "kappa": "floats",
+        "signs": "signs",
+        "seed": int,
+    },
+    "geometry": {
+        "grid_min": float,
+        "grid_max": float,
+        "grid_points": int,
+        "packet_centers": "floats",
+        "packet_width": float,
+        "probe_point": float,
+        "separations": "floats",
+    },
+    "directions": {
+        "mode": str,
+        "n_theta": int,
+        "n_phi": int,
+        "n_random": int,
+    },
+    "tolerances": {
+        "exact": float,
+        "wsw": float,
+        "aperture": float,
+    },
+    "output": {
+        "path": str,
+        "format": str,
+    },
+}
+
+_KEY_TO_FIELD = {
+    ("run", "kappa"): "kappas",
+    ("run", "seed"): "seed",
+    ("run", "signs"): "signs",
+    ("run", "config_version"): "config_version",
+    ("geometry", "grid_min"): "grid_min",
+    ("geometry", "grid_max"): "grid_max",
+    ("geometry", "grid_points"): "grid_points",
+    ("geometry", "packet_centers"): "packet_centers",
+    ("geometry", "packet_width"): "packet_width",
+    ("geometry", "probe_point"): "probe_point",
+    ("geometry", "separations"): "separations",
+    ("directions", "mode"): "direction_mode",
+    ("directions", "n_theta"): "n_theta",
+    ("directions", "n_phi"): "n_phi",
+    ("directions", "n_random"): "n_random",
+    ("tolerances", "exact"): "tol_exact",
+    ("tolerances", "wsw"): "wsw_tol",
+    ("tolerances", "aperture"): "aperture_tol",
+    ("output", "path"): "out_path",
+    ("output", "format"): "out_format",
+}
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
+def _parse_signs(text: str) -> tuple[int, int, int]:
+    try:
+        parts = tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise ConfigError(f"expected comma-separated signs, got {text!r}") from exc
+    if len(parts) != 3 or any(s not in (1, -1) for s in parts):
+        raise ConfigError(f"signs must be three values of +-1, got {text!r}")
+    return parts  # type: ignore[return-value]
+
+
+def load_config_file(path: str) -> dict:
+    """Parse the INI run configuration into RunConfig field overrides."""
+    parser = configparser.ConfigParser()
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    overrides: dict = {}
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key, raw in parser.items(section):
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            kind = _SCHEMA[section][key]
+            try:
+                if kind == "floats":
+                    value = _parse_floats(raw)
+                elif kind == "signs":
+                    value = _parse_signs(raw)
+                else:
+                    value = kind(raw)
+            except ConfigError:
+                raise
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+            overrides[_KEY_TO_FIELD[(section, key)]] = value
+    return overrides
+
+
+def build_run_config(args: argparse.Namespace) -> RunConfig:
+    overrides: dict = {}
+    if args.config is not None:
+        overrides.update(load_config_file(args.config))
+    if args.kappa is not None:
+        overrides["kappas"] = _parse_floats(args.kappa)
+    if args.signs is not None:
+        overrides["signs"] = _parse_signs(args.signs)
+    if args.tol_exact is not None:
+        overrides["tol_exact"] = args.tol_exact
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.out is not None:
+        overrides["out_path"] = args.out
+    if args.format is not None:
+        overrides["out_format"] = args.format
+    valid = {f.name for f in dataclasses.fields(RunConfig)}
+    unknown = set(overrides) - valid
+    if unknown:
+        raise ConfigError(f"unknown configuration fields {sorted(unknown)}")
+    try:
+        return RunConfig(**overrides)
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, ConfigError):
+            raise
+        raise ConfigError(str(exc)) from exc
+
+
+def _rows_to_csv(rows: list[dict]) -> str:
+    if not rows:
+        return ""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: _csv_cell(v) for k, v in row.items()})
+    return buf.getvalue()
+
+
+def _csv_cell(value):
+    if isinstance(value, (list, tuple)):
+        return ";".join(repr(v) for v in value)
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
+def _emit(payload, rc: RunConfig) -> None:
+    if rc.out_format == "csv":
+        if isinstance(payload, dict):
+            rows = []
+            for section, content in payload.items():
+                for row in content:
+                    rows.append({"table": section, **row})
+            text = _rows_to_csv(rows)
+        else:
+            text = _rows_to_csv(payload)
+    else:
+        text = json.dumps(payload, indent=2)
+    if rc.out_path in ("-", ""):
+        sys.stdout.write(text + ("\n" if not text.endswith("\n") else ""))
+    else:
+        with open(rc.out_path, "w") as fh:
+            fh.write(text)
+
+
+def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--config", metavar="PATH", help="INI run configuration file")
+    sub.add_argument("--out", metavar="PATH", help="output path ('-' for stdout)")
+    sub.add_argument("--format", choices=("json", "csv"), help="output format")
+    sub.add_argument("--kappa", metavar="LIST", help="comma-separated kappa values")
+    sub.add_argument("--signs", metavar="s1,s2,s3", help="factor sign assignment")
+    sub.add_argument("--tol-exact", dest="tol_exact", type=float, metavar="X",
+                     help="tolerance for exact identities")
+    sub.add_argument("--seed", type=int, metavar="N",
+                     help="seed for randomized direction sampling")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="dhlab", description="verification runner for the mode laboratory"
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in (
+        ("verify", "run the identity/invariant suite and emit check records"),
+        ("correlations", "emit the correlation table"),
+        ("locality", "emit the operator-support locality report"),
+        ("qubit", "emit the first-quantized oracle table"),
+    ):
+        _add_common_flags(subparsers.add_parser(name, help=help_text))
+    args = parser.parse_args(argv)
+
+    try:
+        rc = build_run_config(args)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+
+    try:
+        if args.command == "verify":
+            records = run_verify(rc)
+            _emit([r.to_dict() for r in records], rc)
+            failed = [r for r in records if not r.passed]
+            for r in failed:
+                print(f"FAIL {r.id}: |{r.actual} - {r.expected}| = "
+                      f"{r.abs_error} > {r.tolerance}", file=sys.stderr)
+            return 1 if failed else 0
+        if args.command == "correlations":
+            _emit(run_correlations(rc), rc)
+            return 0
+        if args.command == "locality":
+            _emit(run_locality(rc), rc)
+            return 0
+        if args.command == "qubit":
+            _emit(run_qubit(rc), rc)
+            return 0
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    raise AssertionError("unreachable")
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,372 @@
+"""States and physical operators of the three-particle model, usual representation.
+
+The system holds three identical spin-1/2 fermions in widely separated
+regions: region 1 spin-up, regions 2 and 3 spin-down along the x3 axis.  All
+operators act on the finite mode registry obtained by smearing the fields
+against the region wavepackets (six physical modes), the auxiliary
+wavefunctions (three auxiliary modes), and any probe packets.  An entangling
+generator exchanges the spins of the particles in regions 1 and 2 with
+dimensionless strength kappa.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import wavepackets as wp
+from .errors import DuplicateOccupationError, LayoutError, PerturbativeRangeWarning
+from .fock import (
+    SPIN_DOWN,
+    SPIN_UP,
+    SPINS,
+    AuxiliaryMode,
+    FockOperator,
+    FockState,
+    ModeRegistry,
+    PhysicalMode,
+    ProbeMode,
+    expectation,
+    matrix_exponential,
+    mode_operator,
+    vacuum_state,
+)
+
+KAPPA_GUARD = 0.2
+IMAG_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class SpinDirection:
+    """Measurement direction (theta, phi) with unit vector
+    (sin t cos p, sin t sin p, cos t)."""
+
+    theta: float
+    phi: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.theta <= math.pi:
+            raise ValueError("theta must lie in [0, pi]")
+        if not 0.0 <= self.phi < 2.0 * math.pi:
+            raise ValueError("phi must lie in [0, 2*pi)")
+
+    @property
+    def unit_vector(self) -> np.ndarray:
+        st, ct = math.sin(self.theta), math.cos(self.theta)
+        return np.array([st * math.cos(self.phi), st * math.sin(self.phi), ct])
+
+    @property
+    def u3(self) -> float:
+        return math.cos(self.theta)
+
+    @classmethod
+    def x1(cls) -> "SpinDirection":
+        return cls(math.pi / 2.0, 0.0)
+
+    @classmethod
+    def x2(cls) -> "SpinDirection":
+        return cls(math.pi / 2.0, math.pi / 2.0)
+
+    @classmethod
+    def x3(cls) -> "SpinDirection":
+        return cls(0.0, 0.0)
+
+
+def standard_registry(n_probe_points: int = 0) -> ModeRegistry:
+    """Registry in the fixed convention order: physical (up/down per region),
+    auxiliary 1..3, then one probe mode per (point, spin) pair."""
+    modes: list = []
+    for region in (1, 2, 3):
+        modes.append(PhysicalMode(SPIN_UP, region))
+        modes.append(PhysicalMode(SPIN_DOWN, region))
+    for j in (1, 2, 3):
+        modes.append(AuxiliaryMode(j))
+    for k in range(2 * n_probe_points):
+        modes.append(ProbeMode(k + 1))
+    return ModeRegistry(tuple(modes))
+
+
+@dataclass(frozen=True, eq=False)
+class SystemConfig:
+    """Geometry, registry, entanglement strength, and tolerances for one run."""
+
+    layout: wp.PacketLayout
+    registry: ModeRegistry
+    kappa: float = 0.0
+    signs: tuple[int, int, int] = (1, 1, -1)
+    wsw_tol: float = wp.WSW_TOL
+    aperture_tol: float = wp.APERTURE_TOL
+    exact_tol: float = 1e-10
+
+    def __post_init__(self):
+        if self.kappa < 0.0:
+            raise ValueError("kappa must be non-negative")
+
+    def annihilator(self, label) -> FockOperator:
+        return mode_operator(self.registry, label)
+
+    def creator(self, label) -> FockOperator:
+        return mode_operator(self.registry, label, dagger=True)
+
+    def b(self, spin: str, region: int) -> FockOperator:
+        return self.annihilator(PhysicalMode(spin, region))
+
+    def bdag(self, spin: str, region: int) -> FockOperator:
+        return self.creator(PhysicalMode(spin, region))
+
+    def a(self, index: int) -> FockOperator:
+        return self.annihilator(AuxiliaryMode(index))
+
+    def adag(self, index: int) -> FockOperator:
+        return self.creator(AuxiliaryMode(index))
+
+    def probe_mode(self, point_index: int, spin: str) -> ProbeMode:
+        return ProbeMode(2 * point_index + (0 if spin == SPIN_UP else 1) + 1)
+
+    def vacuum(self) -> FockState:
+        return vacuum_state(self.registry)
+
+    def with_kappa(self, kappa: float) -> "SystemConfig":
+        return SystemConfig(
+            self.layout, self.registry, kappa, self.signs,
+            self.wsw_tol, self.aperture_tol, self.exact_tol,
+        )
+
+
+def standard_config(
+    kappa: float = 0.0,
+    signs: tuple[int, int, int] = (1, 1, -1),
+    probe_points: tuple[float, ...] = (),
+    layout: wp.PacketLayout | None = None,
+    wsw_tol: float = wp.WSW_TOL,
+    aperture_tol: float = wp.APERTURE_TOL,
+) -> SystemConfig:
+    """Default three-region system; validates the geometric gates up front.
+
+    The default grid span widens automatically so any requested probe point
+    keeps the required packet margin.
+    """
+    if layout is None:
+        lo, hi = wp.DEFAULT_SPAN
+        if probe_points:
+            lo = min(lo, min(probe_points) - 10.0)
+            hi = max(hi, max(probe_points) + 10.0)
+        n = int(round((hi - lo) / 0.05)) + 1
+        layout = wp.standard_layout(span=(lo, hi), n_points=n, probe_points=probe_points)
+    wsw = wp.wsw_report(list(layout.packets), tol=wsw_tol)
+    if not wsw.passed:
+        raise LayoutError(f"layout fails the separation gate: {wsw.to_dict()}")
+    apt = wp.aperture_report(list(layout.apertures), list(layout.packets), tol=aperture_tol)
+    if not apt.passed:
+        raise LayoutError(f"layout fails the aperture gate: {apt.to_dict()}")
+    registry = standard_registry(len(layout.probe_points))
+    return SystemConfig(layout, registry, kappa, signs, wsw_tol, aperture_tol)
+
+
+@dataclass(frozen=True)
+class OccupationDescriptor:
+    """Physical (spin, region) occupations plus auxiliary indices, in creator order."""
+
+    physical: tuple[tuple[str, int], ...]
+    auxiliary: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(set(self.physical)) != len(self.physical):
+            raise DuplicateOccupationError(
+                f"duplicate physical occupation in {self.physical}"
+            )
+        if len(set(self.auxiliary)) != len(self.auxiliary):
+            raise DuplicateOccupationError(
+                f"duplicate auxiliary occupation in {self.auxiliary}"
+            )
+        for spin, region in self.physical:
+            PhysicalMode(spin, region)
+        for j in self.auxiliary:
+            AuxiliaryMode(j)
+
+
+UNENTANGLED_OCC = OccupationDescriptor(
+    ((SPIN_UP, 1), (SPIN_DOWN, 2), (SPIN_DOWN, 3)), (1, 2, 3)
+)
+# Spin in regions 1 and 2 exchanged: the target of the entangling generator.
+EXCHANGED_OCC = OccupationDescriptor(
+    ((SPIN_DOWN, 1), (SPIN_UP, 2), (SPIN_DOWN, 3)), (1, 2, 3)
+)
+FLIPPED_OCC = {
+    1: OccupationDescriptor(((SPIN_DOWN, 1), (SPIN_DOWN, 2), (SPIN_DOWN, 3)), (1, 2, 3)),
+    2: OccupationDescriptor(((SPIN_UP, 1), (SPIN_UP, 2), (SPIN_DOWN, 3)), (1, 2, 3)),
+    3: OccupationDescriptor(((SPIN_UP, 1), (SPIN_DOWN, 2), (SPIN_UP, 3)), (1, 2, 3)),
+}
+# Intermediate states reached while removing particles region by region.
+REGIONS_23_OCC = OccupationDescriptor(((SPIN_DOWN, 2), (SPIN_DOWN, 3)), (2, 3))
+REGION_3_OCC = OccupationDescriptor(((SPIN_DOWN, 3),), (3,))
+
+
+def build_state(cfg: SystemConfig, desc: OccupationDescriptor) -> FockState:
+    """Ordered product of creators on the vacuum; the sign follows from the
+    registry ordering and the descriptor's creator order."""
+    labels = [PhysicalMode(spin, region) for spin, region in desc.physical]
+    labels += [AuxiliaryMode(j) for j in desc.auxiliary]
+    state = vacuum_state(cfg.registry)
+    for label in reversed(labels):
+        state = cfg.creator(label) @ state
+    return state
+
+
+def unentangled_state(cfg: SystemConfig) -> FockState:
+    return build_state(cfg, UNENTANGLED_OCC)
+
+
+def exchanged_state(cfg: SystemConfig) -> FockState:
+    return build_state(cfg, EXCHANGED_OCC)
+
+
+def localized_spin_operator(cfg: SystemConfig, region: int, direction: SpinDirection) -> FockOperator:
+    """Spin along `direction` measured through the aperture of one region,
+    reduced to mode form:
+
+        cos t (n_up - n_down)
+        + sin t (e^{+i p} bdag_down b_up + e^{-i p} bdag_up b_down)
+    """
+    t, p = direction.theta, direction.phi
+    up, dn = cfg.b(SPIN_UP, region), cfg.b(SPIN_DOWN, region)
+    updag, dndag = cfg.bdag(SPIN_UP, region), cfg.bdag(SPIN_DOWN, region)
+    op = math.cos(t) * (updag @ up - dndag @ dn)
+    op = op + math.sin(t) * (
+        cmath.exp(1j * p) * (dndag @ up) + cmath.exp(-1j * p) * (updag @ dn)
+    )
+    return op
+
+
+def rotated_creator(
+    cfg: SystemConfig, region: int, spin_along_u: str, direction: SpinDirection
+) -> FockOperator:
+    """Creator for a quantum polarized along `direction` in one region."""
+    t2, p2 = direction.theta / 2.0, direction.phi / 2.0
+    updag, dndag = cfg.bdag(SPIN_UP, region), cfg.bdag(SPIN_DOWN, region)
+    if spin_along_u == SPIN_UP:
+        return cmath.exp(-1j * p2) * math.cos(t2) * updag + cmath.exp(1j * p2) * math.sin(t2) * dndag
+    if spin_along_u == SPIN_DOWN:
+        return -cmath.exp(-1j * p2) * math.sin(t2) * updag + cmath.exp(1j * p2) * math.cos(t2) * dndag
+    raise ValueError(f"spin_along_u must be one of {SPINS}")
+
+
+def entangling_generator(cfg: SystemConfig) -> FockOperator:
+    """Dimensionless spin-exchange generator between regions 1 and 2:
+
+        G = -i kappa (bdag_down1 bdag_up2 b_down2 b_up1
+                      - bdag_up1 bdag_down2 b_up2 b_down1)
+
+    G is Hermitian; exp(-iG) is the exact entangling evolution.
+    """
+    k = cfg.kappa
+    t1 = cfg.bdag(SPIN_DOWN, 1) @ cfg.bdag(SPIN_UP, 2) @ cfg.b(SPIN_DOWN, 2) @ cfg.b(SPIN_UP, 1)
+    t2 = cfg.bdag(SPIN_UP, 1) @ cfg.bdag(SPIN_DOWN, 2) @ cfg.b(SPIN_UP, 2) @ cfg.b(SPIN_DOWN, 1)
+    return (-1j * k) * (t1 - t2)
+
+
+def evolve(cfg: SystemConfig, state: FockState, order: str = "exact") -> FockState:
+    """Entangling evolution of a normalized state.
+
+    order="first" returns the unnormalized first-order state
+    |psi> - i G |psi| (expectation helpers normalize internally);
+    order="exact" applies exp(-iG) through the generic matrix exponential.
+    """
+    if abs(state.norm() - 1.0) > 1e-9:
+        raise ValueError("evolve expects a normalized input state")
+    g = entangling_generator(cfg)
+    if order == "first":
+        if cfg.kappa > KAPPA_GUARD:
+            warnings.warn(
+                f"kappa={cfg.kappa} exceeds the perturbative guard {KAPPA_GUARD}; "
+                "first-order results are unreliable",
+                PerturbativeRangeWarning,
+                stacklevel=2,
+            )
+        return state - 1j * (g @ state)
+    if order == "exact":
+        return matrix_exponential(-1j * g) @ state
+    raise ValueError("order must be 'first' or 'exact'")
+
+
+def spin_expectation(
+    cfg: SystemConfig, state: FockState, region: int, direction: SpinDirection
+) -> float:
+    """<S> in the given (internally normalized) state; real within 1e-10."""
+    val = expectation(state.normalized(), localized_spin_operator(cfg, region, direction))
+    if abs(val.imag) > IMAG_TOL:
+        raise ArithmeticError(f"spin expectation has imaginary part {val.imag}")
+    return val.real
+
+
+def spin_correlation(
+    cfg: SystemConfig,
+    state: FockState,
+    region_a: int,
+    dir_a: SpinDirection,
+    region_b: int,
+    dir_b: SpinDirection,
+) -> float:
+    """<S_a S_b> for spins in two distinct regions."""
+    if region_a == region_b:
+        raise ValueError("spin correlation needs two distinct regions")
+    psi = state.normalized()
+    sa = localized_spin_operator(cfg, region_a, dir_a)
+    sb = localized_spin_operator(cfg, region_b, dir_b)
+    # Both operators are Hermitian: <psi|Sa Sb|psi> = <Sa psi, Sb psi>.
+    val = complex(np.vdot((sa @ psi).amplitudes, (sb @ psi).amplitudes))
+    if abs(val.imag) > IMAG_TOL:
+        raise ArithmeticError(f"spin correlation has imaginary part {val.imag}")
+    return val.real
+
+
+def entanglement_overlaps(cfg: SystemConfig, state: FockState) -> tuple[complex, complex, float]:
+    """Overlaps (c_un, c_ex) of a state with the unentangled and exchanged kets
+    plus the norm of the residual outside their span.  The state is entangled
+    in the region-1/region-2 spin sector iff both overlaps are nonzero and the
+    residual vanishes."""
+    psi = state.normalized()
+    un = unentangled_state(cfg)
+    ex = exchanged_state(cfg)
+    c0 = un.overlap(psi)
+    c1 = ex.overlap(psi)
+    residual = psi - c0 * un - c1 * ex
+    return c0, c1, residual.norm()
+
+
+def is_entangled(cfg: SystemConfig, state: FockState, tol: float = 1e-12) -> bool:
+    c0, c1, residual = entanglement_overlaps(cfg, state)
+    return abs(c0 * c1) > tol and residual <= math.sqrt(tol)
+
+
+def spin_expectation_closed_form(region: int, direction: SpinDirection) -> float:
+    """First-order expectation: +u3 in region 1, -u3 in regions 2 and 3."""
+    return direction.u3 if region == 1 else -direction.u3
+
+
+def correlation_closed_form(
+    region_a: int,
+    region_b: int,
+    dir_a: SpinDirection,
+    dir_b: SpinDirection,
+    kappa: float = 0.0,
+) -> float:
+    """First-order closed forms of the pairwise spin correlations.
+
+    Unentangled (kappa=0): -u_a3 u_b3 for (1,2), +u_a3 u_b3 for (2,3),
+    -u_a3 u_b3 for (3,1).  The entangling coupling modifies only the (1,2)
+    pair at first order: -(1-2k) u_a3 u_b3 - 2k u_a.u_b.
+    """
+    pair = {region_a, region_b}
+    ua, ub = dir_a.unit_vector, dir_b.unit_vector
+    if pair == {1, 2}:
+        return -(1.0 - 2.0 * kappa) * ua[2] * ub[2] - 2.0 * kappa * float(ua @ ub)
+    if pair == {2, 3}:
+        return ua[2] * ub[2]
+    if pair == {1, 3}:
+        return -ua[2] * ub[2]
+    raise ValueError(f"regions must be two distinct members of (1, 2, 3), got {pair}")
