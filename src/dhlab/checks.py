@@ -8,9 +8,10 @@ and the tolerance is zero.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,6 +89,10 @@ class RunConfig:
             raise ConfigError(f"format must be json or csv, got {self.out_format!r}")
         if self.direction_mode not in ("grid", "random"):
             raise ConfigError(f"direction mode must be grid or random, got {self.direction_mode!r}")
+        if min(self.n_theta, self.n_phi, self.n_random) < 1:
+            raise ConfigError("n_theta, n_phi and n_random must be at least 1")
+        if not all(math.isfinite(k) for k in self.kappas):
+            raise ConfigError(f"kappa values must be finite, got {self.kappas}")
         if any(k < 0 for k in self.kappas):
             raise ConfigError("kappa values must be non-negative")
         if len(self.signs) != 3 or any(s not in (1, -1) for s in self.signs):
@@ -108,6 +113,26 @@ def directions(rc: RunConfig) -> list[SpinDirection]:
     thetas = np.linspace(0.0, math.pi, rc.n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, rc.n_phi, endpoint=False)
     return [SpinDirection(float(t), float(p)) for t in thetas for p in phis]
+
+
+PAIRS = ((1, 2), (2, 3), (3, 1))
+
+
+def _unit_vectors(dirs: list[SpinDirection]) -> np.ndarray:
+    return np.array([d.unit_vector for d in dirs])
+
+
+def _sweep(moments: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every expectation u . m[r] (directions x regions) and every pair
+    correlation u_a^T C[a, b] u_b (PAIRS x directions x directions)."""
+    m, c = moments
+    return u @ m.T, np.array([u @ c[a - 1, b - 1] @ u.T for a, b in PAIRS])
+
+
+def _closed_grids(closed_form, dirs: list[SpinDirection], kappa: float) -> np.ndarray:
+    """A correlation closed form on the _sweep grid, direction by direction."""
+    return np.array([[[closed_form(a, b, da, db, kappa) for db in dirs] for da in dirs]
+                     for a, b in PAIRS])
 
 
 def _layout(rc: RunConfig, probe_points: tuple[float, ...] = ()) -> wp.PacketLayout:
@@ -150,8 +175,7 @@ class _Recorder:
         self._mark = now
         return dt
 
-    def close(self, check_id, ref, expected, actual, tolerance):
-        err = abs(float(actual) - float(expected))
+    def _append(self, check_id, ref, expected, actual, err, tolerance):
         self.records.append(
             CheckRecord(
                 id=check_id,
@@ -165,20 +189,12 @@ class _Recorder:
             )
         )
 
+    def close(self, check_id, ref, expected, actual, tolerance):
+        self._append(check_id, ref, expected, actual,
+                     abs(float(actual) - float(expected)), tolerance)
+
     def close_lower_bound(self, check_id, ref, bound, actual):
-        shortfall = max(0.0, float(bound) - float(actual))
-        self.records.append(
-            CheckRecord(
-                id=check_id,
-                paper_ref=ref,
-                expected=float(bound),
-                actual=float(actual),
-                abs_error=shortfall,
-                tolerance=0.0,
-                passed=shortfall <= 0.0,
-                wall_time=self._elapsed(),
-            )
-        )
+        self._append(check_id, ref, bound, actual, max(0.0, float(bound) - float(actual)), 0.0)
 
 
 def _ten_mode_registry() -> ModeRegistry:
@@ -266,21 +282,11 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
     rec.close("21-state-orthonormality", "basis kets are normalized and orthogonal",
               0.0, gram_dev, rc.tol_exact)
 
-    worst = 0.0
-    sa_cache = {
-        (r, i): model.localized_spin_operator(cfg0, r, d) @ psi_un
-        for r in (1, 2, 3)
-        for i, d in enumerate(dirs)
-    }
-    for ra, rb in ((1, 2), (2, 3), (3, 1)):
-        for i, da in enumerate(dirs):
-            for j, db in enumerate(dirs):
-                val = complex(np.vdot(sa_cache[(ra, i)].amplitudes,
-                                      sa_cache[(rb, j)].amplitudes)).real
-                closed = model.correlation_closed_form(ra, rb, da, db, 0.0)
-                worst = max(worst, abs(val - closed))
+    u = _unit_vectors(dirs)
+    corr = _sweep(model.state_moments(cfg0, psi_un), u)[1]
     rec.close("22-unentangled-correlations", "pairwise spin correlations, closed forms",
-              0.0, worst, rc.tol_exact)
+              0.0, np.abs(corr - _closed_grids(model.correlation_closed_form, dirs, 0.0)).max(),
+              rc.tol_exact)
 
     # --- standardizing transforms -----------------------------------------
     sprod = rc.signs[0] * rc.signs[1] * rc.signs[2]
@@ -332,47 +338,19 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
                   "two-step transform maps the evolved state to the vacuum",
                   0.0, (t_en.operator @ exact - cfg.vacuum()).norm(), rc.tol_exact)
 
-        # Precompute S|psi> per (region, direction) so the pair sweep is all
-        # inner products.
-        v = t_en.operator
-        w = v.dagger() @ cfg.vacuum()
-        s_exact, s_first, s_dh = {}, {}, {}
-        for r in (1, 2, 3):
-            for i, d in enumerate(dirs):
-                s = model.localized_spin_operator(cfg, r, d)
-                s_exact[r, i] = s @ exact
-                s_first[r, i] = s @ first
-                s_dh[r, i] = v @ (s @ w)
-        worst_closed = 0.0
-        worst_dh_exact = 0.0
-        worst_dh_first = 0.0
-        vac0 = cfg.vacuum()
-        for r in (1, 2, 3):
-            for i, d in enumerate(dirs):
-                ue = exact.overlap(s_exact[r, i]).real
-                uf = first.overlap(s_first[r, i]).real
-                dh = vac0.overlap(s_dh[r, i]).real
-                worst_dh_exact = max(worst_dh_exact, abs(dh - ue))
-                worst_dh_first = max(worst_dh_first, abs(dh - uf))
-        for ra, rb in ((1, 2), (2, 3), (3, 1)):
-            for i in range(len(dirs)):
-                for j in range(len(dirs)):
-                    ue = s_exact[ra, i].overlap(s_exact[rb, j]).real
-                    uf = s_first[ra, i].overlap(s_first[rb, j]).real
-                    dh = s_dh[ra, i].overlap(s_dh[rb, j]).real
-                    closed = model.correlation_closed_form(ra, rb, dirs[i], dirs[j], kappa)
-                    worst_closed = max(worst_closed, abs(ue - closed))
-                    worst_dh_exact = max(worst_dh_exact, abs(dh - ue))
-                    worst_dh_first = max(worst_dh_first, abs(dh - uf))
+        ue, uf, dh = (_sweep(moments, u) for moments in (
+            model.state_moments(cfg, exact), model.state_moments(cfg, first),
+            dhrep.dh_vacuum_moments(cfg, t_en)))
+        closed = _closed_grids(model.correlation_closed_form, dirs, kappa)
         rec.close(f"36-entangled-correlations-k{kappa:g}",
                   "first-order correlation closed forms vs exact evolution",
-                  0.0, worst_closed, max(5.0 * kappa**2, rc.tol_exact))
+                  0.0, np.abs(ue[1] - closed).max(), max(5.0 * kappa**2, rc.tol_exact))
         rec.close(f"37-dh-equivalence-exact-k{kappa:g}",
                   "operator-encoded values equal exact usual-representation values",
-                  0.0, worst_dh_exact, rc.tol_exact)
+                  0.0, max(np.abs(d - e).max() for d, e in zip(dh, ue)), rc.tol_exact)
         rec.close(f"38-dh-equivalence-first-k{kappa:g}",
                   "operator-encoded values vs first-order usual-representation values",
-                  0.0, worst_dh_first, kappa**2 + rc.tol_exact)
+                  0.0, max(np.abs(d - f).max() for d, f in zip(dh, uf)), kappa**2 + rc.tol_exact)
 
     # --- field sections and locality ---------------------------------------
     kmid = rc.kappas[len(rc.kappas) // 2] if rc.kappas else 0.05
@@ -455,12 +433,9 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
     # exactly transverse-aligned pairs sit above the kappa^3 line.  Even-count
     # theta grids (as in the acceptance sweeps) avoid them; the exact-state
     # comparison at 2 kappa^3 covers transverse pairs as well.
-    n_even = rc.n_theta + (rc.n_theta % 2)
-    dirs_even = [
-        SpinDirection(float(t), float(p))
-        for t in np.linspace(0.0, math.pi, n_even)
-        for p in np.linspace(0.0, 2.0 * math.pi, max(rc.n_phi, 2), endpoint=False)
-    ]
+    dirs_even = directions(replace(rc, direction_mode="grid",
+                                   n_theta=rc.n_theta + rc.n_theta % 2, n_phi=max(rc.n_phi, 2)))
+    u_even = _unit_vectors(dirs_even)
     for kappa in rc.kappas:
         if kappa == 0.0:
             continue
@@ -471,40 +446,25 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
         rec.close(f"60-qubit-state-distance-k{kappa:g}",
                   "exact evolution vs second-order expansion", 0.0,
                   float(np.linalg.norm(exact - second)), k3)
-        worst_exp = max(
-            abs(qubits.pauli_expectation(exact, q, d)
-                - qubits.expectation_closed_form(q, d, kappa))
-            for q in (1, 2, 3) for d in dirs
-        )
+        (exp_exact, corr_exact), (_, corr0) = (
+            _sweep(qubits.pauli_moments(s), u) for s in (exact, psi0))
+        corr_second = _sweep(qubits.pauli_moments(second), u_even)[1]
+        closed_exp = np.array([[qubits.expectation_closed_form(q, d, kappa) for q in (1, 2, 3)]
+                               for d in dirs])
         rec.close(f"61-qubit-expectations-k{kappa:g}",
-                  "spin expectations vs second-order closed forms", 0.0, worst_exp, k3)
-        worst_sec = 0.0
-        worst_exact = 0.0
-        for qa, qb in ((1, 2), (2, 3), (3, 1)):
-            for da in dirs_even:
-                for db in dirs_even:
-                    closed = qubits.correlation_closed_form(qa, qb, da, db, kappa)
-                    worst_sec = max(worst_sec, abs(
-                        qubits.pauli_correlation(second, qa, da, qb, db) - closed))
-            for da in dirs:
-                for db in dirs:
-                    closed = qubits.correlation_closed_form(qa, qb, da, db, kappa)
-                    worst_exact = max(worst_exact, abs(
-                        qubits.pauli_correlation(exact, qa, da, qb, db) - closed))
+                  "spin expectations vs second-order closed forms", 0.0,
+                  np.abs(exp_exact - closed_exp).max(), k3)
+        closed = _closed_grids(qubits.correlation_closed_form, dirs_even, kappa)
         rec.close(f"62-qubit-correlations-second-k{kappa:g}",
                   "second-order state correlations vs displayed closed forms",
-                  0.0, worst_sec, k3)
+                  0.0, np.abs(corr_second - closed).max(), k3)
+        closed = _closed_grids(qubits.correlation_closed_form, dirs, kappa)
         rec.close(f"63-qubit-correlations-exact-k{kappa:g}",
                   "exact state correlations vs displayed closed forms",
-                  0.0, worst_exact, 2.0 * k3)
-        worst_dec = 0.0
-        for qa, qb in ((2, 3), (1, 3)):
-            for da in dirs:
-                for db in dirs:
-                    c0 = qubits.pauli_correlation(psi0, qa, da, qb, db)
-                    ck = qubits.pauli_correlation(exact, qa, da, qb, db)
-                    worst_dec = max(worst_dec, abs((abs(c0) - abs(ck))
-                                                   - 2.0 * kappa**2 * abs(c0)))
+                  0.0, np.abs(corr_exact - closed).max(), 2.0 * k3)
+        # corr[1:] is pairs (2,3) and (3,1): those with the qubit the exchange leaves alone
+        c0, ck = np.abs(corr0[1:]), np.abs(corr_exact[1:])
+        worst_dec = np.abs((c0 - ck) - 2.0 * kappa**2 * c0).max()
         rec.close(f"64-qubit-second-order-decrease-k{kappa:g}",
                   "untouched-pair correlations shrink by twice kappa squared",
                   0.0, worst_dec, k3)
@@ -515,6 +475,7 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
 def run_correlations(rc: RunConfig) -> list[dict]:
     """Correlation table over the direction set and kappa list."""
     dirs = directions(rc)
+    u = _unit_vectors(dirs)
     rows = []
     kappas = rc.kappas if 0.0 in rc.kappas else (0.0,) + tuple(rc.kappas)
     for kappa in kappas:
@@ -525,36 +486,26 @@ def run_correlations(rc: RunConfig) -> list[dict]:
         exact_state = model.evolve(cfg, psi, "exact")
         first_state = model.evolve(cfg, psi, "first").normalized()
         label = "entangled" if kappa > 0 else "unentangled"
-        v = transform.operator
-        w = v.dagger() @ cfg.vacuum()
-        s_exact, s_first, s_dh = {}, {}, {}
-        for r in (1, 2, 3):
-            for i, d in enumerate(dirs):
-                s = model.localized_spin_operator(cfg, r, d)
-                s_exact[r, i] = s @ exact_state
-                s_first[r, i] = s @ first_state
-                s_dh[r, i] = v @ (s @ w)
-        for ra, rb in ((1, 2), (2, 3), (3, 1)):
-            for i, da in enumerate(dirs):
-                for j, db in enumerate(dirs):
-                    first = s_first[ra, i].overlap(s_first[rb, j]).real
-                    exact = s_exact[ra, i].overlap(s_exact[rb, j]).real
-                    dh = s_dh[ra, i].overlap(s_dh[rb, j]).real
-                    closed = model.correlation_closed_form(ra, rb, da, db, kappa)
-                    rows.append({
-                        "representation": label,
-                        "kappa": kappa,
-                        "regions": f"({ra},{rb})",
-                        "ua_theta": da.theta, "ua_phi": da.phi,
-                        "ub_theta": db.theta, "ub_phi": db.phi,
-                        "first_order": first,
-                        "exact": exact,
-                        "dh_vacuum": dh,
-                        "closed_form": closed,
-                        "dev_first_closed": abs(first - closed),
-                        "dev_exact_closed": abs(exact - closed),
-                        "dev_dh_exact": abs(dh - exact),
-                    })
+        firsts, exacts, dhs = (_sweep(moments, u)[1].ravel().tolist() for moments in (
+            model.state_moments(cfg, first_state), model.state_moments(cfg, exact_state),
+            dhrep.dh_vacuum_moments(cfg, transform)))
+        closed_forms = _closed_grids(model.correlation_closed_form, dirs, kappa).ravel()
+        for ((ra, rb), da, db), first, exact, dh, closed in zip(
+                itertools.product(PAIRS, dirs, dirs), firsts, exacts, dhs, closed_forms):
+            rows.append({
+                "representation": label,
+                "kappa": kappa,
+                "regions": f"({ra},{rb})",
+                "ua_theta": da.theta, "ua_phi": da.phi,
+                "ub_theta": db.theta, "ub_phi": db.phi,
+                "first_order": first,
+                "exact": exact,
+                "dh_vacuum": dh,
+                "closed_form": closed,
+                "dev_first_closed": abs(first - closed),
+                "dev_exact_closed": abs(exact - closed),
+                "dev_dh_exact": abs(dh - exact),
+            })
     return rows
 
 
@@ -576,31 +527,34 @@ def run_qubit(rc: RunConfig) -> list[dict]:
     """Exact vs second-order qubit expectations/correlations over the kappa list."""
     probe_dirs = [("x3", SpinDirection.x3()), ("x1", SpinDirection.x1()),
                   ("x2", SpinDirection.x2())]
+    u = _unit_vectors([d for _, d in probe_dirs])
     rows = []
     kappas = rc.kappas if 0.0 in rc.kappas else (0.0,) + tuple(rc.kappas)
     for kappa in kappas:
         psi0 = qubits.unentangled_state()
-        exact = qubits.evolve_qubits(psi0, kappa, "exact")
-        second = qubits.evolve_qubits(psi0, kappa, "second")
-        for q in (1, 2, 3):
-            for name, d in probe_dirs:
-                rows.append({
-                    "kappa": kappa,
-                    "item": f"expectation_q{q}_{name}",
-                    "exact": qubits.pauli_expectation(exact, q, d),
-                    "second_order": qubits.pauli_expectation(second, q, d),
-                    "closed_form": qubits.expectation_closed_form(q, d, kappa),
-                })
-        for qa, qb in ((1, 2), (2, 3), (3, 1)):
-            for name_a, da in probe_dirs:
-                for name_b, db in probe_dirs:
-                    rows.append({
-                        "kappa": kappa,
-                        "item": f"correlation_q{qa}{qb}_{name_a}_{name_b}",
-                        "exact": qubits.pauli_correlation(exact, qa, da, qb, db),
-                        "second_order": qubits.pauli_correlation(second, qa, da, qb, db),
-                        "closed_form": qubits.correlation_closed_form(qa, qb, da, db, kappa),
-                    })
+        (exp_exact, corr_exact), (exp_second, corr_second) = (
+            _sweep(qubits.pauli_moments(qubits.evolve_qubits(psi0, kappa, order)), u)
+            for order in ("exact", "second"))
+        for (q, (name, d)), exact, second in zip(
+                itertools.product((1, 2, 3), probe_dirs),
+                exp_exact.T.ravel().tolist(), exp_second.T.ravel().tolist()):
+            rows.append({
+                "kappa": kappa,
+                "item": f"expectation_q{q}_{name}",
+                "exact": exact,
+                "second_order": second,
+                "closed_form": qubits.expectation_closed_form(q, d, kappa),
+            })
+        for ((qa, qb), (name_a, da), (name_b, db)), exact, second in zip(
+                itertools.product(PAIRS, probe_dirs, probe_dirs),
+                corr_exact.ravel().tolist(), corr_second.ravel().tolist()):
+            rows.append({
+                "kappa": kappa,
+                "item": f"correlation_q{qa}{qb}_{name_a}_{name_b}",
+                "exact": exact,
+                "second_order": second,
+                "closed_form": qubits.correlation_closed_form(qa, qb, da, db, kappa),
+            })
     for row in rows:
         row["dev_exact_closed"] = abs(row["exact"] - row["closed_form"])
         row["dev_second_closed"] = abs(row["second_order"] - row["closed_form"])

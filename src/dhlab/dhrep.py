@@ -32,6 +32,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import wavepackets as wp
 from .errors import SignConstraintError
 from .fock import (
@@ -56,6 +58,8 @@ from .model import (
     SystemConfig,
     entangling_generator,
     localized_spin_operator,
+    spin_moments,
+    spin_stacks,
 )
 
 UNITARITY_TOL = 1e-10
@@ -349,6 +353,15 @@ def dh_vacuum_correlation(
     if abs(val.imag) > IMAG_TOL:
         raise ArithmeticError(f"vacuum correlation has imaginary part {val.imag}")
     return val.real
+
+
+def dh_vacuum_moments(cfg: SystemConfig, transform: DhTransform) -> tuple[np.ndarray, np.ndarray]:
+    """Spin moments (m, C) read from the vacuum: bra <0|, stacks V [S_k w]
+    with w = Vdag |0>; see model.spin_moments."""
+    v = transform.operator
+    vac = vacuum_state(cfg.registry)
+    w = v.dagger() @ vac
+    return spin_moments(vac.amplitudes, [v.matrix @ a for a in spin_stacks(cfg, w)])
 
 
 @dataclass(frozen=True)

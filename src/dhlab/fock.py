@@ -176,9 +176,6 @@ class FockOperator:
             return float(np.abs(self.matrix.data).max()) if self.matrix.nnz else 0.0
         return float(np.abs(self.matrix).max()) if self.matrix.size else 0.0
 
-    def is_hermitian(self, tol: float = 0.0) -> bool:
-        return (self - self.dagger()).max_abs() <= tol
-
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the dense matrix (sorted for Hermitian input)."""
         dense = self.dense()
@@ -319,15 +316,6 @@ def vacuum_state(registry: ModeRegistry) -> FockState:
     amps = np.zeros(registry.dimension, dtype=complex)
     amps[0] = 1.0
     return FockState(registry, amps)
-
-
-def basis_state(registry: ModeRegistry, occupied: tuple[ModeLabel, ...]) -> FockState:
-    """Basis ket with the given modes occupied, built by applying creators
-    in decreasing registry order (all parity signs +1)."""
-    state = vacuum_state(registry)
-    for label in sorted(occupied, key=registry.index, reverse=True):
-        state = mode_operator(registry, label, dagger=True) @ state
-    return state
 
 
 def algebra(

@@ -242,6 +242,45 @@ def localized_spin_operator(cfg: SystemConfig, region: int, direction: SpinDirec
     return op
 
 
+def spin_components(cfg: SystemConfig, region: int) -> tuple[FockOperator, FockOperator, FockOperator]:
+    """(Sx, Sy, Sz) of one region; localized_spin_operator is u . (Sx, Sy, Sz):
+
+        X = bdag_down b_up,  Sx = X + X^dag,  Sy = i (X - X^dag),  Sz = n_up - n_down
+    """
+    up, dn = cfg.b(SPIN_UP, region), cfg.b(SPIN_DOWN, region)
+    updag, dndag = cfg.bdag(SPIN_UP, region), cfg.bdag(SPIN_DOWN, region)
+    x, xdag = dndag @ up, updag @ dn
+    return x + xdag, 1j * (x - xdag), updag @ up - dndag @ dn
+
+
+def spin_stacks(cfg: SystemConfig, ket: FockState) -> list[np.ndarray]:
+    """Per region 1, 2, 3 the dim x 3 array [Sx ket, Sy ket, Sz ket]."""
+    return [np.array([(s @ ket).amplitudes for s in spin_components(cfg, r)]).T for r in (1, 2, 3)]
+
+
+def spin_moments(bra: np.ndarray, stacks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Spin moments m[r] = bra^H A_r (3,) and C[a, b] = A_a^H A_b (3, 3) from
+    per-region stacks A_r = [S_r^i phi].  With bra = phi = psi these are
+    <psi|S_r^i|psi> and <psi|S_a^i S_b^j|psi>, so an expectation is u . m[r]
+    and a pair correlation u_a^T C[a, b] u_b.  m and the distinct-pair blocks
+    must be real within 1e-10; same-region products are not Hermitian, so
+    C[a, a] keeps only its real (symmetrized) part, unchecked.
+    """
+    n = len(stacks)
+    a = np.concatenate(stacks, axis=1)
+    m = (bra.conj() @ a).reshape(n, 3)
+    c = (a.conj().T @ a).reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
+    imag = max(np.abs(m.imag).max(), np.abs(c[~np.eye(n, dtype=bool)].imag).max(initial=0.0))
+    if imag > IMAG_TOL:
+        raise ArithmeticError(f"spin moments have imaginary part {imag}")
+    return m.real, c.real
+
+
+def state_moments(cfg: SystemConfig, state: FockState) -> tuple[np.ndarray, np.ndarray]:
+    """Spin moments (m, C) of a normalized state in the usual representation."""
+    return spin_moments(state.amplitudes, spin_stacks(cfg, state))
+
+
 def rotated_creator(
     cfg: SystemConfig, region: int, spin_along_u: str, direction: SpinDirection
 ) -> FockOperator:
@@ -341,11 +380,6 @@ def entanglement_overlaps(cfg: SystemConfig, state: FockState) -> tuple[complex,
 def is_entangled(cfg: SystemConfig, state: FockState, tol: float = 1e-12) -> bool:
     c0, c1, residual = entanglement_overlaps(cfg, state)
     return abs(c0 * c1) > tol and residual <= math.sqrt(tol)
-
-
-def spin_expectation_closed_form(region: int, direction: SpinDirection) -> float:
-    """First-order expectation: +u3 in region 1, -u3 in regions 2 and 3."""
-    return direction.u3 if region == 1 else -direction.u3
 
 
 def correlation_closed_form(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .model import SpinDirection
+from .model import SpinDirection, spin_moments
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -123,6 +123,15 @@ def pauli_correlation(
     if abs(val.imag) > 1e-10:
         raise ArithmeticError(f"correlation has imaginary part {val.imag}")
     return val.real
+
+
+def pauli_moments(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spin moments of the (internally normalized) state: m[q] = <sigma_q^i>
+    and C[qa, qb] = <sigma_qa^i sigma_qb^j>, qubits counted from 0; see
+    model.spin_moments."""
+    psi = state / np.linalg.norm(state)
+    stacks = [np.array([pauli_operator(q, i) @ psi for i in (1, 2, 3)]).T for q in (1, 2, 3)]
+    return spin_moments(psi, stacks)
 
 
 def is_product_with_qubit3(state: np.ndarray, tol: float = 1e-12) -> bool:

@@ -28,7 +28,6 @@ class Grid:
     """Uniformly spaced, strictly increasing 1-D grid (>= 16 points)."""
 
     points: np.ndarray
-    dimension: int = 1
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)

@@ -6,12 +6,31 @@ import pytest
 
 from dhlab import dhrep, model
 
+AXES = (model.SpinDirection.x1(), model.SpinDirection.x2(), model.SpinDirection.x3())
+PAIRS = ((1, 2), (2, 3), (3, 1))
+KERNEL_TOL = 1e-14
+
 
 def grid_directions(n_theta: int, n_phi: int) -> list[model.SpinDirection]:
     """(theta, phi) product grid; even n_theta avoids theta = pi/2."""
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     return [model.SpinDirection(float(t), float(p)) for t in thetas for p in phis]
+
+
+def assert_moments_match(moments, expectation, correlation, dirs) -> None:
+    """Spin moments (m, C) from a kernel reproduce a direct per-direction
+    evaluator: u . m[r] = expectation(r, u) on every region and
+    u_a^T C[a, b] u_b = correlation(a, u_a, b, u_b) on every pair."""
+    m, c = moments
+    for r in (1, 2, 3):
+        for d in dirs:
+            assert abs(d.unit_vector @ m[r - 1] - expectation(r, d)) <= KERNEL_TOL
+    for a, b in PAIRS:
+        for da in dirs:
+            for db in dirs:
+                kernel = da.unit_vector @ c[a - 1, b - 1] @ db.unit_vector
+                assert abs(kernel - correlation(a, da, b, db)) <= KERNEL_TOL
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,10 @@ import math
 
 import pytest
 
-from dhlab import cli
-from dhlab.checks import RunConfig, directions
+from dhlab import cli, dhrep, model, qubits
+from dhlab.checks import RunConfig, directions, run_correlations, run_qubit
 from dhlab.errors import ConfigError
+from dhlab.model import SpinDirection
 
 FAST_FLAGS = ["--kappa", "0.05"]
 
@@ -83,6 +84,21 @@ def test_bad_flag_values_exit_two():
     assert cli.main(["verify", "--kappa", "puppies"]) == 2
 
 
+@pytest.mark.parametrize("key", ["n_theta", "n_phi", "n_random"])
+@pytest.mark.parametrize("command", ["verify", "correlations", "qubit"])
+def test_empty_direction_set_exits_two(tmp_path, capsys, command, key):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[directions]\n{key} = 0\n")
+    assert cli.main([command, "--config", str(ini), "--out", str(tmp_path / "o.json")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf", "0.05,nan"])
+def test_non_finite_kappa_exits_two(tmp_path, capsys, kappa):
+    assert cli.main(["verify", "--kappa", kappa, "--out", str(tmp_path / "o.json")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_config_file_and_flag_override(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text(
@@ -154,6 +170,42 @@ def test_correlations_table(tmp_path):
     # (the second-order decrease the closed form does not carry)
     assert abs(r23["dh_vacuum"] - r23["exact"]) <= 1e-10
     assert abs(r23["dh_vacuum"] - r23["closed_form"]) <= 2.0 * 0.05**2 + 1e-10
+
+
+def test_correlation_rows_match_direct_evaluators():
+    # the table comes from the moment tensors; sampled rows must equal the
+    # per-direction evaluators of each representation
+    rc = RunConfig(kappas=(0.05,), direction_mode="random", n_random=4, seed=3)
+    rows = run_correlations(rc)
+    assert len(rows) == 2 * 3 * 16
+    for row in rows[::7]:
+        kappa = row["kappa"]
+        cfg = model.standard_config(kappa=kappa, signs=rc.signs)
+        psi = model.unentangled_state(cfg)
+        t_un = dhrep.build_unentangled_transform(cfg)
+        transform = dhrep.build_entangled_transform(cfg, t_un) if kappa > 0 else t_un
+        ra, rb = (int(c) for c in row["regions"].strip("()").split(","))
+        args = (ra, SpinDirection(row["ua_theta"], row["ua_phi"]),
+                rb, SpinDirection(row["ub_theta"], row["ub_phi"]))
+        for col, state in (("exact", model.evolve(cfg, psi, "exact")),
+                           ("first_order", model.evolve(cfg, psi, "first"))):
+            assert abs(row[col] - model.spin_correlation(cfg, state, *args)) <= 1e-14
+        assert abs(row["dh_vacuum"] - dhrep.dh_vacuum_correlation(cfg, transform, *args)) <= 1e-14
+
+
+def test_qubit_rows_match_direct_evaluators():
+    axes = {"x1": SpinDirection.x1(), "x2": SpinDirection.x2(), "x3": SpinDirection.x3()}
+    for row in run_qubit(RunConfig(kappas=(0.1,))):
+        psi0 = qubits.unentangled_state()
+        kind, *names = row["item"].split("_")
+        for col, order in (("exact", "exact"), ("second_order", "second")):
+            state = qubits.evolve_qubits(psi0, row["kappa"], order)
+            if kind == "expectation":
+                direct = qubits.pauli_expectation(state, int(names[0][1]), axes[names[1]])
+            else:
+                qa, qb = int(names[0][1]), int(names[0][2])
+                direct = qubits.pauli_correlation(state, qa, axes[names[1]], qb, axes[names[2]])
+            assert abs(row[col] - direct) <= 1e-14
 
 
 def test_qubit_table(tmp_path):

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import grid_directions
-from dhlab import fock, model
+from conftest import AXES, PAIRS, assert_moments_match, grid_directions
+from dhlab import dhrep, fock, model
 from dhlab.errors import DuplicateOccupationError, LayoutError, PerturbativeRangeWarning
 from dhlab.model import (
     EXCHANGED_OCC,
@@ -239,3 +241,81 @@ def test_layout_gates_enforced():
     overlapping = wp.standard_layout(centers=(-2.0, 0.0, 2.0))
     with pytest.raises(LayoutError):
         model.standard_config(layout=overlapping)
+
+
+# --- spin-moment tensor kernel ----------------------------------------------
+
+spin_directions = st.builds(
+    SpinDirection, st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+)
+
+
+@pytest.fixture(scope="module")
+def kernel_cases(cfg05, t_en05):
+    """(moments, expectation, correlation) for the usual exact and
+    first-order states at kappa = 0.05, a generic normalized state, and the
+    DH vacuum: the kernel's moments next to the direct per-direction
+    evaluators.  The generic state has moments along every axis, so a
+    transposed or mis-signed component shows."""
+    psi = unentangled_state(cfg05)
+    rng = np.random.default_rng(5)
+    amps = np.array([1.0, 1j]) @ rng.standard_normal((2, cfg05.registry.dimension))
+    generic = fock.FockState(cfg05.registry, amps).normalized()
+    cases = []
+    for state in (evolve(cfg05, psi, "exact"), evolve(cfg05, psi, "first").normalized(), generic):
+        cases.append((
+            model.state_moments(cfg05, state),
+            lambda r, d, s=state: spin_expectation(cfg05, s, r, d),
+            lambda ra, da, rb, db, s=state: spin_correlation(cfg05, s, ra, da, rb, db),
+        ))
+    cases.append((
+        dhrep.dh_vacuum_moments(cfg05, t_en05),
+        lambda r, d: dhrep.dh_vacuum_spin(cfg05, t_en05, r, d),
+        lambda ra, da, rb, db: dhrep.dh_vacuum_correlation(cfg05, t_en05, ra, da, rb, db),
+    ))
+    return cases
+
+
+def test_spin_components_span_localized_spin(cfg0):
+    for region in (1, 2, 3):
+        sx, sy, sz = model.spin_components(cfg0, region)
+        for d in AXES + (SpinDirection(0.7, 4.0),):
+            u = d.unit_vector
+            direct = localized_spin_operator(cfg0, region, d)
+            assert fock.operator_distance(u[0] * sx + u[1] * sy + u[2] * sz, direct) <= 1e-15
+
+
+def test_kernel_matches_direct_evaluators_on_axes(kernel_cases):
+    for moments, expectation, correlation in kernel_cases:
+        assert_moments_match(moments, expectation, correlation, AXES)
+
+
+@settings(max_examples=15, deadline=None)
+@given(da=spin_directions, db=spin_directions)
+def test_kernel_matches_direct_evaluators_on_drawn_directions(kernel_cases, da, db):
+    for moments, expectation, correlation in kernel_cases:
+        assert_moments_match(moments, expectation, correlation, (da, db))
+
+
+def test_kernel_tensor_identities_at_kappa_zero(cfg0, t_un0):
+    # C_12 = -e3 e3^T, C_23 = +e3 e3^T, C_31 = -e3 e3^T with no rounding, in
+    # the usual representation and read from the DH vacuum alike
+    e3e3 = np.outer([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+    expected = {(1, 2): -e3e3, (2, 3): e3e3, (3, 1): -e3e3}
+    for m, c in (model.state_moments(cfg0, unentangled_state(cfg0)),
+                 dhrep.dh_vacuum_moments(cfg0, t_un0)):
+        assert np.array_equal(m, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, -1.0]])
+        for a, b in PAIRS:
+            assert np.array_equal(c[a - 1, b - 1], expected[a, b])
+
+
+def test_spin_moments_reject_complex_values():
+    bra = np.array([1.0, 0.0], dtype=complex)
+    real = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=complex)
+    m, c = model.spin_moments(bra, [real, real])
+    assert np.array_equal(m, [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert np.array_equal(c[0, 1], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ArithmeticError):  # an imaginary expectation
+        model.spin_moments(bra, [1j * real, real])
+    with pytest.raises(ArithmeticError):  # an imaginary distinct-pair block
+        model.spin_moments(np.zeros(2, dtype=complex), [1j * real, real])

@@ -2,10 +2,14 @@
 
 import itertools
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import grid_directions
+from conftest import AXES, PAIRS, assert_moments_match, grid_directions
 from dhlab import model, qubits
 from dhlab.model import SpinDirection
 
@@ -145,3 +149,54 @@ def test_field_model_agrees_with_qubit_oracle(kappa):
                 qubit_val = qubits.pauli_correlation(exact_q, ra, da, rb, db)
                 worst = max(worst, abs(field_val - qubit_val))
     assert worst <= 5.0 * kappa**2
+
+
+spin_directions = st.builds(
+    SpinDirection, st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+)
+
+
+def _qubit_cases():
+    """(moments, expectation, correlation) for the unentangled, exact and
+    unnormalized second-order states and a generic unnormalized one:
+    pauli_moments next to the direct per-direction evaluators."""
+    psi0 = qubits.unentangled_state()
+    states = [psi0] + [qubits.evolve_qubits(psi0, 0.1, order) for order in ("exact", "second")]
+    states.append(np.array([1.0, 1j]) @ np.random.default_rng(5).standard_normal((2, 8)))
+    return [(
+        qubits.pauli_moments(s),
+        lambda q, d, s=s: qubits.pauli_expectation(s, q, d),
+        lambda qa, da, qb, db, s=s: qubits.pauli_correlation(s, qa, da, qb, db),
+    ) for s in states]
+
+
+QUBIT_CASES = _qubit_cases()
+
+
+def test_pauli_moments_match_direct_evaluators_on_axes():
+    for moments, expectation, correlation in QUBIT_CASES:
+        assert_moments_match(moments, expectation, correlation, AXES)
+
+
+@settings(max_examples=50, deadline=None)
+@given(da=spin_directions, db=spin_directions)
+def test_pauli_moments_match_direct_evaluators_on_drawn_directions(da, db):
+    for moments, expectation, correlation in QUBIT_CASES:
+        assert_moments_match(moments, expectation, correlation, (da, db))
+
+
+def test_pauli_moment_tensor_identities_at_kappa_zero():
+    e3e3 = np.outer([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+    expected = {(1, 2): -e3e3, (2, 3): e3e3, (3, 1): -e3e3}
+    m, c = qubits.pauli_moments(qubits.unentangled_state())
+    assert np.array_equal(m, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, -1.0]])
+    for a, b in PAIRS:
+        assert np.array_equal(c[a - 1, b - 1], expected[a, b])
+
+
+def test_pauli_moments_same_qubit_blocks_keep_the_real_part():
+    # sigma^x sigma^y = i sigma^z is not Hermitian: the same-qubit block keeps
+    # only the symmetrized part delta_ij and is not checked for realness
+    _, c = qubits.pauli_moments(qubits.unentangled_state())
+    for q in range(3):
+        assert np.array_equal(c[q, q], np.eye(3))
