@@ -27,7 +27,6 @@ from .fock import (
     ProbeMode,
     SPIN_DOWN,
     SPIN_UP,
-    algebra,
     anticommutator,
     commutator,
     expectation,

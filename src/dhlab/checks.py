@@ -20,6 +20,7 @@ from . import wavepackets as wp
 from .errors import ConfigError
 from .fock import (
     FockOperator,
+    FockState,
     ModeRegistry,
     ProbeMode,
     anticommutator,
@@ -91,10 +92,14 @@ class RunConfig:
             raise ConfigError(f"direction mode must be grid or random, got {self.direction_mode!r}")
         if min(self.n_theta, self.n_phi, self.n_random) < 1:
             raise ConfigError("n_theta, n_phi and n_random must be at least 1")
+        if not self.kappas:
+            raise ConfigError("the kappa list is empty")
         if not all(math.isfinite(k) for k in self.kappas):
             raise ConfigError(f"kappa values must be finite, got {self.kappas}")
         if any(k < 0 for k in self.kappas):
             raise ConfigError("kappa values must be non-negative")
+        if len(self.packet_centers) != 3:
+            raise ConfigError(f"need exactly three packet centers, got {self.packet_centers}")
         if len(self.signs) != 3 or any(s not in (1, -1) for s in self.signs):
             raise ConfigError(f"signs must be three values of +-1, got {self.signs}")
 
@@ -135,31 +140,37 @@ def _closed_grids(closed_form, dirs: list[SpinDirection], kappa: float) -> np.nd
                      for a, b in PAIRS])
 
 
-def _layout(rc: RunConfig, probe_points: tuple[float, ...] = ()) -> wp.PacketLayout:
-    lo, hi = rc.grid_min, rc.grid_max
-    spacing = (hi - lo) / (rc.grid_points - 1)
-    if probe_points:
-        lo = min(lo, min(probe_points) - 10.0 * rc.packet_width)
-        hi = max(hi, max(probe_points) + 10.0 * rc.packet_width)
-    n = int(round((hi - lo) / spacing)) + 1
-    return wp.standard_layout(
+def _config(rc: RunConfig, kappa: float, probe_points: tuple[float, ...] = ()) -> model.SystemConfig:
+    layout = wp.standard_layout(
         centers=rc.packet_centers,
         width=rc.packet_width,
-        span=(lo, hi),
-        n_points=n,
+        span=(rc.grid_min, rc.grid_max),
+        n_points=rc.grid_points,
         probe_points=probe_points,
     )
-
-
-def _config(rc: RunConfig, kappa: float, probe_points: tuple[float, ...] = ()) -> model.SystemConfig:
     return model.standard_config(
-        kappa=kappa,
-        signs=rc.signs,
-        layout=_layout(rc, probe_points),
-        wsw_tol=rc.wsw_tol,
-        aperture_tol=rc.aperture_tol,
-        probe_points=probe_points,
+        kappa=kappa, signs=rc.signs, layout=layout,
+        wsw_tol=rc.wsw_tol, aperture_tol=rc.aperture_tol,
     )
+
+
+def _system(rc: RunConfig, kappa: float, probe_points: tuple[float, ...] = ()
+            ) -> tuple[model.SystemConfig, dhrep.DhTransform, dhrep.DhTransform]:
+    """Config with its unentangled and two-step entangled transforms."""
+    cfg = _config(rc, kappa, probe_points)
+    t_un = dhrep.build_unentangled_transform(cfg)
+    return cfg, t_un, dhrep.build_entangled_transform(cfg, t_un)
+
+
+def _evolved(cfg: model.SystemConfig) -> tuple[FockState, FockState]:
+    """Exact and normalized first-order evolutions of the unentangled state."""
+    psi = model.unentangled_state(cfg)
+    return model.evolve(cfg, psi, "exact"), model.evolve(cfg, psi, "first").normalized()
+
+
+def _with_zero(kappas: tuple[float, ...]) -> tuple[float, ...]:
+    """The kappa list with the unentangled kappa = 0 in front, unless present."""
+    return kappas if 0.0 in kappas else (0.0,) + tuple(kappas)
 
 
 class _Recorder:
@@ -328,12 +339,8 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
               0.0, smear_dev, rc.tol_exact)
 
     for kappa in rc.kappas:
-        cfg = _config(rc, kappa)
-        t_un = dhrep.build_unentangled_transform(cfg)
-        t_en = dhrep.build_entangled_transform(cfg, t_un)
-        psi = model.unentangled_state(cfg)
-        exact = model.evolve(cfg, psi, "exact")
-        first = model.evolve(cfg, psi, "first").normalized()
+        cfg, _, t_en = _system(rc, kappa)
+        exact, first = _evolved(cfg)
         rec.close(f"35-standardization-entangled-k{kappa:g}",
                   "two-step transform maps the evolved state to the vacuum",
                   0.0, (t_en.operator @ exact - cfg.vacuum()).norm(), rc.tol_exact)
@@ -353,10 +360,8 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
                   0.0, max(np.abs(d - f).max() for d, f in zip(dh, uf)), kappa**2 + rc.tol_exact)
 
     # --- field sections and locality ---------------------------------------
-    kmid = rc.kappas[len(rc.kappas) // 2] if rc.kappas else 0.05
-    cfgp = _config(rc, kmid, probe_points=(rc.probe_point,))
-    t_un = dhrep.build_unentangled_transform(cfgp)
-    t_en = dhrep.build_entangled_transform(cfgp, t_un)
+    kmid = rc.kappas[len(rc.kappas) // 2]
+    cfgp, t_un, t_en = _system(rc, kmid, (rc.probe_point,))
     pts = cfgp.layout.centers + (rc.probe_point,)
     usual = dhrep.field_section(cfgp, dhrep.USUAL, pts)
     closed_un = dhrep.field_section(cfgp, dhrep.DH_UNENTANGLED_CLOSED_FORM, pts, t_un)
@@ -477,18 +482,14 @@ def run_correlations(rc: RunConfig) -> list[dict]:
     dirs = directions(rc)
     u = _unit_vectors(dirs)
     rows = []
-    kappas = rc.kappas if 0.0 in rc.kappas else (0.0,) + tuple(rc.kappas)
-    for kappa in kappas:
-        cfg = _config(rc, kappa)
-        t_un = dhrep.build_unentangled_transform(cfg)
-        transform = dhrep.build_entangled_transform(cfg, t_un) if kappa > 0 else t_un
-        psi = model.unentangled_state(cfg)
-        exact_state = model.evolve(cfg, psi, "exact")
-        first_state = model.evolve(cfg, psi, "first").normalized()
+    for kappa in _with_zero(rc.kappas):
+        # at kappa = 0 the entangler is the identity, so t_en's matrix equals t_un's
+        cfg, _, t_en = _system(rc, kappa)
+        exact_state, first_state = _evolved(cfg)
         label = "entangled" if kappa > 0 else "unentangled"
         firsts, exacts, dhs = (_sweep(moments, u)[1].ravel().tolist() for moments in (
             model.state_moments(cfg, first_state), model.state_moments(cfg, exact_state),
-            dhrep.dh_vacuum_moments(cfg, transform)))
+            dhrep.dh_vacuum_moments(cfg, t_en)))
         closed_forms = _closed_grids(model.correlation_closed_form, dirs, kappa).ravel()
         for ((ra, rb), da, db), first, exact, dh, closed in zip(
                 itertools.product(PAIRS, dirs, dirs), firsts, exacts, dhs, closed_forms):
@@ -512,10 +513,7 @@ def run_correlations(rc: RunConfig) -> list[dict]:
 def run_locality(rc: RunConfig) -> dict:
     """Per-point section distances for the auxiliary construction alongside
     the no-auxiliary contrast."""
-    kappa = max(rc.kappas) if rc.kappas else 0.05
-    cfg = _config(rc, kappa, probe_points=(rc.probe_point,))
-    t_un = dhrep.build_unentangled_transform(cfg)
-    t_en = dhrep.build_entangled_transform(cfg, t_un)
+    cfg, t_un, t_en = _system(rc, max(rc.kappas), (rc.probe_point,))
     return {
         "aux_unentangled": [r.to_dict() for r in dhrep.locality_report(cfg, t_un).rows],
         "aux_entangled": [r.to_dict() for r in dhrep.locality_report(cfg, t_en).rows],
@@ -529,8 +527,7 @@ def run_qubit(rc: RunConfig) -> list[dict]:
                   ("x2", SpinDirection.x2())]
     u = _unit_vectors([d for _, d in probe_dirs])
     rows = []
-    kappas = rc.kappas if 0.0 in rc.kappas else (0.0,) + tuple(rc.kappas)
-    for kappa in kappas:
+    for kappa in _with_zero(rc.kappas):
         psi0 = qubits.unentangled_state()
         (exp_exact, corr_exact), (exp_second, corr_second) = (
             _sweep(qubits.pauli_moments(qubits.evolve_qubits(psi0, kappa, order)), u)

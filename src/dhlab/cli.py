@@ -7,7 +7,8 @@ Subcommands:
     qubit         - first-quantized oracle: exact vs second-order values
 
 Exit codes: 0 all checks pass (or table written), 1 at least one verify
-check failed, 2 configuration error.
+check failed, 2 configuration error (including a geometry or sign choice
+the run cannot be built on).
 
 Configuration is a version-tagged INI file; every command-line flag
 overrides its file counterpart, and all defaults are valid without a file.
@@ -24,63 +25,7 @@ import json
 import sys
 
 from .checks import RunConfig, run_correlations, run_locality, run_qubit, run_verify
-from .errors import ConfigError
-
-_SCHEMA = {
-    "run": {
-        "config_version": int,
-        "kappa": "floats",
-        "signs": "signs",
-        "seed": int,
-    },
-    "geometry": {
-        "grid_min": float,
-        "grid_max": float,
-        "grid_points": int,
-        "packet_centers": "floats",
-        "packet_width": float,
-        "probe_point": float,
-        "separations": "floats",
-    },
-    "directions": {
-        "mode": str,
-        "n_theta": int,
-        "n_phi": int,
-        "n_random": int,
-    },
-    "tolerances": {
-        "exact": float,
-        "wsw": float,
-        "aperture": float,
-    },
-    "output": {
-        "path": str,
-        "format": str,
-    },
-}
-
-_KEY_TO_FIELD = {
-    ("run", "kappa"): "kappas",
-    ("run", "seed"): "seed",
-    ("run", "signs"): "signs",
-    ("run", "config_version"): "config_version",
-    ("geometry", "grid_min"): "grid_min",
-    ("geometry", "grid_max"): "grid_max",
-    ("geometry", "grid_points"): "grid_points",
-    ("geometry", "packet_centers"): "packet_centers",
-    ("geometry", "packet_width"): "packet_width",
-    ("geometry", "probe_point"): "probe_point",
-    ("geometry", "separations"): "separations",
-    ("directions", "mode"): "direction_mode",
-    ("directions", "n_theta"): "n_theta",
-    ("directions", "n_phi"): "n_phi",
-    ("directions", "n_random"): "n_random",
-    ("tolerances", "exact"): "tol_exact",
-    ("tolerances", "wsw"): "wsw_tol",
-    ("tolerances", "aperture"): "aperture_tol",
-    ("output", "path"): "out_path",
-    ("output", "format"): "out_format",
-}
+from .errors import ConfigError, LayoutError, SignConstraintError
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -100,6 +45,41 @@ def _parse_signs(text: str) -> tuple[int, int, int]:
     return parts  # type: ignore[return-value]
 
 
+# INI section -> key -> (RunConfig field, parser)
+_SCHEMA = {
+    "run": {
+        "config_version": ("config_version", int),
+        "kappa": ("kappas", _parse_floats),
+        "signs": ("signs", _parse_signs),
+        "seed": ("seed", int),
+    },
+    "geometry": {
+        "grid_min": ("grid_min", float),
+        "grid_max": ("grid_max", float),
+        "grid_points": ("grid_points", int),
+        "packet_centers": ("packet_centers", _parse_floats),
+        "packet_width": ("packet_width", float),
+        "probe_point": ("probe_point", float),
+        "separations": ("separations", _parse_floats),
+    },
+    "directions": {
+        "mode": ("direction_mode", str),
+        "n_theta": ("n_theta", int),
+        "n_phi": ("n_phi", int),
+        "n_random": ("n_random", int),
+    },
+    "tolerances": {
+        "exact": ("tol_exact", float),
+        "wsw": ("wsw_tol", float),
+        "aperture": ("aperture_tol", float),
+    },
+    "output": {
+        "path": ("out_path", str),
+        "format": ("out_format", str),
+    },
+}
+
+
 def load_config_file(path: str) -> dict:
     """Parse the INI run configuration into RunConfig field overrides."""
     parser = configparser.ConfigParser()
@@ -117,19 +97,13 @@ def load_config_file(path: str) -> dict:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            kind = _SCHEMA[section][key]
+            field, parse = _SCHEMA[section][key]
             try:
-                if kind == "floats":
-                    value = _parse_floats(raw)
-                elif kind == "signs":
-                    value = _parse_signs(raw)
-                else:
-                    value = kind(raw)
+                overrides[field] = parse(raw)
             except ConfigError:
                 raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-            overrides[_KEY_TO_FIELD[(section, key)]] = value
     return overrides
 
 
@@ -175,8 +149,8 @@ def _rows_to_csv(rows: list[dict]) -> str:
 def _csv_cell(value):
     if isinstance(value, (list, tuple)):
         return ";".join(repr(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # np.float64 too, whose repr is not a number
+        return repr(float(value))
     return value
 
 
@@ -249,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "qubit":
             _emit(run_qubit(rc), rc)
             return 0
-    except ConfigError as exc:
+    except (ConfigError, LayoutError, SignConstraintError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,15 +92,12 @@ def standard_registry(n_probe_points: int = 0) -> ModeRegistry:
 
 @dataclass(frozen=True, eq=False)
 class SystemConfig:
-    """Geometry, registry, entanglement strength, and tolerances for one run."""
+    """Geometry, registry, entanglement strength and factor signs for one run."""
 
     layout: wp.PacketLayout
     registry: ModeRegistry
     kappa: float = 0.0
     signs: tuple[int, int, int] = (1, 1, -1)
-    wsw_tol: float = wp.WSW_TOL
-    aperture_tol: float = wp.APERTURE_TOL
-    exact_tol: float = 1e-10
 
     def __post_init__(self):
         if self.kappa < 0.0:
@@ -131,10 +128,7 @@ class SystemConfig:
         return vacuum_state(self.registry)
 
     def with_kappa(self, kappa: float) -> "SystemConfig":
-        return SystemConfig(
-            self.layout, self.registry, kappa, self.signs,
-            self.wsw_tol, self.aperture_tol, self.exact_tol,
-        )
+        return replace(self, kappa=kappa)
 
 
 def standard_config(
@@ -147,16 +141,11 @@ def standard_config(
 ) -> SystemConfig:
     """Default three-region system; validates the geometric gates up front.
 
-    The default grid span widens automatically so any requested probe point
-    keeps the required packet margin.
+    Without a layout, `wp.standard_layout` builds the default geometry with
+    the requested probe points.
     """
     if layout is None:
-        lo, hi = wp.DEFAULT_SPAN
-        if probe_points:
-            lo = min(lo, min(probe_points) - 10.0)
-            hi = max(hi, max(probe_points) + 10.0)
-        n = int(round((hi - lo) / 0.05)) + 1
-        layout = wp.standard_layout(span=(lo, hi), n_points=n, probe_points=probe_points)
+        layout = wp.standard_layout(probe_points=probe_points)
     wsw = wp.wsw_report(list(layout.packets), tol=wsw_tol)
     if not wsw.passed:
         raise LayoutError(f"layout fails the separation gate: {wsw.to_dict()}")
@@ -164,7 +153,7 @@ def standard_config(
     if not apt.passed:
         raise LayoutError(f"layout fails the aperture gate: {apt.to_dict()}")
     registry = standard_registry(len(layout.probe_points))
-    return SystemConfig(layout, registry, kappa, signs, wsw_tol, aperture_tol)
+    return SystemConfig(layout, registry, kappa, signs)
 
 
 @dataclass(frozen=True)

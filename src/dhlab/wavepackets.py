@@ -21,6 +21,7 @@ WSW_TOL = 1e-10
 APERTURE_TOL = 1e-8
 APERTURE_THRESHOLD = 1e-8
 NORMALIZATION_TOL = 1e-10
+SPAN_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +155,19 @@ def gaussian_overlap(center_a: float, center_b: float, width: float) -> float:
 
 
 def orthogonalized(f: GridFunction, against: tuple[GridFunction, ...]) -> GridFunction:
-    """Gram-Schmidt step: remove the components of f along `against`, renormalize."""
+    """Gram-Schmidt step: remove the components of f along `against`, renormalize.
+
+    A residual of norm <= 1e-8 is rounding noise of an f in the span of
+    `against`, not a new direction, and raises LayoutError.
+    """
     vals = f.values.copy()
     for g in against:
         _check_same_grid(f, g)
         vals = vals - inner(g, GridFunction(f.grid, vals)) * g.values
-    return normalized(GridFunction(f.grid, vals))
+    residual = GridFunction(f.grid, vals)
+    if norm(residual) <= SPAN_RESIDUAL_TOL:
+        raise LayoutError("function lies in the span it is orthogonalized against")
+    return normalized(residual)
 
 
 @dataclass(frozen=True)
@@ -324,8 +332,17 @@ def standard_layout(
 ) -> PacketLayout:
     """Build the default geometry: three unit-width Gaussians, matched
     apertures, auxiliary functions (copies of the packets unless given), and
-    orthogonalized probe packets at the requested points."""
+    orthogonalized probe packets at the requested points.
+
+    The span widens, at the same grid spacing, so that every probe point
+    keeps ten packet widths of margin to either edge.
+    """
     grid = uniform_grid(span[0], span[1], n_points)
+    if probe_points:
+        lo = min(span[0], min(probe_points) - 10.0 * width)
+        hi = max(span[1], max(probe_points) + 10.0 * width)
+        spacing = (span[1] - span[0]) / (n_points - 1)
+        grid = uniform_grid(lo, hi, int(round((hi - lo) / spacing)) + 1)
     packets = tuple(gaussian_packet(c, width, grid) for c in centers)
     apertures = tuple(build_aperture(p, aperture_threshold) for p in packets)
     if aux_functions is None:

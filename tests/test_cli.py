@@ -246,3 +246,57 @@ def test_stdout_output(capsys):
     assert cli.main(["qubit", "--kappa", "0.05"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert isinstance(payload, list) and payload
+
+
+@pytest.mark.parametrize("command, text_columns", [
+    ("correlations", {"representation", "regions"}),
+    ("qubit", {"item"}),
+])
+def test_csv_numeric_cells_parse_as_floats(tmp_path, command, text_columns):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[directions]\nn_theta = 2\nn_phi = 2\n")
+    out = tmp_path / "table.csv"
+    flags = ["--config", str(ini), "--kappa", "0.05", "--format", "csv", "--out", str(out)]
+    assert cli.main([command, *flags]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        for key, cell in row.items():
+            if key not in text_columns:
+                float(cell)
+
+
+MEANINGLESS = {
+    "overlapping-centres": "[geometry]\npacket_centers = -2, 0, 2\n",
+    "two-centres": "[geometry]\npacket_centers = -20, 20\n",
+    "one-grid-point": "[geometry]\ngrid_points = 1\n",
+    "probe-on-centre": "[geometry]\nprobe_point = 0\n",
+    "no-kappa": "[run]\nkappa =\n",
+}
+
+
+@pytest.mark.parametrize("command, case", [
+    ("verify", "overlapping-centres"),
+    ("verify", "two-centres"),
+    ("verify", "one-grid-point"),
+    ("locality", "one-grid-point"),
+    ("verify", "probe-on-centre"),
+    ("locality", "probe-on-centre"),
+    ("verify", "no-kappa"),
+    ("locality", "no-kappa"),
+])
+def test_meaningless_config_exits_two_with_one_line(tmp_path, capsys, command, case):
+    ini = tmp_path / "run.ini"
+    ini.write_text(MEANINGLESS[case])
+    assert cli.main([command, "--config", str(ini), "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["correlations", "locality"])
+def test_sign_violation_outside_verify_exits_two(tmp_path, capsys, command):
+    out = tmp_path / "o.json"
+    assert cli.main([command, "--signs", "1,1,1", "--kappa", "0.05", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1

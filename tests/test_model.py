@@ -319,3 +319,17 @@ def test_spin_moments_reject_complex_values():
         model.spin_moments(bra, [1j * real, real])
     with pytest.raises(ArithmeticError):  # an imaginary distinct-pair block
         model.spin_moments(np.zeros(2, dtype=complex), [1j * real, real])
+
+
+@pytest.mark.parametrize("kappa", [0.02, 0.05, 0.1])
+def test_first_order_correlation_tensors(kappa):
+    # C_12 = -(1-2k) e3 e3^T - 2k I within the check-36 bound 5 k^2 (the
+    # first-order identity as a tensor); the untouched pairs keep their
+    # kappa = 0 tensors up to the 2 k^2 second-order decrease
+    cfg = model.standard_config(kappa=kappa)
+    c = model.state_moments(cfg, evolve(cfg, unentangled_state(cfg), "exact"))[1]
+    e3e3 = np.outer([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+    c12 = -(1.0 - 2.0 * kappa) * e3e3 - 2.0 * kappa * np.eye(3)
+    assert np.abs(c[0, 1] - c12).max() <= 5.0 * kappa**2
+    assert np.abs(c[1, 2] - e3e3).max() <= 2.0 * kappa**2 + 1e-12
+    assert np.abs(c[2, 0] + e3e3).max() <= 2.0 * kappa**2 + 1e-12

@@ -137,6 +137,17 @@ def test_orthogonalized_probe(grid, packets):
     assert abs(wp.norm(probe) - 1.0) <= 1e-12
     for p in packets:
         assert abs(wp.inner(p, probe)) <= 1e-14
+    # a packet in the span leaves only rounding noise, which is no probe
+    with pytest.raises(LayoutError):
+        wp.orthogonalized(wp.gaussian_packet(0.0, 1.0, grid), tuple(packets))
+
+
+def test_standard_layout_widens_span_for_probes():
+    # ten packet widths of margin around every probe, at the requested spacing
+    layout = wp.standard_layout(width=0.5, probe_points=(36.5, -40.0))
+    assert layout.grid.points[0] == -45.0 and layout.grid.points[-1] == 41.5
+    assert layout.grid.spacing == pytest.approx(0.05, abs=1e-12)
+    assert wp.standard_layout(probe_points=(25.0,)).grid.same_as(wp.standard_layout().grid)
 
 
 def test_csv_roundtrip(tmp_path, grid, packets):
