@@ -6,6 +6,7 @@ the matrix exponential against a brute-force Taylor sum.
 """
 
 import numpy as np
+from scipy import sparse
 
 from dhlab import fock
 from dhlab.model import standard_registry
@@ -36,11 +37,11 @@ raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
 skew = raw - raw.conj().T
 skew /= max(1.0, np.linalg.norm(skew, 2))
 small = fock.ModeRegistry(registry.modes[:4])
-a = fock.FockOperator(small, skew)
+a = fock.FockOperator(small, sparse.csr_array(skew))
 taylor = np.eye(16, dtype=complex)
 term = np.eye(16, dtype=complex)
 for n in range(1, 41):
     term = term @ skew / n
     taylor += term
-dev = fock.operator_distance(fock.matrix_exponential(a), fock.FockOperator(small, taylor))
+dev = fock.operator_distance(fock.matrix_exponential(a), fock.FockOperator(small, sparse.csr_array(taylor)))
 print(f"expm vs Taylor oracle on a random skew-Hermitian 16x16: {dev:.3e}")

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
 from . import dhrep, model, qubits
 from . import wavepackets as wp
@@ -90,8 +91,10 @@ class RunConfig:
             raise ConfigError(f"format must be json or csv, got {self.out_format!r}")
         if self.direction_mode not in ("grid", "random"):
             raise ConfigError(f"direction mode must be grid or random, got {self.direction_mode!r}")
-        if min(self.n_theta, self.n_phi, self.n_random) < 1:
-            raise ConfigError("n_theta, n_phi and n_random must be at least 1")
+        if min(self.n_theta, self.n_phi, self.n_random, self.grid_points) < 1:
+            raise ConfigError("n_theta, n_phi, n_random and grid_points must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.kappas:
             raise ConfigError("the kappa list is empty")
         if not all(math.isfinite(k) for k in self.kappas):
@@ -100,6 +103,14 @@ class RunConfig:
             raise ConfigError("kappa values must be non-negative")
         if len(self.packet_centers) != 3:
             raise ConfigError(f"need exactly three packet centers, got {self.packet_centers}")
+        geometry = (self.grid_min, self.grid_max, self.packet_width, self.probe_point,
+                    *self.packet_centers, *self.separations)
+        if not all(math.isfinite(v) for v in geometry):
+            raise ConfigError("geometry values must be finite")
+        if self.packet_width <= 0:
+            raise ConfigError(f"packet_width must be positive, got {self.packet_width}")
+        if not self.separations:
+            raise ConfigError("the separation list is empty")
         if len(self.signs) != 3 or any(s not in (1, -1) for s in self.signs):
             raise ConfigError(f"signs must be three values of +-1, got {self.signs}")
 
@@ -252,8 +263,9 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
     skew = raw - raw.conj().T
     skew *= 1.0 / max(1.0, np.linalg.norm(skew, 2))
     small_reg = ModeRegistry(model.standard_registry().modes[:4])
-    a = FockOperator(small_reg, skew)
-    dev = operator_distance(matrix_exponential(a), FockOperator(small_reg, _taylor_expm(skew)))
+    a = FockOperator(small_reg, sparse.csr_array(skew))
+    dev = operator_distance(matrix_exponential(a),
+                            FockOperator(small_reg, sparse.csr_array(_taylor_expm(skew))))
     rec.close("03-expm-taylor-oracle", "matrix exponential vs truncated Taylor oracle",
               0.0, dev, 1e-12)
     e = matrix_exponential(a)

@@ -150,23 +150,19 @@ def rotation_exponential(w: FockOperator, theta: float, g: float) -> FockOperato
     return ident + s * w + c * (w @ w)
 
 
-def entangler_exponential(cfg: SystemConfig, sign: int = 1) -> FockOperator:
-    """exp(sign * i * G) for the spin-exchange generator, using G^3 = kappa^2 G."""
-    k = cfg.kappa
-    if k == 0.0:
+def entangler_exponential(cfg: SystemConfig) -> FockOperator:
+    """exp(iG) for the spin-exchange generator: G^3 = kappa^2 G gives
+    w^3 = -kappa^2 w for w = iG, so the rotation closed form applies."""
+    if cfg.kappa == 0.0:
         return identity_operator(cfg.registry)
-    g = entangling_generator(cfg)
-    ident = identity_operator(cfg.registry)
-    return ident + (sign * 1j * math.sin(k) / k) * g + ((math.cos(k) - 1.0) / (k * k)) * (g @ g)
+    return rotation_exponential(1j * entangling_generator(cfg), 1.0, cfg.kappa)
 
 
 _REMOVAL_SLOTS = ((SPIN_UP, 1, 1), (SPIN_DOWN, 2, 2), (SPIN_DOWN, 3, 3))
 
 
 def build_unentangled_transform(
-    cfg: SystemConfig,
-    signs: tuple[int, int, int] | None = None,
-    g: float = 1.0,
+    cfg: SystemConfig, signs: tuple[int, int, int] | None = None
 ) -> DhTransform:
     """Standardizing transform V = V3 V2 V1 for the unentangled state.
 
@@ -179,7 +175,7 @@ def build_unentangled_transform(
         raise SignConstraintError(
             f"sign assignment {signs} violates s1*s2*s3 = -1"
         )
-    factors = tuple(DhFactorParams.from_sign(s, g) for s in signs)
+    factors = tuple(DhFactorParams.from_sign(s) for s in signs)
     v = identity_operator(cfg.registry)
     for (spin, region, aux), factor in zip(_REMOVAL_SLOTS, factors):
         w = removal_generator(cfg, spin, region, aux, factor.g)
@@ -192,7 +188,7 @@ def build_entangled_transform(cfg: SystemConfig, base: DhTransform) -> DhTransfo
     evolved entangled state."""
     if base.flavor != "unentangled":
         raise ValueError("base must be an unentangled transform")
-    v = base.operator @ entangler_exponential(cfg, sign=+1)
+    v = base.operator @ entangler_exponential(cfg)
     return DhTransform(operator=v, factors=base.factors, kappa=cfg.kappa, base=base)
 
 

@@ -14,10 +14,10 @@ With this convention every canonical anticommutation relation
 holds exactly: all matrices are integer-structured, so the identities close
 in floating point with zero error.
 
-Operators and states are thin immutable wrappers around scipy sparse / numpy
-dense matrices bound to their registry.  Storage format is an implementation
-detail; the matrix entries are the semantics.  Values are never mutated after
-construction, so they may be shared freely between threads.
+Operators are thin immutable wrappers around scipy sparse arrays (matrix
+exponentials too: computed dense, stored sparse), states around numpy vectors;
+both are bound to their registry and never mutated after construction, so
+they may be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -93,14 +93,13 @@ class ModeRegistry:
     """Ordered, fixed set of fermionic modes generating the Fock space."""
 
     modes: tuple[ModeLabel, ...]
-    cap: int = DEFAULT_MODE_CAP
 
     def __post_init__(self):
         if len(set(self.modes)) != len(self.modes):
             raise RegistryError("mode labels must be pairwise distinct")
-        if len(self.modes) > self.cap:
+        if len(self.modes) > DEFAULT_MODE_CAP:
             raise RegistryError(
-                f"{len(self.modes)} modes exceed the cap of {self.cap}; "
+                f"{len(self.modes)} modes exceed the cap of {DEFAULT_MODE_CAP}; "
                 "matrices would leave desk scale"
             )
         if not self.modes:
@@ -126,58 +125,35 @@ def _check_same_registry(a, b):
         raise RegistryError("operands are bound to different registries")
 
 
-def _is_sparse(m) -> bool:
-    return sparse.issparse(m)
-
-
-def _dagger_matrix(m):
-    if _is_sparse(m):
-        return sparse.csr_array(m.conj().T)
-    return np.ascontiguousarray(m.conj().T)
-
-
-def _frobenius(m) -> float:
-    if _is_sparse(m):
-        return float(np.linalg.norm(m.data)) if m.nnz else 0.0
-    return float(np.linalg.norm(m))
-
-
 @dataclass(frozen=True, eq=False)
 class FockOperator:
     """Complex 2**N x 2**N matrix bound to a mode registry."""
 
     registry: ModeRegistry
-    matrix: object  # scipy sparse array or numpy ndarray
+    matrix: sparse.sparray
 
     def __post_init__(self):
+        if not sparse.issparse(self.matrix):
+            raise TypeError(f"operator matrix must be scipy-sparse, got {type(self.matrix)}")
         dim = self.registry.dimension
         if self.matrix.shape != (dim, dim):
             raise RegistryError(
                 f"matrix shape {self.matrix.shape} does not match registry dimension {dim}"
             )
-        if isinstance(self.matrix, np.ndarray):
-            self.matrix.flags.writeable = False
-
-    def dense(self) -> np.ndarray:
-        if _is_sparse(self.matrix):
-            return self.matrix.toarray()
-        return np.asarray(self.matrix)
 
     def dagger(self) -> "FockOperator":
-        return FockOperator(self.registry, _dagger_matrix(self.matrix))
+        return FockOperator(self.registry, sparse.csr_array(self.matrix.conj().T))
 
     def norm(self) -> float:
         """Frobenius norm of the matrix."""
-        return _frobenius(self.matrix)
+        return float(np.linalg.norm(self.matrix.data))
 
     def max_abs(self) -> float:
-        if _is_sparse(self.matrix):
-            return float(np.abs(self.matrix.data).max()) if self.matrix.nnz else 0.0
-        return float(np.abs(self.matrix).max()) if self.matrix.size else 0.0
+        return float(np.abs(self.matrix.data).max(initial=0.0))
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the dense matrix (sorted for Hermitian input)."""
-        dense = self.dense()
+        dense = self.matrix.toarray()
         if np.allclose(dense, dense.conj().T, atol=1e-12):
             return np.linalg.eigvalsh(dense)
         return np.sort_complex(np.linalg.eigvals(dense))
@@ -326,17 +302,17 @@ def anticommutator(a: FockOperator, b: FockOperator) -> FockOperator:
 
 
 def matrix_exponential(a: FockOperator) -> FockOperator:
-    """Matrix exponential exp(a).
+    """Matrix exponential exp(a), computed dense and returned sparse.
 
     Backed by scipy's scaling-and-squaring Pade implementation, which reaches
     machine precision on the well-conditioned (skew-Hermitian) generators used
     here; the test suite holds it to 1e-12 in operator norm against a
     truncated Taylor oracle.  Skew-Hermitian input yields a unitary result.
     """
-    dense = a.dense()
+    dense = a.matrix.toarray()
     if not np.all(np.isfinite(dense)):
         raise ValueError("operator entries must be finite")
-    return FockOperator(a.registry, scipy.linalg.expm(dense))
+    return FockOperator(a.registry, sparse.csr_array(scipy.linalg.expm(dense)))
 
 
 def expectation(state: FockState, op: FockOperator) -> complex:

@@ -273,6 +273,15 @@ MEANINGLESS = {
     "one-grid-point": "[geometry]\ngrid_points = 1\n",
     "probe-on-centre": "[geometry]\nprobe_point = 0\n",
     "no-kappa": "[run]\nkappa =\n",
+    "negative-grid-points": "[geometry]\ngrid_points = -1\n",
+    "zero-width": "[geometry]\npacket_width = 0\n",
+    "negative-width": "[geometry]\npacket_width = -1\n",
+    "infinite-width": "[geometry]\npacket_width = inf\n",
+    "nan-probe": "[geometry]\nprobe_point = nan\n",
+    "nan-grid-min": "[geometry]\ngrid_min = nan\n",
+    "no-separations": "[geometry]\nseparations =\n",
+    "negative-seed": "[run]\nseed = -1\n",
+    "negative-seed-random": "[run]\nseed = -1\n[directions]\nmode = random\n",
 }
 
 
@@ -285,6 +294,21 @@ MEANINGLESS = {
     ("locality", "probe-on-centre"),
     ("verify", "no-kappa"),
     ("locality", "no-kappa"),
+    ("verify", "negative-grid-points"),
+    ("locality", "negative-grid-points"),
+    ("verify", "zero-width"),
+    ("locality", "zero-width"),
+    ("verify", "negative-width"),
+    ("locality", "negative-width"),
+    ("locality", "infinite-width"),
+    ("verify", "nan-probe"),
+    ("locality", "nan-probe"),
+    ("verify", "nan-grid-min"),
+    ("locality", "nan-grid-min"),
+    ("verify", "no-separations"),
+    ("locality", "no-separations"),
+    ("verify", "negative-seed"),
+    ("correlations", "negative-seed-random"),
 ])
 def test_meaningless_config_exits_two_with_one_line(tmp_path, capsys, command, case):
     ini = tmp_path / "run.ini"

@@ -114,7 +114,7 @@ def test_rotation_fast_path_matches_generic_expm(cfg0, cfg05):
     fast = dhrep.rotation_exponential(w, f.theta, f.g)
     generic = matrix_exponential(f.theta * w)
     assert operator_distance(fast, generic) <= 1e-12
-    fast_en = dhrep.entangler_exponential(cfg05, +1)
+    fast_en = dhrep.entangler_exponential(cfg05)
     generic_en = matrix_exponential(1j * model.entangling_generator(cfg05))
     assert operator_distance(fast_en, generic_en) <= 1e-12
 

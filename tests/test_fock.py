@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from dhlab import fock
 from dhlab.errors import RegistryError
@@ -143,17 +144,22 @@ def test_expm_against_taylor_oracle(seed):
     skew = raw - raw.conj().T
     skew *= 1.0 / max(1.0, np.linalg.norm(skew, 2))
     reg = ModeRegistry(tuple(ProbeMode(i + 1) for i in range(4)))
-    a = FockOperator(reg, skew)
+    a = FockOperator(reg, sparse.csr_array(skew))
     e = matrix_exponential(a)
-    assert operator_distance(e, FockOperator(reg, taylor_expm(skew))) <= 1e-12
+    assert operator_distance(e, FockOperator(reg, sparse.csr_array(taylor_expm(skew)))) <= 1e-12
     # skew-Hermitian input exponentiates to a unitary
     assert operator_distance(e @ e.dagger(), identity_operator(reg)) <= 1e-11
 
 
 def test_expm_rejects_bad_input(registry):
-    bad = FockOperator(registry, np.full((512, 512), np.nan, dtype=complex))
+    bad = FockOperator(registry, sparse.csr_array(np.full((512, 512), np.nan, dtype=complex)))
     with pytest.raises(ValueError):
         matrix_exponential(bad)
+
+
+def test_dense_matrix_rejected(registry):
+    with pytest.raises(TypeError):
+        FockOperator(registry, np.eye(registry.dimension, dtype=complex))
 
 
 @pytest.mark.parametrize("theta", [math.pi / 6.0, math.pi / 2.0])
