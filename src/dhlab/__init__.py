@@ -30,6 +30,7 @@ from .fock import (
     anticommutator,
     commutator,
     expectation,
+    exponential_action,
     identity_operator,
     matrix_exponential,
     mode_operator,

@@ -93,6 +93,8 @@ class RunConfig:
             raise ConfigError(f"direction mode must be grid or random, got {self.direction_mode!r}")
         if min(self.n_theta, self.n_phi, self.n_random, self.grid_points) < 1:
             raise ConfigError("n_theta, n_phi, n_random and grid_points must be at least 1")
+        if self.grid_points > wp.MAX_GRID_POINTS:
+            raise ConfigError(f"grid_points exceeds the cap of {wp.MAX_GRID_POINTS}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.kappas:
@@ -264,11 +266,10 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
     skew *= 1.0 / max(1.0, np.linalg.norm(skew, 2))
     small_reg = ModeRegistry(model.standard_registry().modes[:4])
     a = FockOperator(small_reg, sparse.csr_array(skew))
-    dev = operator_distance(matrix_exponential(a),
-                            FockOperator(small_reg, sparse.csr_array(_taylor_expm(skew))))
+    e = matrix_exponential(a)
+    dev = operator_distance(e, FockOperator(small_reg, sparse.csr_array(_taylor_expm(skew))))
     rec.close("03-expm-taylor-oracle", "matrix exponential vs truncated Taylor oracle",
               0.0, dev, 1e-12)
-    e = matrix_exponential(a)
     rec.close("04-expm-unitarity", "exp of skew-Hermitian input is unitary",
               0.0, operator_distance(e @ e.dagger(), identity_operator(small_reg)), 1e-11)
 

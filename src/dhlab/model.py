@@ -31,7 +31,7 @@ from .fock import (
     PhysicalMode,
     ProbeMode,
     expectation,
-    matrix_exponential,
+    exponential_action,
     mode_operator,
     vacuum_state,
 )
@@ -302,7 +302,7 @@ def evolve(cfg: SystemConfig, state: FockState, order: str = "exact") -> FockSta
 
     order="first" returns the unnormalized first-order state
     |psi> - i G |psi| (expectation helpers normalize internally);
-    order="exact" applies exp(-iG) through the generic matrix exponential.
+    order="exact" applies exp(-iG) through the generic exponential action.
     """
     if abs(state.norm() - 1.0) > 1e-9:
         raise ValueError("evolve expects a normalized input state")
@@ -317,7 +317,7 @@ def evolve(cfg: SystemConfig, state: FockState, order: str = "exact") -> FockSta
             )
         return state - 1j * (g @ state)
     if order == "exact":
-        return matrix_exponential(-1j * g) @ state
+        return exponential_action(-1j * g, state)
     raise ValueError("order must be 'first' or 'exact'")
 
 

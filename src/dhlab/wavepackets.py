@@ -22,6 +22,7 @@ APERTURE_TOL = 1e-8
 APERTURE_THRESHOLD = 1e-8
 NORMALIZATION_TOL = 1e-10
 SPAN_RESIDUAL_TOL = 1e-8
+MAX_GRID_POINTS = 1_000_000  # 1.4 M points already take `dhlab locality` to 261 MB
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +64,8 @@ class Grid:
 
 
 def uniform_grid(lo: float, hi: float, n: int) -> Grid:
+    if n > MAX_GRID_POINTS:
+        raise LayoutError(f"a grid of {n} points exceeds the cap of {MAX_GRID_POINTS}")
     return Grid(np.linspace(lo, hi, n))
 
 

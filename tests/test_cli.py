@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from conftest import run_cli_capped, run_python
 from dhlab import cli, dhrep, model, qubits
 from dhlab.checks import RunConfig, directions, run_correlations, run_qubit
 from dhlab.errors import ConfigError
@@ -324,3 +325,28 @@ def test_sign_violation_outside_verify_exits_two(tmp_path, capsys, command):
     assert cli.main([command, "--signs", "1,1,1", "--kappa", "0.05", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+OVERSIZED = {
+    "huge-grid": "[geometry]\ngrid_points = 100000000\n",
+    "far-probe": "[geometry]\nprobe_point = 1e9\n",
+    "far-separation": "[geometry]\nseparations = 1e9\n",
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "locality"])
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_grid_exits_two_under_memory_cap(command, case):
+    proc = run_cli_capped([command], OVERSIZED[case])
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("configuration error: ") and proc.stderr.count("\n") == 1
+
+
+def test_locality_never_loads_the_exponential_kernel(tmp_path):
+    # `import dhlab.cli` and `dhlab locality` pay no import of scipy.sparse.linalg.
+    code = ("import sys, dhlab.cli\n"
+            "assert dhlab.cli.main(['locality', '--out', sys.argv[1]]) == 0\n"
+            "print('scipy.sparse.linalg' in sys.modules)")
+    proc = run_python(["-c", code, str(tmp_path / "o.json")])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"

@@ -119,6 +119,14 @@ def test_rotation_fast_path_matches_generic_expm(cfg0, cfg05):
     assert operator_distance(fast_en, generic_en) <= 1e-12
 
 
+def test_exact_evolution_matches_entangler_closed_form(cfg_probe):
+    # Probe-carrying registry (dim 2048): the generic action exp(-iG)|psi>
+    # against the closed form exp(iG)^dagger |psi>.
+    psi = unentangled_state(cfg_probe)
+    closed = dhrep.entangler_exponential(cfg_probe).dagger() @ psi
+    assert evolve(cfg_probe, psi, "exact").distance(closed) <= 1e-12
+
+
 def test_conjugation_identities(cfg0, t_un0):
     ident = fock.identity_operator(cfg0.registry)
     assert operator_distance(dhrep.conjugate(t_un0, ident), ident) <= 1e-12

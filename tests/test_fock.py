@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
 
 from dhlab import fock
@@ -17,6 +18,7 @@ from dhlab.fock import (
     ProbeMode,
     anticommutator,
     commutator,
+    exponential_action,
     identity_operator,
     matrix_exponential,
     mode_operator,
@@ -24,7 +26,7 @@ from dhlab.fock import (
     vacuum_state,
     zero_operator,
 )
-from dhlab.model import standard_registry
+from dhlab.model import entangling_generator, standard_config, standard_registry
 
 
 @pytest.fixture(scope="module")
@@ -151,10 +153,27 @@ def test_expm_against_taylor_oracle(seed):
     assert operator_distance(e @ e.dagger(), identity_operator(reg)) <= 1e-11
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.02, 0.1, 0.2, 1.3])
+def test_exponential_action_against_dense_expm(kappa):
+    # Test-only oracle: the dense exp(-iG) of the dim-512 generator, applied
+    # to a random state that reaches every basis vector.
+    g = -1j * entangling_generator(standard_config(kappa=kappa))
+    rng = np.random.default_rng(17)
+    amps = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    psi = FockState(g.registry, amps / np.linalg.norm(amps))
+    dense = scipy.linalg.expm(g.matrix.toarray()) @ psi.amplitudes
+    assert exponential_action(g, psi).distance(FockState(g.registry, dense)) <= 1e-13
+
+
 def test_expm_rejects_bad_input(registry):
     bad = FockOperator(registry, sparse.csr_array(np.full((512, 512), np.nan, dtype=complex)))
     with pytest.raises(ValueError):
         matrix_exponential(bad)
+    with pytest.raises(ValueError):
+        exponential_action(bad, vacuum_state(registry))
+    other = ModeRegistry(tuple(ProbeMode(i + 1) for i in range(registry.size)))
+    with pytest.raises(RegistryError):
+        exponential_action(zero_operator(registry), vacuum_state(other))
 
 
 def test_dense_matrix_rejected(registry):
