@@ -56,6 +56,7 @@ from .dhrep import (
     DhTransform,
     build_entangled_transform,
     build_unentangled_transform,
+    closed_form_modes,
     conjugate,
     dh_vacuum_correlation,
     dh_vacuum_spin,
@@ -65,6 +66,7 @@ from .dhrep import (
     noaux_locality_report,
     noaux_transform,
     removal_generator,
+    section_modes,
     single_packet_config,
     vacuum_action,
 )

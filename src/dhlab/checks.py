@@ -59,6 +59,10 @@ class CheckRecord:
         }
 
 
+# exp(-iG) is periodic in kappa (G^3 = kappa^2 G), so larger values add no physics
+MAX_KAPPA = 2.0 * math.pi
+
+
 @dataclass
 class RunConfig:
     """Geometry, sweep, tolerance, and output settings for one CLI run."""
@@ -103,6 +107,9 @@ class RunConfig:
             raise ConfigError(f"kappa values must be finite, got {self.kappas}")
         if any(k < 0 for k in self.kappas):
             raise ConfigError("kappa values must be non-negative")
+        if max(self.kappas) > MAX_KAPPA:
+            raise ConfigError(f"kappa values must be at most 2 pi = {MAX_KAPPA!r}, "
+                              f"got {max(self.kappas)!r}")
         if len(self.packet_centers) != 3:
             raise ConfigError(f"need exactly three packet centers, got {self.packet_centers}")
         geometry = (self.grid_min, self.grid_max, self.packet_width, self.probe_point,
@@ -115,6 +122,11 @@ class RunConfig:
             raise ConfigError("the separation list is empty")
         if len(self.signs) != 3 or any(s not in (1, -1) for s in self.signs):
             raise ConfigError(f"signs must be three values of +-1, got {self.signs}")
+        tolerances = (self.tol_exact, self.wsw_tol, self.aperture_tol)
+        if not all(math.isfinite(t) and t >= 0 for t in tolerances):
+            raise ConfigError(f"tolerances must be finite and non-negative, got "
+                              f"exact={self.tol_exact!r}, wsw={self.wsw_tol!r}, "
+                              f"aperture={self.aperture_tol!r}")
 
 
 def directions(rc: RunConfig) -> list[SpinDirection]:
@@ -376,22 +388,22 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
     kmid = rc.kappas[len(rc.kappas) // 2]
     cfgp, t_un, t_en = _system(rc, kmid, (rc.probe_point,))
     pts = cfgp.layout.centers + (rc.probe_point,)
-    usual = dhrep.field_section(cfgp, dhrep.USUAL, pts)
-    closed_un = dhrep.field_section(cfgp, dhrep.DH_UNENTANGLED_CLOSED_FORM, pts, t_un)
-    conj_un = dhrep.field_section(cfgp, dhrep.CONJUGATED, pts, t_un)
-    closed_en = dhrep.field_section(cfgp, dhrep.DH_ENTANGLED_CLOSED_FORM, pts, t_en)
-    dev_un = 0.0
-    dev_en = 0.0
-    for i in range(len(pts)):
-        for spin in ("up", "down"):
-            dev_un = max(dev_un, operator_distance(closed_un.operator(i, spin),
-                                                   conj_un.operator(i, spin)))
-            first_order = dhrep.first_order_entangled_conjugate(
-                cfgp, t_un, usual.operator(i, spin))
-            dev_en = max(dev_en, operator_distance(closed_en.operator(i, spin),
-                                                   first_order))
+    section = dhrep.field_section
+    closed_un, closed_en, conj_un, first_order = {}, {}, {}, {}
+    for spin in ("up", "down"):
+        modes = dhrep.section_modes(cfgp, spin)
+        closed_un[spin] = dhrep.closed_form_modes(cfgp, spin, t_un)
+        closed_en[spin] = dhrep.closed_form_modes(cfgp, spin, t_en)
+        conj_un[spin] = [dhrep.conjugate(t_un, m) for m in modes]
+        first_order[spin] = dhrep.first_order_entangled_conjugate(cfgp, t_un, modes)
+    dev_un = max(operator_distance(section(cfgp, x, closed_un[spin]),
+                                   section(cfgp, x, conj_un[spin]))
+                 for x in pts for spin in ("up", "down"))
     rec.close("40-closed-form-sections", "transformed field sections vs conjugation",
               0.0, dev_un, rc.tol_exact)
+    dev_en = max(operator_distance(section(cfgp, x, closed_en[spin]),
+                                   section(cfgp, x, first_order[spin]))
+                 for x in pts for spin in ("up", "down"))
     rec.close("41-closed-form-sections-entangled",
               "entangled field sections vs first-order conjugation",
               0.0, dev_en, rc.tol_exact)
@@ -399,19 +411,20 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
     vac = cfgp.vacuum()
     s1, s2, s3 = (float(s) for s in t_un.signs)
     dev = 0.0
-    for i, x in enumerate(pts):
+    for x in pts:
         psi = cfgp.layout.packet_values(x)
         up_expect = complex(psi[0]) * s1 * (cfgp.adag(1) @ vac)
         down_expect = (complex(psi[1]) * s2 * (cfgp.adag(2) @ vac)
                        + complex(psi[2]) * s3 * (cfgp.adag(3) @ vac))
-        dev = max(dev, (dhrep.vacuum_action(closed_un.operator(i, "up")) - up_expect).norm())
-        dev = max(dev, (dhrep.vacuum_action(closed_un.operator(i, "down")) - down_expect).norm())
+        un_up, un_down, en_up, en_down = (
+            dhrep.vacuum_action(section(cfgp, x, images[spin]))
+            for images in (closed_un, closed_en) for spin in ("up", "down"))
+        dev = max(dev, (un_up - up_expect).norm(), (un_down - down_expect).norm())
         kterm_up = cfgp.bdag("down", 1) @ (cfgp.adag(1) @ (cfgp.adag(2) @ vac))
         kterm_down = cfgp.bdag("up", 2) @ (cfgp.adag(1) @ (cfgp.adag(2) @ vac))
-        en_up = up_expect - s1 * s2 * kmid * complex(psi[1]) * kterm_up
-        en_down = down_expect + s1 * s2 * kmid * complex(psi[0]) * kterm_down
-        dev = max(dev, (dhrep.vacuum_action(closed_en.operator(i, "up")) - en_up).norm())
-        dev = max(dev, (dhrep.vacuum_action(closed_en.operator(i, "down")) - en_down).norm())
+        en_up_expect = up_expect - s1 * s2 * kmid * complex(psi[1]) * kterm_up
+        en_down_expect = down_expect + s1 * s2 * kmid * complex(psi[0]) * kterm_down
+        dev = max(dev, (en_up - en_up_expect).norm(), (en_down - en_down_expect).norm())
     rec.close("42-vacuum-actions", "transformed operators acting on the vacuum, closed forms",
               0.0, dev, rc.tol_exact)
 

@@ -19,17 +19,21 @@ with G the dimensionless spin-exchange generator; it standardizes the
 exactly evolved entangled state.
 
 Field sections realize point-evaluated field operators inside the registry
-span: per point x and spin, the usual section is sum_r psi_r(x) b_{s,r} plus
-probe terms, and the Deutsch-Hayden sections add the closed-form correction
-terms.  Locality reports compare conjugated sections against usual sections
-point by point; the no-auxiliary construction is provided for contrast (its
-probe-mode support leakage is separation-independent).
+span.  A section is linear in the per-point coefficients
+alpha(x) = (psi_1..3(x), chi_j(x)): per point x and spin it is
+sum_k alpha_k(x) m_k over a mode list.  The usual section takes the mode
+basis m_k = b_{s,1..3}, probe_{s,j}; a Deutsch-Hayden section takes the
+images of those modes, either in closed form or conjugated as V m_k V^dag.
+Locality reports conjugate each mode once and read the distance between
+conjugated and usual sections point by point; the no-auxiliary construction
+is provided for contrast (its probe-mode support leakage is
+separation-independent).
 """
 
 from __future__ import annotations
 
-import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +67,6 @@ from .model import (
 )
 
 UNITARITY_TOL = 1e-10
-
-USUAL = "usual"
-DH_UNENTANGLED_CLOSED_FORM = "dh_unentangled_closed_form"
-DH_ENTANGLED_CLOSED_FORM = "dh_entangled_closed_form"
-CONJUGATED = "conjugated"
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ class DhTransform:
     def __post_init__(self):
         v = self.operator
         dev = operator_distance(v @ v.dagger(), identity_operator(v.registry))
-        if dev > UNITARITY_TOL:
+        if not dev <= UNITARITY_TOL:  # NaN fails too
             raise ValueError(f"transform is not unitary: ||V Vdag - I|| = {dev}")
 
     @property
@@ -199,13 +198,14 @@ def conjugate(transform: DhTransform, op: FockOperator) -> FockOperator:
 
 
 def first_order_entangled_conjugate(
-    cfg: SystemConfig, base: DhTransform, op: FockOperator
-) -> FockOperator:
-    """First-order entangled conjugation A_DH + i [G_DH, A_DH] built on the
-    unentangled transform (no series truncation beyond first order)."""
-    op_dh = conjugate(base, op)
+    cfg: SystemConfig, base: DhTransform, ops: Sequence[FockOperator]
+) -> list[FockOperator]:
+    """First-order entangled conjugations A_DH + i [G_DH, A_DH] built on the
+    unentangled transform (no series truncation beyond first order), with
+    G_DH = V_un G V_un^dag built once for all of ops."""
     g_dh = conjugate(base, entangling_generator(cfg))
-    return op_dh + 1j * (g_dh @ op_dh - op_dh @ g_dh)
+    ops_dh = [conjugate(base, op) for op in ops]
+    return [op_dh + 1j * (g_dh @ op_dh - op_dh @ g_dh) for op_dh in ops_dh]
 
 
 def vacuum_action(op: FockOperator) -> FockState:
@@ -213,109 +213,54 @@ def vacuum_action(op: FockOperator) -> FockState:
     return op @ vacuum_state(op.registry)
 
 
-@dataclass(frozen=True, eq=False)
-class FieldSection:
-    """Point-evaluated field operators, one per (point, spin)."""
-
-    registry: ModeRegistry
-    points: tuple[float, ...]
-    provenance: str
-    operators: tuple[tuple[FockOperator, FockOperator], ...]  # (up, down) per point
-
-    def operator(self, point_index: int, spin: str) -> FockOperator:
-        pair = self.operators[point_index]
-        return pair[0] if spin == SPIN_UP else pair[1]
+def section_modes(cfg: SystemConfig, spin: str) -> list[FockOperator]:
+    """The usual mode basis of a spin-s section: b_{s,1..3}, then one probe
+    mode per probe point (the order of the coefficients alpha(x))."""
+    probes = [cfg.annihilator(cfg.probe_mode(j, spin))
+              for j in range(len(cfg.layout.probe_points))]
+    return [cfg.b(spin, r) for r in (1, 2, 3)] + probes
 
 
-def _usual_section_operator(cfg: SystemConfig, x: float, spin: str) -> FockOperator:
-    psi = cfg.layout.packet_values(x)
-    op = None
-    for r in (1, 2, 3):
-        term = complex(psi[r - 1]) * cfg.b(spin, r)
-        op = term if op is None else op + term
-    chis = cfg.layout.probe_values(x)
-    for j, chi in enumerate(chis):
-        op = op + complex(chi) * cfg.annihilator(cfg.probe_mode(j, spin))
-    return op
+def closed_form_modes(
+    cfg: SystemConfig, spin: str, transform: DhTransform
+) -> list[FockOperator]:
+    """Closed-form images of section_modes(cfg, spin) under the transform.
 
-
-def _unentangled_correction(cfg: SystemConfig, x: float, spin: str, signs) -> FockOperator:
-    psi = cfg.layout.packet_values(x)
-    s1, s2, s3 = signs
-    if spin == SPIN_UP:
-        return complex(psi[0]) * (-cfg.b(SPIN_UP, 1) + s1 * cfg.adag(1))
-    return complex(psi[1]) * (-cfg.b(SPIN_DOWN, 2) + s2 * cfg.adag(2)) + complex(
-        psi[2]
-    ) * (-cfg.b(SPIN_DOWN, 3) + s3 * cfg.adag(3))
-
-
-def _entangled_correction(cfg: SystemConfig, x: float, spin: str, base: DhTransform) -> FockOperator:
-    # Exchange-induced first-order terms; the trilinears are written in the
-    # transformed fields, hence the conjugation by the unentangled transform.
-    psi = cfg.layout.packet_values(x)
-    if spin == SPIN_UP:
-        raw = complex(psi[1]) * (
-            cfg.bdag(SPIN_DOWN, 1) @ cfg.b(SPIN_DOWN, 2) @ cfg.b(SPIN_UP, 1)
-        ) - complex(psi[0]) * (
-            cfg.bdag(SPIN_DOWN, 2) @ cfg.b(SPIN_DOWN, 1) @ cfg.b(SPIN_UP, 2)
-        )
-    else:
-        raw = complex(psi[0]) * (
-            cfg.bdag(SPIN_UP, 2) @ cfg.b(SPIN_UP, 1) @ cfg.b(SPIN_DOWN, 2)
-        ) - complex(psi[1]) * (
-            cfg.bdag(SPIN_UP, 1) @ cfg.b(SPIN_UP, 2) @ cfg.b(SPIN_DOWN, 1)
-        )
-    return cfg.kappa * conjugate(base, raw)
-
-
-def field_section(
-    cfg: SystemConfig,
-    representation: str,
-    points: tuple[float, ...],
-    transform: DhTransform | None = None,
-) -> FieldSection:
-    """Assemble per-point, per-spin operators in the requested representation.
-
-    "usual": sum_r psi_r(x) b_{s,r} plus probe terms.
-    "dh_unentangled_closed_form": usual plus the sign-weighted removal
-        corrections (coefficients psi_r(x)).
-    "dh_entangled_closed_form": unentangled closed form plus the
-        kappa-weighted exchange corrections.
-    "conjugated": V (usual section) Vdag for the given transform.
+    The removed quantum's mode becomes s_r adag_r; every other mode is left
+    alone.  For an entangled transform (one with a base) each packet slot r
+    of regions 1 and 2 gains the first-order exchange term
+    +-kappa V_un (bdag_{o,p} b_{o,r} b_{s,p}) V_un^dag, with p the partner
+    region and o the other spin; the trilinears are written in the
+    transformed fields, hence the conjugation by the unentangled transform.
     """
-    entries = []
-    for x in points:
-        pair = []
-        for spin in SPINS:
-            usual = _usual_section_operator(cfg, x, spin)
-            if representation == USUAL:
-                op = usual
-            elif representation == DH_UNENTANGLED_CLOSED_FORM:
-                if transform is None:
-                    raise ValueError("closed-form sections need a transform for the signs")
-                op = usual + _unentangled_correction(cfg, x, spin, transform.signs)
-            elif representation == DH_ENTANGLED_CLOSED_FORM:
-                if transform is None or transform.base is None:
-                    raise ValueError("entangled closed form needs an entangled transform")
-                op = (
-                    usual
-                    + _unentangled_correction(cfg, x, spin, transform.signs)
-                    + _entangled_correction(cfg, x, spin, transform.base)
-                )
-            elif representation == CONJUGATED:
-                if transform is None:
-                    raise ValueError("conjugated sections need a transform")
-                op = conjugate(transform, usual)
-            else:
-                raise ValueError(f"unknown representation {representation!r}")
-            pair.append(op)
-        entries.append((pair[0], pair[1]))
-    return FieldSection(
-        registry=cfg.registry,
-        points=tuple(float(x) for x in points),
-        provenance=representation,
-        operators=tuple(entries),
-    )
+    modes = section_modes(cfg, spin)
+    for (s, region, aux), sign in zip(_REMOVAL_SLOTS, transform.signs):
+        if s == spin:
+            modes[region - 1] = sign * cfg.adag(aux)
+    if transform.base is not None:
+        other = SPIN_DOWN if spin == SPIN_UP else SPIN_UP
+        for region, partner in ((1, 2), (2, 1)):
+            # + on (up, region 2) and (down, region 1), - on the other two
+            sign = 1.0 if (spin == SPIN_UP) == (region == 2) else -1.0
+            raw = cfg.bdag(other, partner) @ cfg.b(other, region) @ cfg.b(spin, partner)
+            modes[region - 1] = modes[region - 1] + sign * cfg.kappa * conjugate(
+                transform.base, raw)
+    return modes
+
+
+def field_section(cfg: SystemConfig, x: float, modes: Sequence[FockOperator]) -> FockOperator:
+    """The section sum_k alpha_k(x) modes[k] at x, with alpha(x) the packet
+    values psi_1..3(x) followed by the probe values chi_j(x).
+
+    With section_modes this is the usual field operator at x; with
+    closed_form_modes, or the conjugated modes [conjugate(t, m) for m in
+    section_modes(cfg, spin)], it is the transformed one.
+    """
+    alpha = np.concatenate([cfg.layout.packet_values(x), cfg.layout.probe_values(x)])
+    op = complex(alpha[0]) * modes[0]
+    for coeff, mode in zip(alpha[1:], modes[1:]):
+        op = op + complex(coeff) * mode
+    return op
 
 
 def dh_vacuum_spin(
@@ -395,9 +340,6 @@ class LocalityReport:
     def passed(self) -> bool:
         return all(r.local_ok for r in self.rows)
 
-    def to_json(self) -> str:
-        return json.dumps([r.to_dict() for r in self.rows], indent=2)
-
 
 def _relevant_packets(spin: str, flavor: str) -> tuple[int, ...]:
     # Packets whose quanta the spin-s field can touch: region 1 carries the
@@ -427,13 +369,14 @@ def locality_report(
             0.5 * (centers[i] + centers[i + 1]) for i in range(len(centers) - 1)
         )
         points = centers + mids + cfg.layout.probe_points
-    usual = field_section(cfg, USUAL, points)
-    conj = field_section(cfg, CONJUGATED, points, transform)
+    # V u(x) V^dag - u(x) is linear in alpha(x): conjugate each mode once
+    moved = {spin: [conjugate(transform, m) - m for m in section_modes(cfg, spin)]
+             for spin in SPINS}
     rows = []
-    for i, x in enumerate(points):
+    for x in points:
         mags = tuple(float(abs(v)) for v in cfg.layout.packet_values(x))
         for spin in SPINS:
-            dist = operator_distance(conj.operator(i, spin), usual.operator(i, spin))
+            dist = field_section(cfg, x, moved[spin]).norm()
             relevant = max(mags[r - 1] for r in _relevant_packets(spin, transform.flavor))
             outside = relevant <= support_cut
             rows.append(

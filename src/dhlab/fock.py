@@ -308,7 +308,13 @@ def _exponential_action(a: FockOperator, block: np.ndarray) -> np.ndarray:
         raise ValueError("operator entries must be finite")
     # Deferred: `import dhlab.cli` and `dhlab locality` never exponentiate.
     from scipy.sparse.linalg import expm_multiply
-    return expm_multiply(a.matrix, block)
+    # On wide blocks expm_multiply picks its step count through scipy's
+    # randomized onenormest, which draws from numpy's global RandomState.
+    state = np.random.get_state()
+    try:
+        return expm_multiply(a.matrix, block)
+    finally:
+        np.random.set_state(state)
 
 
 def exponential_action(a: FockOperator, state: FockState) -> FockState:

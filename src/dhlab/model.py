@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,9 +126,6 @@ class SystemConfig:
 
     def vacuum(self) -> FockState:
         return vacuum_state(self.registry)
-
-    def with_kappa(self, kappa: float) -> "SystemConfig":
-        return replace(self, kappa=kappa)
 
 
 def standard_config(

@@ -177,31 +177,37 @@ def test_criterion_07_closed_form_dh_operators(cfg_probe, t_un_probe, t_en_probe
         assert fock.operator_distance(
             dhrep.conjugate(t_un_probe, cfg.b("down", 3)), s3 * cfg.adag(3)) <= EXACT_TOL
         pts = cfg.layout.centers + (32.0, -10.0)
-        usual = dhrep.field_section(cfg, dhrep.USUAL, pts)
-        closed_un = dhrep.field_section(cfg, dhrep.DH_UNENTANGLED_CLOSED_FORM, pts, t_un_probe)
-        conj_un = dhrep.field_section(cfg, dhrep.CONJUGATED, pts, t_un_probe)
-        closed_en = dhrep.field_section(cfg, dhrep.DH_ENTANGLED_CLOSED_FORM, pts, t_en_probe)
+        modes = {spin: dhrep.section_modes(cfg, spin) for spin in ("up", "down")}
+        closed_un_modes = {spin: dhrep.closed_form_modes(cfg, spin, t_un_probe) for spin in modes}
+        conj_un_modes = {spin: [dhrep.conjugate(t_un_probe, m) for m in modes[spin]]
+                         for spin in modes}
+        closed_en_modes = {spin: dhrep.closed_form_modes(cfg, spin, t_en_probe) for spin in modes}
+        first_modes = {spin: dhrep.first_order_entangled_conjugate(cfg, t_un_probe, modes[spin])
+                       for spin in modes}
         vac = cfg.vacuum()
         k = cfg.kappa
-        for i, x in enumerate(pts):
+        for x in pts:
             psi = cfg.layout.packet_values(x)
+            closed_un = {spin: dhrep.field_section(cfg, x, closed_un_modes[spin])
+                         for spin in modes}
+            closed_en = {spin: dhrep.field_section(cfg, x, closed_en_modes[spin])
+                         for spin in modes}
             for spin in ("up", "down"):
                 assert fock.operator_distance(
-                    closed_un.operator(i, spin), conj_un.operator(i, spin)) <= EXACT_TOL
-                first = dhrep.first_order_entangled_conjugate(
-                    cfg, t_un_probe, usual.operator(i, spin))
-                assert fock.operator_distance(
-                    closed_en.operator(i, spin), first) <= EXACT_TOL
+                    closed_un[spin],
+                    dhrep.field_section(cfg, x, conj_un_modes[spin])) <= EXACT_TOL
+                first = dhrep.field_section(cfg, x, first_modes[spin])
+                assert fock.operator_distance(closed_en[spin], first) <= EXACT_TOL
             up = complex(psi[0]) * s1 * (cfg.adag(1) @ vac)
             down = (complex(psi[1]) * s2 * (cfg.adag(2) @ vac)
                     + complex(psi[2]) * s3 * (cfg.adag(3) @ vac))
-            assert (dhrep.vacuum_action(closed_un.operator(i, "up")) - up).norm() <= EXACT_TOL
-            assert (dhrep.vacuum_action(closed_un.operator(i, "down")) - down).norm() <= EXACT_TOL
+            assert (dhrep.vacuum_action(closed_un["up"]) - up).norm() <= EXACT_TOL
+            assert (dhrep.vacuum_action(closed_un["down"]) - down).norm() <= EXACT_TOL
             pair = cfg.adag(1) @ (cfg.adag(2) @ vac)
             en_up = up - s1 * s2 * k * complex(psi[1]) * (cfg.bdag("down", 1) @ pair)
             en_down = down + s1 * s2 * k * complex(psi[0]) * (cfg.bdag("up", 2) @ pair)
-            assert (dhrep.vacuum_action(closed_en.operator(i, "up")) - en_up).norm() <= EXACT_TOL
-            assert (dhrep.vacuum_action(closed_en.operator(i, "down")) - en_down).norm() <= EXACT_TOL
+            assert (dhrep.vacuum_action(closed_en["up"]) - en_up).norm() <= EXACT_TOL
+            assert (dhrep.vacuum_action(closed_en["down"]) - en_down).norm() <= EXACT_TOL
 
 
 def test_criterion_08_effective_locality_contrast(cfg_probe, t_un_probe, t_en_probe):

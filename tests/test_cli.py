@@ -4,11 +4,12 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conftest import run_cli_capped, run_python
 from dhlab import cli, dhrep, model, qubits
-from dhlab.checks import RunConfig, directions, run_correlations, run_qubit
+from dhlab.checks import RunConfig, directions, run_correlations, run_qubit, run_verify
 from dhlab.errors import ConfigError
 from dhlab.model import SpinDirection
 
@@ -98,6 +99,30 @@ def test_empty_direction_set_exits_two(tmp_path, capsys, command, key):
 def test_non_finite_kappa_exits_two(tmp_path, capsys, kappa):
     assert cli.main(["verify", "--kappa", kappa, "--out", str(tmp_path / "o.json")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", ["1e308", "7.0"])
+@pytest.mark.parametrize("command", ["verify", "correlations", "locality"])
+def test_kappa_above_cap_exits_two_with_one_line(tmp_path, capsys, command, kappa):
+    # exp(-iG) is periodic in kappa with period 2 pi, so larger values add no physics
+    assert cli.main([command, "--kappa", kappa, "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_bad_tol_exact_flag_exits_two_with_one_line(tmp_path, capsys, tol):
+    assert cli.main(["verify", "--tol-exact", tol, "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def test_verify_leaves_numpy_global_random_state_alone():
+    before = np.random.get_state()
+    run_verify(RunConfig(kappas=(0.05,)))
+    after = np.random.get_state()
+    assert before[0] == after[0] and np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -283,6 +308,8 @@ MEANINGLESS = {
     "no-separations": "[geometry]\nseparations =\n",
     "negative-seed": "[run]\nseed = -1\n",
     "negative-seed-random": "[run]\nseed = -1\n[directions]\nmode = random\n",
+    "nan-wsw-tol": "[tolerances]\nwsw = nan\n",
+    "negative-aperture-tol": "[tolerances]\naperture = -1e-8\n",
 }
 
 
@@ -310,6 +337,8 @@ MEANINGLESS = {
     ("locality", "no-separations"),
     ("verify", "negative-seed"),
     ("correlations", "negative-seed-random"),
+    ("verify", "nan-wsw-tol"),
+    ("locality", "negative-aperture-tol"),
 ])
 def test_meaningless_config_exits_two_with_one_line(tmp_path, capsys, command, case):
     ini = tmp_path / "run.ini"

@@ -1,6 +1,6 @@
 """Standardizing transforms, transformed operators, and locality diagnostics."""
 
-import json
+import dataclasses
 import math
 
 import numpy as np
@@ -102,10 +102,19 @@ def test_standardization_all_sign_assignments(cfg0, signs):
     assert t.flavor == "unentangled"
     # the two-step transform standardizes the evolved state for every
     # admissible sign assignment as well
-    cfg = cfg0.with_kappa(0.05)
+    cfg = dataclasses.replace(cfg0, kappa=0.05)
     t_en = dhrep.build_entangled_transform(cfg, dhrep.build_unentangled_transform(cfg, signs))
     exact = evolve(cfg, unentangled_state(cfg), "exact")
     assert (t_en.operator @ exact - vac).norm() <= 1e-10
+
+
+def test_nan_transform_fails_unitarity_gate(cfg0, t_un0):
+    # a NaN deviation compares False against the tolerance; it must still fail
+    matrix = t_un0.operator.matrix.copy()
+    matrix.data[0] = np.nan
+    with pytest.raises(ValueError):
+        dhrep.DhTransform(operator=fock.FockOperator(cfg0.registry, matrix),
+                          factors=t_un0.factors)
 
 
 def test_rotation_fast_path_matches_generic_expm(cfg0, cfg05):
@@ -160,7 +169,7 @@ def test_spectrum_preserved_under_conjugation(cfg0, t_un0):
 
 def test_entangled_transform(cfg05, t_un05, t_en05):
     # kappa = 0 reduces the two-step transform to the base transform
-    cfg0k = cfg05.with_kappa(0.0)
+    cfg0k = dataclasses.replace(cfg05, kappa=0.0)
     t0 = dhrep.build_entangled_transform(cfg0k, dhrep.build_unentangled_transform(cfg0k))
     base = dhrep.build_unentangled_transform(cfg0k)
     assert operator_distance(t0.operator, base.operator) <= 1e-12
@@ -178,15 +187,15 @@ def test_first_order_vs_exact_conjugation(kappa):
     t_en = dhrep.build_entangled_transform(cfg, base)
     # second-order Frobenius remainder measured at 9 modes: 4.00 kappa^2 per
     # packet-mode operator; recorded bound C = 8.
-    for op in (cfg.b("up", 1), cfg.b("down", 2)):
+    ops = (cfg.b("up", 1), cfg.b("down", 2))
+    for op, first in zip(ops, dhrep.first_order_entangled_conjugate(cfg, base, ops)):
         exact = dhrep.conjugate(t_en, op)
-        first = dhrep.first_order_entangled_conjugate(cfg, base, op)
         assert operator_distance(exact, first) <= 8.0 * kappa**2
 
 
 def test_sections_usual_composition(cfg_probe):
     x = cfg_probe.layout.centers[0]
-    section = dhrep.field_section(cfg_probe, dhrep.USUAL, (x,))
+    section = dhrep.field_section(cfg_probe, x, dhrep.section_modes(cfg_probe, "up"))
     psi = cfg_probe.layout.packet_values(x)
     chi = cfg_probe.layout.probe_values(x)
     expected = (
@@ -195,85 +204,84 @@ def test_sections_usual_composition(cfg_probe):
         + complex(psi[2]) * cfg_probe.b("up", 3)
         + complex(chi[0]) * cfg_probe.annihilator(cfg_probe.probe_mode(0, "up"))
     )
-    assert operator_distance(section.operator(0, "up"), expected) == 0.0
+    assert operator_distance(section, expected) == 0.0
 
 
 def test_sections_closed_form_equals_conjugation(cfg_probe, t_un_probe):
     pts = cfg_probe.layout.centers + (32.0, 10.0)
-    closed = dhrep.field_section(cfg_probe, dhrep.DH_UNENTANGLED_CLOSED_FORM, pts, t_un_probe)
-    conj = dhrep.field_section(cfg_probe, dhrep.CONJUGATED, pts, t_un_probe)
-    for i in range(len(pts)):
-        for spin in ("up", "down"):
-            assert operator_distance(closed.operator(i, spin), conj.operator(i, spin)) <= 1e-10
+    for spin in ("up", "down"):
+        closed = dhrep.closed_form_modes(cfg_probe, spin, t_un_probe)
+        conj = [dhrep.conjugate(t_un_probe, m) for m in dhrep.section_modes(cfg_probe, spin)]
+        for x in pts:
+            assert operator_distance(dhrep.field_section(cfg_probe, x, closed),
+                                     dhrep.field_section(cfg_probe, x, conj)) <= 1e-10
 
 
 def test_sections_entangled_closed_form_equals_first_order(cfg_probe, t_un_probe, t_en_probe):
     pts = cfg_probe.layout.centers + (32.0,)
-    usual = dhrep.field_section(cfg_probe, dhrep.USUAL, pts)
-    closed = dhrep.field_section(cfg_probe, dhrep.DH_ENTANGLED_CLOSED_FORM, pts, t_en_probe)
-    conj = dhrep.field_section(cfg_probe, dhrep.CONJUGATED, pts, t_en_probe)
     k2 = cfg_probe.kappa**2
-    for i in range(len(pts)):
-        for spin in ("up", "down"):
-            first = dhrep.first_order_entangled_conjugate(
-                cfg_probe, t_un_probe, usual.operator(i, spin))
-            assert operator_distance(closed.operator(i, spin), first) <= 1e-10
+    for spin in ("up", "down"):
+        modes = dhrep.section_modes(cfg_probe, spin)
+        closed_modes = dhrep.closed_form_modes(cfg_probe, spin, t_en_probe)
+        conj_modes = [dhrep.conjugate(t_en_probe, m) for m in modes]
+        for x in pts:
+            closed = dhrep.field_section(cfg_probe, x, closed_modes)
+            usual = dhrep.field_section(cfg_probe, x, modes)
+            [first] = dhrep.first_order_entangled_conjugate(cfg_probe, t_un_probe, [usual])
+            assert operator_distance(closed, first) <= 1e-10
             # against exact conjugation the closed form is first-order only;
             # measured remainder 5.06 k^2 at 11 modes, bound C = 8
-            assert operator_distance(closed.operator(i, spin), conj.operator(i, spin)) <= 8.0 * k2
+            conj = dhrep.field_section(cfg_probe, x, conj_modes)
+            assert operator_distance(closed, conj) <= 8.0 * k2
 
 
 def test_section_region3_spin_up_untouched(cfg_probe, t_un_probe, t_en_probe):
     x3_point = cfg_probe.layout.centers[2]
-    usual = dhrep.field_section(cfg_probe, dhrep.USUAL, (x3_point,))
-    closed_un = dhrep.field_section(
-        cfg_probe, dhrep.DH_UNENTANGLED_CLOSED_FORM, (x3_point,), t_un_probe)
-    closed_en = dhrep.field_section(
-        cfg_probe, dhrep.DH_ENTANGLED_CLOSED_FORM, (x3_point,), t_en_probe)
+
+    def section(spin, transform=None):
+        modes = (dhrep.section_modes(cfg_probe, spin) if transform is None
+                 else dhrep.closed_form_modes(cfg_probe, spin, transform))
+        return dhrep.field_section(cfg_probe, x3_point, modes)
+
     # no up-spin quantum lives in region 3: the transformed section is the
     # usual one, and the exchange terms vanish there for both spins
-    assert operator_distance(closed_un.operator(0, "up"), usual.operator(0, "up")) <= 1e-12
+    assert operator_distance(section("up", t_un_probe), section("up")) <= 1e-12
     for spin in ("up", "down"):
         assert operator_distance(
-            closed_en.operator(0, spin), closed_un.operator(0, spin)) <= 1e-10
-
-
-def test_section_representation_validation(cfg_probe, t_un_probe):
-    with pytest.raises(ValueError):
-        dhrep.field_section(cfg_probe, "sideways", (0.0,))
-    with pytest.raises(ValueError):
-        dhrep.field_section(cfg_probe, dhrep.CONJUGATED, (0.0,))
-    with pytest.raises(ValueError):
-        dhrep.field_section(cfg_probe, dhrep.DH_ENTANGLED_CLOSED_FORM, (0.0,), t_un_probe)
+            section(spin, t_en_probe), section(spin, t_un_probe)) <= 1e-10
 
 
 def test_vacuum_actions_match_displayed_states(cfg_probe, t_un_probe, t_en_probe):
     pts = cfg_probe.layout.centers + (32.0,)
-    closed_un = dhrep.field_section(cfg_probe, dhrep.DH_UNENTANGLED_CLOSED_FORM, pts, t_un_probe)
-    closed_en = dhrep.field_section(cfg_probe, dhrep.DH_ENTANGLED_CLOSED_FORM, pts, t_en_probe)
+    closed = {(spin, t.flavor): dhrep.closed_form_modes(cfg_probe, spin, t)
+              for spin in ("up", "down") for t in (t_un_probe, t_en_probe)}
     vac = cfg_probe.vacuum()
     s1, s2, s3 = (float(s) for s in t_un_probe.signs)
     k = cfg_probe.kappa
-    for i, x in enumerate(pts):
+    for x in pts:
+        closed_un = {spin: dhrep.field_section(cfg_probe, x, closed[spin, "unentangled"])
+                     for spin in ("up", "down")}
+        closed_en = {spin: dhrep.field_section(cfg_probe, x, closed[spin, "entangled"])
+                     for spin in ("up", "down")}
         psi = cfg_probe.layout.packet_values(x)
         up = complex(psi[0]) * s1 * (cfg_probe.adag(1) @ vac)
         down = (complex(psi[1]) * s2 * (cfg_probe.adag(2) @ vac)
                 + complex(psi[2]) * s3 * (cfg_probe.adag(3) @ vac))
-        assert (dhrep.vacuum_action(closed_un.operator(i, "up")) - up).norm() <= 1e-10
-        assert (dhrep.vacuum_action(closed_un.operator(i, "down")) - down).norm() <= 1e-10
+        assert (dhrep.vacuum_action(closed_un["up"]) - up).norm() <= 1e-10
+        assert (dhrep.vacuum_action(closed_un["down"]) - down).norm() <= 1e-10
         # daggered sections on the vacuum: the packet component is removed
         up_dag = (complex(np.conj(psi[1])) * (cfg_probe.bdag("up", 2) @ vac)
                   + complex(np.conj(psi[2])) * (cfg_probe.bdag("up", 3) @ vac)
                   + complex(np.conj(cfg_probe.layout.probe_values(x)[0]))
                   * (cfg_probe.creator(cfg_probe.probe_mode(0, "up")) @ vac))
-        got = dhrep.vacuum_action(closed_un.operator(i, "up").dagger())
+        got = dhrep.vacuum_action(closed_un["up"].dagger())
         assert (got - up_dag).norm() <= 1e-10
         # entangled actions gain one exchange term per spin
         pair = cfg_probe.adag(1) @ (cfg_probe.adag(2) @ vac)
         en_up = up - s1 * s2 * k * complex(psi[1]) * (cfg_probe.bdag("down", 1) @ pair)
         en_down = down + s1 * s2 * k * complex(psi[0]) * (cfg_probe.bdag("up", 2) @ pair)
-        assert (dhrep.vacuum_action(closed_en.operator(i, "up")) - en_up).norm() <= 1e-10
-        assert (dhrep.vacuum_action(closed_en.operator(i, "down")) - en_down).norm() <= 1e-10
+        assert (dhrep.vacuum_action(closed_en["up"]) - en_up).norm() <= 1e-10
+        assert (dhrep.vacuum_action(closed_en["down"]) - en_down).norm() <= 1e-10
 
 
 def test_pure_creator_vacuum_norm(cfg0):
@@ -338,8 +346,6 @@ def test_locality_report_unentangled(cfg_probe, t_un_probe):
     assert by_key[(32.0, "down")].outside_support
     # where the quantum lives, the transformed operator differs at order one
     assert by_key[(-20.0, "up")].distance > 1.0
-    parsed = json.loads(report.to_json())
-    assert {"point", "spin", "representation", "distance", "packet_magnitudes"} <= set(parsed[0])
 
 
 def test_locality_report_entangled_cross_term(cfg_probe, t_en_probe):
@@ -352,6 +358,31 @@ def test_locality_report_entangled_cross_term(cfg_probe, t_en_probe):
     # but region 3 and the probe stay clean
     assert by_key[(20.0, "up")].distance <= 1e-10
     assert by_key[(32.0, "up")].distance <= 1e-10
+
+
+@pytest.mark.parametrize("flavor", ["unentangled", "entangled"])
+def test_locality_holds_across_the_grid(cfg_probe, t_un_probe, t_en_probe, flavor):
+    transform = t_un_probe if flavor == "unentangled" else t_en_probe
+    points = tuple(float(x) for x in cfg_probe.layout.grid.points[::4])
+    report = dhrep.locality_report(cfg_probe, transform, points=points)
+    assert report.passed
+    outside = [r for r in report.rows if r.outside_support]
+    assert outside
+    worst = max(outside, key=lambda r: r.distance)
+    assert worst.distance <= 1e-10, (worst.point, worst.spin, worst.distance)
+
+
+@pytest.mark.parametrize("flavor", ["unentangled", "entangled"])
+def test_locality_report_matches_per_point_conjugation(cfg_probe, t_un_probe, t_en_probe,
+                                                       flavor):
+    # oracle: conjugate the whole usual section at each point
+    transform = t_un_probe if flavor == "unentangled" else t_en_probe
+    report = dhrep.locality_report(cfg_probe, transform)
+    assert len(report.rows) == 12
+    for row in report.rows:
+        usual = dhrep.field_section(cfg_probe, row.point, dhrep.section_modes(cfg_probe, row.spin))
+        oracle = operator_distance(dhrep.conjugate(transform, usual), usual)
+        assert row.distance == pytest.approx(oracle, rel=1e-12, abs=1e-14), (row.point, row.spin)
 
 
 def test_noaux_transform_actions():
