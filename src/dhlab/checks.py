@@ -21,7 +21,6 @@ from . import wavepackets as wp
 from .errors import ConfigError
 from .fock import (
     FockOperator,
-    FockState,
     ModeRegistry,
     ProbeMode,
     anticommutator,
@@ -118,6 +117,11 @@ class RunConfig:
             raise ConfigError("geometry values must be finite")
         if self.packet_width <= 0:
             raise ConfigError(f"packet_width must be positive, got {self.packet_width}")
+        if self.grid_points > 1:  # a single point has no spacing; the grid refuses it
+            spacing = (self.grid_max - self.grid_min) / (self.grid_points - 1)
+            if self.packet_width < spacing:
+                raise ConfigError(f"packet_width {self.packet_width!r} is below the grid "
+                                  f"spacing {spacing!r}, so the grid cannot resolve a packet")
         if not self.separations:
             raise ConfigError("the separation list is empty")
         if len(self.signs) != 3 or any(s not in (1, -1) for s in self.signs):
@@ -165,7 +169,8 @@ def _closed_grids(closed_form, dirs: list[SpinDirection], kappa: float) -> np.nd
                      for a, b in PAIRS])
 
 
-def _config(rc: RunConfig, kappa: float, probe_points: tuple[float, ...] = ()) -> model.SystemConfig:
+def _config(rc: RunConfig, probe_points: tuple[float, ...] = ()) -> model.SystemConfig:
+    """The kappa = 0 config of one probe set; each kappa is a replace() of it."""
     layout = wp.standard_layout(
         centers=rc.packet_centers,
         width=rc.packet_width,
@@ -173,24 +178,30 @@ def _config(rc: RunConfig, kappa: float, probe_points: tuple[float, ...] = ()) -
         n_points=rc.grid_points,
         probe_points=probe_points,
     )
-    return model.standard_config(
-        kappa=kappa, signs=rc.signs, layout=layout,
-        wsw_tol=rc.wsw_tol, aperture_tol=rc.aperture_tol,
-    )
+    return model.standard_config(signs=rc.signs, layout=layout,
+                                 wsw_tol=rc.wsw_tol, aperture_tol=rc.aperture_tol)
 
 
-def _system(rc: RunConfig, kappa: float, probe_points: tuple[float, ...] = ()
-            ) -> tuple[model.SystemConfig, dhrep.DhTransform, dhrep.DhTransform]:
-    """Config with its unentangled and two-step entangled transforms."""
-    cfg = _config(rc, kappa, probe_points)
-    t_un = dhrep.build_unentangled_transform(cfg)
-    return cfg, t_un, dhrep.build_entangled_transform(cfg, t_un)
+def _entangled(cfg0: model.SystemConfig, t_un: dhrep.DhTransform, kappa: float):
+    """The config at kappa with its two-step transform on the shared t_un."""
+    cfg = replace(cfg0, kappa=kappa)
+    return cfg, dhrep.build_entangled_transform(cfg, t_un)
 
 
-def _evolved(cfg: model.SystemConfig) -> tuple[FockState, FockState]:
-    """Exact and normalized first-order evolutions of the unentangled state."""
+def _sweeps(cfg: model.SystemConfig, t_en: dhrep.DhTransform, u: np.ndarray):
+    """The exact state; the _sweeps of exact, normalized first-order and DH-vacuum moments."""
     psi = model.unentangled_state(cfg)
-    return model.evolve(cfg, psi, "exact"), model.evolve(cfg, psi, "first").normalized()
+    exact = model.evolve(cfg, psi, "exact")
+    first = model.evolve(cfg, psi, "first").normalized()
+    return exact, [_sweep(moments, u) for moments in (
+        model.state_moments(cfg, exact), model.state_moments(cfg, first),
+        dhrep.dh_vacuum_moments(cfg, t_en))]
+
+
+def _qubit_states(kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unentangled qubit state with its exact and second-order evolutions."""
+    psi0 = qubits.unentangled_state()
+    return psi0, *(qubits.evolve_qubits(psi0, kappa, order) for order in ("exact", "second"))
 
 
 def _with_zero(kappas: tuple[float, ...]) -> tuple[float, ...]:
@@ -286,7 +297,7 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
               0.0, operator_distance(e @ e.dagger(), identity_operator(small_reg)), 1e-11)
 
     # --- geometry gates ----------------------------------------------------
-    cfg0 = _config(rc, 0.0)
+    cfg0 = _config(rc)
     wsw = wp.wsw_report(list(cfg0.layout.packets), tol=rc.wsw_tol)
     rec.close("10-wsw-gate", "pointwise products of distinct packets vanish",
               0.0, wsw.max_product, rc.wsw_tol)
@@ -307,9 +318,7 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
                   "axis-aligned localized spin eigenvalue",
                   0.0, (s @ psi_un - eig * psi_un).norm(), rc.tol_exact)
 
-    states = [model.unentangled_state(cfg0)] + [
-        model.build_state(cfg0, model.FLIPPED_OCC[r]) for r in (1, 2, 3)
-    ]
+    states = [psi_un] + [model.build_state(cfg0, model.FLIPPED_OCC[r]) for r in (1, 2, 3)]
     gram_dev = max(
         abs(si.overlap(sj) - (1.0 if i == j else 0.0))
         for i, si in enumerate(states)
@@ -331,16 +340,14 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
     if sprod != -1:
         return sorted(rec.records, key=lambda r: r.id)
 
-    worst = 0.0
-    for signs in ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1)):
-        t = dhrep.build_unentangled_transform(cfg0, signs)
-        vac0 = cfg0.vacuum()
-        worst = max(worst, abs(vac0.overlap(t.operator @ psi_un) - 1.0))
+    t_uns = {signs: dhrep.build_unentangled_transform(cfg0, signs)
+             for signs in ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1))}
+    worst = max(abs(cfg0.vacuum().overlap(t.operator @ psi_un) - 1.0) for t in t_uns.values())
     rec.close("31-standardization-unentangled",
               "transform maps the three-particle state to the vacuum, all sign choices",
               0.0, worst, rc.tol_exact)
 
-    t_un0 = dhrep.build_unentangled_transform(cfg0)
+    t_un0 = t_uns[tuple(rc.signs)]
     w1 = dhrep.removal_generator(cfg0, "up", 1, 1)
     rec.close("32-removal-skewness", "removal generators are skew-Hermitian",
               0.0, (w1 + w1.dagger()).max_abs(), 0.0)
@@ -364,15 +371,12 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
               0.0, smear_dev, rc.tol_exact)
 
     for kappa in rc.kappas:
-        cfg, _, t_en = _system(rc, kappa)
-        exact, first = _evolved(cfg)
+        cfg, t_en = _entangled(cfg0, t_un0, kappa)
+        exact, (ue, uf, dh) = _sweeps(cfg, t_en, u)
         rec.close(f"35-standardization-entangled-k{kappa:g}",
                   "two-step transform maps the evolved state to the vacuum",
                   0.0, (t_en.operator @ exact - cfg.vacuum()).norm(), rc.tol_exact)
 
-        ue, uf, dh = (_sweep(moments, u) for moments in (
-            model.state_moments(cfg, exact), model.state_moments(cfg, first),
-            dhrep.dh_vacuum_moments(cfg, t_en)))
         closed = _closed_grids(model.correlation_closed_form, dirs, kappa)
         rec.close(f"36-entangled-correlations-k{kappa:g}",
                   "first-order correlation closed forms vs exact evolution",
@@ -386,7 +390,9 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
 
     # --- field sections and locality ---------------------------------------
     kmid = rc.kappas[len(rc.kappas) // 2]
-    cfgp, t_un, t_en = _system(rc, kmid, (rc.probe_point,))
+    cfgp0 = _config(rc, (rc.probe_point,))
+    t_un = dhrep.build_unentangled_transform(cfgp0)
+    cfgp, t_en = _entangled(cfgp0, t_un, kmid)
     pts = cfgp.layout.centers + (rc.probe_point,)
     section = dhrep.field_section
     closed_un, closed_en, conj_un, first_order = {}, {}, {}, {}
@@ -471,9 +477,7 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
         if kappa == 0.0:
             continue
         k3 = kappa**3
-        psi0 = qubits.unentangled_state()
-        exact = qubits.evolve_qubits(psi0, kappa, "exact")
-        second = qubits.evolve_qubits(psi0, kappa, "second")
+        psi0, exact, second = _qubit_states(kappa)
         rec.close(f"60-qubit-state-distance-k{kappa:g}",
                   "exact evolution vs second-order expansion", 0.0,
                   float(np.linalg.norm(exact - second)), k3)
@@ -507,15 +511,14 @@ def run_correlations(rc: RunConfig) -> list[dict]:
     """Correlation table over the direction set and kappa list."""
     dirs = directions(rc)
     u = _unit_vectors(dirs)
+    cfg0 = _config(rc)
+    t_un = dhrep.build_unentangled_transform(cfg0)
     rows = []
     for kappa in _with_zero(rc.kappas):
         # at kappa = 0 the entangler is the identity, so t_en's matrix equals t_un's
-        cfg, _, t_en = _system(rc, kappa)
-        exact_state, first_state = _evolved(cfg)
         label = "entangled" if kappa > 0 else "unentangled"
-        firsts, exacts, dhs = (_sweep(moments, u)[1].ravel().tolist() for moments in (
-            model.state_moments(cfg, first_state), model.state_moments(cfg, exact_state),
-            dhrep.dh_vacuum_moments(cfg, t_en)))
+        exacts, firsts, dhs = (corr.ravel().tolist() for _, corr in
+                               _sweeps(*_entangled(cfg0, t_un, kappa), u)[1])
         closed_forms = _closed_grids(model.correlation_closed_form, dirs, kappa).ravel()
         for ((ra, rb), da, db), first, exact, dh, closed in zip(
                 itertools.product(PAIRS, dirs, dirs), firsts, exacts, dhs, closed_forms):
@@ -539,7 +542,9 @@ def run_correlations(rc: RunConfig) -> list[dict]:
 def run_locality(rc: RunConfig) -> dict:
     """Per-point section distances for the auxiliary construction alongside
     the no-auxiliary contrast."""
-    cfg, t_un, t_en = _system(rc, max(rc.kappas), (rc.probe_point,))
+    cfg0 = _config(rc, (rc.probe_point,))
+    t_un = dhrep.build_unentangled_transform(cfg0)
+    cfg, t_en = _entangled(cfg0, t_un, max(rc.kappas))
     return {
         "aux_unentangled": [r.to_dict() for r in dhrep.locality_report(cfg, t_un).rows],
         "aux_entangled": [r.to_dict() for r in dhrep.locality_report(cfg, t_en).rows],
@@ -554,10 +559,8 @@ def run_qubit(rc: RunConfig) -> list[dict]:
     u = _unit_vectors([d for _, d in probe_dirs])
     rows = []
     for kappa in _with_zero(rc.kappas):
-        psi0 = qubits.unentangled_state()
         (exp_exact, corr_exact), (exp_second, corr_second) = (
-            _sweep(qubits.pauli_moments(qubits.evolve_qubits(psi0, kappa, order)), u)
-            for order in ("exact", "second"))
+            _sweep(qubits.pauli_moments(s), u) for s in _qubit_states(kappa)[1:])
         for (q, (name, d)), exact, second in zip(
                 itertools.product((1, 2, 3), probe_dirs),
                 exp_exact.T.ravel().tolist(), exp_second.T.ravel().tolist()):

@@ -13,7 +13,6 @@ unentangled reference state up,down,down sits at index 0b011 = 3).
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .model import SpinDirection, spin_moments
 
@@ -43,11 +42,17 @@ def pauli_operator(qubit: int, axis: int) -> np.ndarray:
     return _embed(PAULIS[axis - 1], qubit)
 
 
+# _EMBEDDED[q - 1, i - 1] = pauli_operator(q, i), built once and read-only
+_EMBEDDED = np.array([[pauli_operator(q, i) for i in (1, 2, 3)] for q in (1, 2, 3)])
+_EMBEDDED.flags.writeable = False
+
+
 def spin_operator(qubit: int, direction: SpinDirection) -> np.ndarray:
-    """u . sigma for one qubit."""
-    u = direction.unit_vector
-    op2 = u[0] * PAULI_X + u[1] * PAULI_Y + u[2] * PAULI_Z
-    return _embed(op2, qubit)
+    """u . sigma for one qubit, as a new array."""
+    if qubit not in (1, 2, 3):
+        raise ValueError("qubit must be 1, 2, or 3")
+    u, p = direction.unit_vector, _EMBEDDED[qubit - 1]
+    return u[0] * p[0] + u[1] * p[1] + u[2] * p[2]
 
 
 def basis_index(q1: int, q2: int, q3: int) -> int:
@@ -90,7 +95,9 @@ def evolve_qubits(state: np.ndarray, kappa: float, order: str = "exact") -> np.n
         raise ValueError("evolve_qubits expects a normalized state")
     g = build_h1q(kappa)
     if order == "exact":
-        return scipy.linalg.expm(-1j * g) @ state
+        # Deferred: `import dhlab.cli` and `dhlab locality` never exponentiate.
+        from scipy.linalg import expm
+        return expm(-1j * g) @ state
     if order == "second":
         first = -1j * (g @ state)
         second = -1j * (g @ first)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import run_cli_capped, run_python
-from dhlab import cli, dhrep, model, qubits
+from dhlab import cli, dhrep, model, qubits, wavepackets
 from dhlab.checks import RunConfig, directions, run_correlations, run_qubit, run_verify
 from dhlab.errors import ConfigError
 from dhlab.model import SpinDirection
@@ -219,6 +219,27 @@ def test_correlation_rows_match_direct_evaluators():
         assert abs(row["dh_vacuum"] - dhrep.dh_vacuum_correlation(cfg, transform, *args)) <= 1e-14
 
 
+def test_kappa_independent_setup_is_built_once_per_probe_set(monkeypatch):
+    # the layout and V_un are built once per probe set and shared by every
+    # kappa; verify's other four V_un builds are check 31's sign choices
+    counts = {}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    count(wavepackets, "standard_layout")
+    count(dhrep, "build_unentangled_transform")
+    run_verify(RunConfig())
+    assert counts == {"standard_layout": 2, "build_unentangled_transform": 5}
+    counts.clear()
+    run_correlations(RunConfig())
+    assert counts == {"standard_layout": 1, "build_unentangled_transform": 1}
+
+
 def test_qubit_rows_match_direct_evaluators():
     axes = {"x1": SpinDirection.x1(), "x2": SpinDirection.x2(), "x3": SpinDirection.x3()}
     for row in run_qubit(RunConfig(kappas=(0.1,))):
@@ -310,6 +331,7 @@ MEANINGLESS = {
     "negative-seed-random": "[run]\nseed = -1\n[directions]\nmode = random\n",
     "nan-wsw-tol": "[tolerances]\nwsw = nan\n",
     "negative-aperture-tol": "[tolerances]\naperture = -1e-8\n",
+    "sub-spacing-width": "[geometry]\npacket_width = 1e-9\n",
 }
 
 
@@ -339,6 +361,8 @@ MEANINGLESS = {
     ("correlations", "negative-seed-random"),
     ("verify", "nan-wsw-tol"),
     ("locality", "negative-aperture-tol"),
+    ("verify", "sub-spacing-width"),
+    ("locality", "sub-spacing-width"),
 ])
 def test_meaningless_config_exits_two_with_one_line(tmp_path, capsys, command, case):
     ini = tmp_path / "run.ini"
@@ -346,6 +370,11 @@ def test_meaningless_config_exits_two_with_one_line(tmp_path, capsys, command, c
     assert cli.main([command, "--config", str(ini), "--out", str(tmp_path / "o.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def test_packet_width_of_one_grid_spacing_is_valid():
+    # 70 / 1400 = 0.05 exactly: a width of one spacing is the finest the grid resolves
+    assert RunConfig(packet_width=0.05).packet_width == 0.05
 
 
 @pytest.mark.parametrize("command", ["correlations", "locality"])
@@ -372,10 +401,11 @@ def test_oversized_grid_exits_two_under_memory_cap(command, case):
 
 
 def test_locality_never_loads_the_exponential_kernel(tmp_path):
-    # `import dhlab.cli` and `dhlab locality` pay no import of scipy.sparse.linalg.
+    # `import dhlab.cli` and `dhlab locality` pay no import of scipy.sparse.linalg
+    # (expm_multiply) or scipy.linalg (the qubit oracle's expm).
     code = ("import sys, dhlab.cli\n"
             "assert dhlab.cli.main(['locality', '--out', sys.argv[1]]) == 0\n"
-            "print('scipy.sparse.linalg' in sys.modules)")
+            "print([m in sys.modules for m in ('scipy.sparse.linalg', 'scipy.linalg')])")
     proc = run_python(["-c", code, str(tmp_path / "o.json")])
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[False, False]"

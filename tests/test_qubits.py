@@ -185,6 +185,26 @@ def test_pauli_moments_match_direct_evaluators_on_drawn_directions(da, db):
         assert_moments_match(moments, expectation, correlation, (da, db))
 
 
+@settings(max_examples=50, deadline=None)
+@given(d=spin_directions)
+def test_spin_operator_equals_its_kron_embedding(d):
+    # spin_operator sums cached embedded Paulis; the reference embeds u . sigma
+    # with one kron chain per qubit and must agree exactly
+    u = d.unit_vector
+    op2 = u[0] * qubits.PAULI_X + u[1] * qubits.PAULI_Y + u[2] * qubits.PAULI_Z
+    eye2 = qubits.IDENTITY_2
+    references = (np.kron(np.kron(op2, eye2), eye2), np.kron(np.kron(eye2, op2), eye2),
+                  np.kron(np.kron(eye2, eye2), op2))
+    for q, reference in zip((1, 2, 3), references):
+        op = qubits.spin_operator(q, d)
+        assert np.array_equal(op, reference)
+        op[:] = 7.0  # the caller owns the result: the cache stays intact
+        assert np.array_equal(qubits.spin_operator(q, d), reference)
+    for q in (0, 4):
+        with pytest.raises(ValueError):
+            qubits.spin_operator(q, d)
+
+
 def test_pauli_moment_tensor_identities_at_kappa_zero():
     e3e3 = np.outer([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
     expected = {(1, 2): -e3e3, (2, 3): e3e3, (3, 1): -e3e3}
