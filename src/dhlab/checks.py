@@ -351,10 +351,10 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
     w1 = dhrep.removal_generator(cfg0, "up", 1, 1)
     rec.close("32-removal-skewness", "removal generators are skew-Hermitian",
               0.0, (w1 + w1.dagger()).max_abs(), 0.0)
-    dev = operator_distance(
+    generic = matrix_exponential((math.pi / 2.0) * w1)
+    dev = max(operator_distance(closed, generic) for closed in (
         dhrep.rotation_exponential(w1, math.pi / 2.0, 1.0),
-        matrix_exponential((math.pi / 2.0) * w1),
-    )
+        dhrep.DhFactorParams.from_sign(1).exponential(w1)))  # the factor V_un uses
     rec.close("33-rotation-fastpath", "factor exponential closed form vs generic path",
               0.0, dev, 1e-12)
 

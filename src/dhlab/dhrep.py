@@ -12,7 +12,8 @@ relevant subspace W^3 = -g^2 W, so the factor exponentials have the exact
 rotation closed form; the generic matrix exponential is kept as the
 validation path.  Choosing cos(theta_i g_i) = 0 makes each factor act with a
 pure sign s_i = sin(theta_i g_i) = +-1, and the product standardizes the
-three-particle state exactly when s1 s2 s3 = -1.
+three-particle state exactly when s1 s2 s3 = -1.  At that angle the factor is
+I + (s/g) W + W^2/g^2 exactly, so V_un is a signed permutation of the basis.
 
 The entangled transform is the two-step composition V_en = V_un exp(+iG)
 with G the dimensionless spin-exchange generator; it standardizes the
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,6 +99,12 @@ class DhFactorParams:
             raise ValueError("sign must be +1 or -1")
         return cls(g=g, theta=sign * math.pi / (2.0 * g))
 
+    def exponential(self, w: FockOperator) -> FockOperator:
+        """exp(theta w) for a generator with w^3 = -g^2 w at the pinned angle:
+        I + (s/g) w + w @ w / g^2, free of the cos(fl(theta g)) residue."""
+        g = self.g
+        return identity_operator(w.registry) + (self.sign / g) * w + (1.0 / (g * g)) * (w @ w)
+
 
 @dataclass(frozen=True, eq=False)
 class DhTransform:
@@ -109,9 +117,14 @@ class DhTransform:
 
     def __post_init__(self):
         v = self.operator
-        dev = operator_distance(v @ v.dagger(), identity_operator(v.registry))
+        dev = operator_distance(v @ self.adjoint, identity_operator(v.registry))
         if not dev <= UNITARITY_TOL:  # NaN fails too
             raise ValueError(f"transform is not unitary: ||V Vdag - I|| = {dev}")
+
+    @cached_property
+    def adjoint(self) -> FockOperator:
+        """V^dag, built once per transform."""
+        return self.operator.dagger()
 
     @property
     def registry(self) -> ModeRegistry:
@@ -178,7 +191,7 @@ def build_unentangled_transform(
     v = identity_operator(cfg.registry)
     for (spin, region, aux), factor in zip(_REMOVAL_SLOTS, factors):
         w = removal_generator(cfg, spin, region, aux, factor.g)
-        v = rotation_exponential(w, factor.theta, factor.g) @ v
+        v = factor.exponential(w) @ v
     return DhTransform(operator=v, factors=factors, kappa=None)
 
 
@@ -193,8 +206,7 @@ def build_entangled_transform(cfg: SystemConfig, base: DhTransform) -> DhTransfo
 
 def conjugate(transform: DhTransform, op: FockOperator) -> FockOperator:
     """Exact conjugation V A Vdag (spectrum preserving)."""
-    v = transform.operator
-    return v @ op @ v.dagger()
+    return transform.operator @ op @ transform.adjoint
 
 
 def first_order_entangled_conjugate(
@@ -287,7 +299,7 @@ def dh_vacuum_correlation(
         raise ValueError("correlation needs two distinct regions")
     v = transform.operator
     vac = vacuum_state(cfg.registry)
-    w = v.dagger() @ vac
+    w = transform.adjoint @ vac
     ua = v @ (localized_spin_operator(cfg, region_a, dir_a) @ w)
     ub = v @ (localized_spin_operator(cfg, region_b, dir_b) @ w)
     val = ua.overlap(ub)
@@ -301,7 +313,7 @@ def dh_vacuum_moments(cfg: SystemConfig, transform: DhTransform) -> tuple[np.nda
     with w = Vdag |0>; see model.spin_moments."""
     v = transform.operator
     vac = vacuum_state(cfg.registry)
-    w = v.dagger() @ vac
+    w = transform.adjoint @ vac
     return spin_moments(vac.amplitudes, [v.matrix @ a for a in spin_stacks(cfg, w)])
 
 
@@ -458,51 +470,46 @@ def single_particle_state(cfg: SinglePacketConfig) -> FockState:
     return cfg.b().dagger() @ state
 
 
-def noaux_rotation(cfg: SinglePacketConfig, theta: float) -> FockOperator:
-    """exp(theta W) for the bare removal generator W = b - bdag (no auxiliary
-    field); for the auxiliary-partner config, W = a b - bdag adag instead."""
+def _noaux_generator(cfg: SinglePacketConfig) -> FockOperator:
+    """The bare removal generator W = b - bdag (no auxiliary field); for the
+    auxiliary-partner config, W = a b - bdag adag instead."""
     b = cfg.b()
     if cfg.with_auxiliary:
         a = mode_operator(cfg.registry, AuxiliaryMode(1))
-        w = a @ b - b.dagger() @ a.dagger()
-    else:
-        w = b - b.dagger()
-    return rotation_exponential(w, theta, 1.0)
+        return a @ b - b.dagger() @ a.dagger()
+    return b - b.dagger()
+
+
+def noaux_rotation(cfg: SinglePacketConfig, theta: float) -> FockOperator:
+    """exp(theta W) for the config's removal generator, at any angle."""
+    return rotation_exponential(_noaux_generator(cfg), theta, 1.0)
 
 
 def noaux_transform(cfg: SinglePacketConfig, theta: float = math.pi / 2.0) -> DhTransform:
-    """Standardizing transform exp(theta W) at cos(theta) = 0."""
-    return DhTransform(
-        operator=noaux_rotation(cfg, theta),
-        factors=(DhFactorParams(g=1.0, theta=theta),),
-        kappa=None,
-    )
-
-
-def _single_section(cfg: SinglePacketConfig, x: float) -> FockOperator:
-    psi = cfg.packet.value_at(x)
-    chi = cfg.probe_function.value_at(x)
-    return psi * cfg.b() + chi * cfg.probe()
+    """Standardizing transform exp(theta W) at cos(theta) = 0 (a pure sign)."""
+    factor = DhFactorParams(g=1.0, theta=theta)
+    return DhTransform(operator=factor.exponential(_noaux_generator(cfg)), factors=(factor,))
 
 
 def noaux_locality_report(
     separations: tuple[float, ...] = (10.0, 20.0, 40.0), width: float = 1.0
 ) -> list[dict]:
     """Probe-support leakage of the no-auxiliary construction next to the
-    auxiliary-partner construction on the same geometry, per separation."""
-    rows = []
+    auxiliary-partner construction on the same geometry, per separation.  The
+    moved operators V m V^dag - m (m = b, probe) ignore the separation, so each
+    construction builds them once; only psi, chi at the probe point change."""
+    rows, moved = [], {}
     for sep in separations:
+        geo = single_packet_config(sep, width)
+        if not moved:
+            aux = single_packet_config(sep, width, with_auxiliary=True)
+            for cfg, prefix in ((geo, "noaux"), (aux, "aux")):
+                v = noaux_transform(cfg)
+                moved[prefix] = [conjugate(v, m) - m for m in (cfg.b(), cfg.probe())]
+        psi, chi = (f.value_at(geo.probe_point) for f in (geo.packet, geo.probe_function))
         row: dict = {"separation": float(sep)}
-        for with_aux, prefix in ((False, "noaux"), (True, "aux")):
-            cfg = single_packet_config(sep, width, with_auxiliary=with_aux)
-            v = noaux_transform(cfg)
-            probe = cfg.probe()
-            row[f"{prefix}_probe_operator_distance"] = operator_distance(
-                conjugate(v, probe), probe
-            )
-            section = _single_section(cfg, cfg.probe_point)
-            row[f"{prefix}_section_distance"] = operator_distance(
-                conjugate(v, section), section
-            )
+        for prefix, (d_b, d_probe) in moved.items():
+            row[f"{prefix}_probe_operator_distance"] = d_probe.norm()
+            row[f"{prefix}_section_distance"] = (psi * d_b + chi * d_probe).norm()
         rows.append(row)
     return rows

@@ -33,6 +33,8 @@ from scipy import sparse
 from .errors import RegistryError
 
 DEFAULT_MODE_CAP = 12
+# Largest 1-norm fock exponentiates; the largest in use is 2 pi (the kappa cap).
+MAX_EXPONENT_NORM = 1e3
 
 SPIN_UP = "up"
 SPIN_DOWN = "down"
@@ -303,9 +305,13 @@ def anticommutator(a: FockOperator, b: FockOperator) -> FockOperator:
 
 def _exponential_action(a: FockOperator, block: np.ndarray) -> np.ndarray:
     """exp(a) @ block by Al-Mohy & Higham's action algorithm (expm_multiply);
-    exp(a) itself is never formed."""
-    if not np.all(np.isfinite(a.matrix.data)):
-        raise ValueError("operator entries must be finite")
+    exp(a) itself is never formed.  The step count grows with ||a||_1, so an
+    operator whose 1-norm is not finite or exceeds MAX_EXPONENT_NORM is
+    refused with ValueError instead of running for minutes."""
+    with np.errstate(over="ignore"):  # a huge norm overflows to inf: refused below
+        norm = abs(a.matrix).sum(axis=0).max()
+    if not norm <= MAX_EXPONENT_NORM:  # NaN fails too
+        raise ValueError(f"operator 1-norm {norm} is not finite or exceeds {MAX_EXPONENT_NORM:g}")
     # Deferred: `import dhlab.cli` and `dhlab locality` never exponentiate.
     from scipy.sparse.linalg import expm_multiply
     # On wide blocks expm_multiply picks its step count through scipy's

@@ -108,6 +108,26 @@ def test_standardization_all_sign_assignments(cfg0, signs):
     assert (t_en.operator @ exact - vac).norm() <= 1e-10
 
 
+@pytest.mark.parametrize("cfg_name", ["cfg0", "cfg_probe"])
+@pytest.mark.parametrize("signs", ALL_SIGNS)
+def test_unentangled_transform_is_a_signed_permutation(request, cfg_name, signs):
+    # every factor is pinned at cos(theta g) = 0, so V_un only permutes the
+    # Fock basis up to signs and stores no cos(fl(pi/2)) residue
+    cfg = request.getfixturevalue(cfg_name)
+    v = dhrep.build_unentangled_transform(cfg, signs).operator
+    assert v.matrix.nnz == cfg.registry.dimension
+    assert np.all(np.abs(v.matrix.data) == 1.0)
+    assert np.array_equal((v @ unentangled_state(cfg)).amplitudes, cfg.vacuum().amplitudes)
+    assert (v @ v.dagger() - fock.identity_operator(cfg.registry)).max_abs() == 0.0
+
+
+def test_entangled_transform_sparsity(t_en05, t_en_probe):
+    # V_un exp(iG) at kappa 0.05: the signed permutation spreads only the
+    # entangler's 2x2 exchange blocks
+    assert t_en05.operator.matrix.nnz == 576
+    assert t_en_probe.operator.matrix.nnz == 2304
+
+
 def test_nan_transform_fails_unitarity_gate(cfg0, t_un0):
     # a NaN deviation compares False against the tolerance; it must still fail
     matrix = t_un0.operator.matrix.copy()
@@ -409,3 +429,46 @@ def test_noaux_locality_contrast():
     assert rows[0]["noaux_probe_operator_distance"] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
     sect = [row["noaux_section_distance"] for row in rows]
     assert max(sect) - min(sect) <= 1e-10
+
+
+def _noaux_rows_rebuilt_per_separation(separations, width):
+    # oracle: the config, the transform and the section rebuilt for every
+    # separation and every construction
+    rows = []
+    for sep in separations:
+        row = {"separation": float(sep)}
+        for with_aux, prefix in ((False, "noaux"), (True, "aux")):
+            cfg = dhrep.single_packet_config(sep, width, with_auxiliary=with_aux)
+            v = dhrep.noaux_transform(cfg)
+            probe = cfg.probe()
+            row[f"{prefix}_probe_operator_distance"] = operator_distance(
+                dhrep.conjugate(v, probe), probe)
+            section = (cfg.packet.value_at(cfg.probe_point) * cfg.b()
+                       + cfg.probe_function.value_at(cfg.probe_point) * probe)
+            row[f"{prefix}_section_distance"] = operator_distance(
+                dhrep.conjugate(v, section), section)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("separations, width", [((10.0, 20.0, 40.0), 1.0), ((3.0, 36.5), 0.7)])
+def test_noaux_report_matches_per_separation_rebuild(separations, width):
+    rows = dhrep.noaux_locality_report(separations, width)
+    oracle = _noaux_rows_rebuilt_per_separation(separations, width)
+    assert [row.keys() for row in rows] == [row.keys() for row in oracle]
+    for row, expected in zip(rows, oracle):
+        for key, value in expected.items():
+            assert abs(row[key] - value) <= 1e-15, (key, row[key], value)
+
+
+def test_noaux_report_builds_each_transform_once(monkeypatch):
+    built = []
+    original = dhrep.noaux_transform
+
+    def counting(cfg, *args, **kwargs):
+        built.append(cfg.with_auxiliary)
+        return original(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(dhrep, "noaux_transform", counting)
+    dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0))
+    assert sorted(built) == [False, True]

@@ -1,6 +1,7 @@
 """Mode-operator algebra: anticommutation relations, exponentials, distances."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -174,6 +175,31 @@ def test_expm_rejects_bad_input(registry):
     other = ModeRegistry(tuple(ProbeMode(i + 1) for i in range(registry.size)))
     with pytest.raises(RegistryError):
         exponential_action(zero_operator(registry), vacuum_state(other))
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e6])
+def test_exponential_rejects_a_huge_norm_quickly(scale):
+    # expm_multiply picks its step count from the 1-norm: 1e6 * G would run
+    # for minutes, 1e308 * G overflows; both must fail at once, and loudly
+    g = -1j * entangling_generator(standard_config(kappa=1.0))
+    psi = vacuum_state(g.registry)
+    for run in (lambda: exponential_action(scale * g, psi),
+                lambda: matrix_exponential(scale * g)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            run()
+        assert time.perf_counter() - start < 1.0
+
+
+def test_exponential_at_the_largest_in_use_norm_still_evolves():
+    # kappa is capped at 2 pi, so 2 pi * G is the largest exponent in use
+    g = -1j * entangling_generator(standard_config(kappa=1.0))
+    rng = np.random.default_rng(5)
+    amps = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    psi = FockState(g.registry, amps / np.linalg.norm(amps))
+    a = (2.0 * math.pi) * g
+    dense = scipy.linalg.expm(a.matrix.toarray()) @ psi.amplitudes
+    assert exponential_action(a, psi).distance(FockState(g.registry, dense)) <= 1e-12
 
 
 def test_dense_matrix_rejected(registry):
