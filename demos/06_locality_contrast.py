@@ -16,13 +16,12 @@ t_en = dhrep.build_entangled_transform(cfg, t_un)
 print("auxiliary-partner construction "
       "(distance between transformed and usual sections):")
 for transform, name in ((t_un, "unentangled"), (t_en, "entangled")):
-    report = dhrep.locality_report(cfg, transform)
     print(f"  {name}:")
-    for row in report.rows:
-        tag = "outside all supports" if row.outside_support else (
-            f"packet magnitude {row.relevant_magnitude:.1e}")
-        print(f"    x={row.point:+06.1f} spin={row.spin:4s} "
-              f"distance={row.distance:.3e}  ({tag})")
+    for row in dhrep.locality_report(cfg, transform):
+        tag = "outside all supports" if row["outside_support"] else (
+            f"packet magnitude {row['relevant_magnitude']:.1e}")
+        print(f"    x={row['point']:+06.1f} spin={row['spin']:4s} "
+              f"distance={row['distance']:.3e}  ({tag})")
 
 print("\nthe entangled rows show the exchange leakage: the spin-up section in")
 print("region 2 (x=0) moves by ~10*kappa, fed entirely by the partner region.")

@@ -60,6 +60,9 @@ class CheckRecord:
 
 # exp(-iG) is periodic in kappa (G^3 = kappa^2 G), so larger values add no physics
 MAX_KAPPA = 2.0 * math.pi
+# a sweep holds (directions x directions) arrays and `correlations` writes
+# (kappas + 1) * 3 * n^2 rows of about 490 B: 100 directions give about 59 MB
+MAX_DIRECTIONS = 100
 
 
 @dataclass
@@ -96,6 +99,11 @@ class RunConfig:
             raise ConfigError(f"direction mode must be grid or random, got {self.direction_mode!r}")
         if min(self.n_theta, self.n_phi, self.n_random, self.grid_points) < 1:
             raise ConfigError("n_theta, n_phi, n_random and grid_points must be at least 1")
+        # verify also sweeps the even theta grid, whatever the mode
+        even_grid = (self.n_theta + self.n_theta % 2) * max(self.n_phi, 2)
+        if max(self.n_random, even_grid) > MAX_DIRECTIONS:
+            raise ConfigError(f"n_random and the (even) n_theta x n_phi grid must hold at "
+                              f"most {MAX_DIRECTIONS} directions")
         if self.grid_points > wp.MAX_GRID_POINTS:
             raise ConfigError(f"grid_points exceeds the cap of {wp.MAX_GRID_POINTS}")
         if self.seed < 0:
@@ -106,6 +114,9 @@ class RunConfig:
             raise ConfigError(f"kappa values must be finite, got {self.kappas}")
         if any(k < 0 for k in self.kappas):
             raise ConfigError("kappa values must be non-negative")
+        labels = [f"{k:g}" for k in self.kappas]
+        if len(set(labels)) < len(labels):  # record ids carry the label
+            raise ConfigError(f"kappa values must have distinct labels, got {', '.join(labels)}")
         if max(self.kappas) > MAX_KAPPA:
             raise ConfigError(f"kappa values must be at most 2 pi = {MAX_KAPPA!r}, "
                               f"got {max(self.kappas)!r}")
@@ -244,10 +255,6 @@ class _Recorder:
         self._append(check_id, ref, bound, actual, max(0.0, float(bound) - float(actual)), 0.0)
 
 
-def _ten_mode_registry() -> ModeRegistry:
-    return ModeRegistry(model.standard_registry().modes + (ProbeMode(1),))
-
-
 def _taylor_expm(matrix: np.ndarray, terms: int = 40) -> np.ndarray:
     """Brute-force truncated Taylor sum, the independent oracle for expm."""
     out = np.eye(matrix.shape[0], dtype=complex)
@@ -264,7 +271,7 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
     dirs = directions(rc)
 
     # --- mode algebra ------------------------------------------------------
-    reg = _ten_mode_registry()
+    reg = ModeRegistry(model.standard_registry().modes + (ProbeMode(1),))
     ident = identity_operator(reg)
     zero = zero_operator(reg)
     worst = 0.0
@@ -434,25 +441,23 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
     rec.close("42-vacuum-actions", "transformed operators acting on the vacuum, closed forms",
               0.0, dev, rc.tol_exact)
 
-    loc = dhrep.locality_report(cfgp, t_un, tol=rc.tol_exact)
-    outside = [r.distance for r in loc.rows if r.outside_support]
-    rec.close("50-locality-aux-outside-support",
-              "transformed operators differ only where their quanta live",
-              0.0, max(outside) if outside else 0.0, rc.tol_exact)
-    loc_en = dhrep.locality_report(cfgp, t_en, tol=rc.tol_exact)
-    outside = [r.distance for r in loc_en.rows if r.outside_support]
-    rec.close("51-locality-aux-entangled-outside-support",
-              "entangled transform stays local away from the coupled regions",
-              0.0, max(outside) if outside else 0.0, rc.tol_exact)
+    loc = _locality_payload(cfgp, t_un, t_en, rc)
+    for check_id, table, ref in (
+            ("50-locality-aux-outside-support", "aux_unentangled",
+             "transformed operators differ only where their quanta live"),
+            ("51-locality-aux-entangled-outside-support", "aux_entangled",
+             "entangled transform stays local away from the coupled regions")):
+        outside = [r["distance"] for r in loc[table] if r["outside_support"]]
+        rec.close(check_id, ref, 0.0, max(outside) if outside else 0.0, rc.tol_exact)
     region2_up = next(
-        r.distance for r in loc_en.rows
-        if r.spin == "up" and abs(r.point - cfgp.layout.centers[1]) < 1e-9
+        r["distance"] for r in loc["aux_entangled"]
+        if r["spin"] == "up" and abs(r["point"] - cfgp.layout.centers[1]) < 1e-9
     )
     rec.close_lower_bound("52-locality-entangled-cross-term",
                           "exchange coupling leaks the partner region's support",
                           5.0 * kmid, region2_up)
 
-    noaux = dhrep.noaux_locality_report(rc.separations, rc.packet_width)
+    noaux = loc["noaux_contrast"]
     rec.close_lower_bound("53-noaux-probe-distance",
                           "bare construction moves the distant probe operator",
                           0.1, min(r["noaux_probe_operator_distance"] for r in noaux))
@@ -539,17 +544,23 @@ def run_correlations(rc: RunConfig) -> list[dict]:
     return rows
 
 
-def run_locality(rc: RunConfig) -> dict:
+def _locality_payload(cfg: model.SystemConfig, t_un: dhrep.DhTransform,
+                      t_en: dhrep.DhTransform, rc: RunConfig) -> dict:
     """Per-point section distances for the auxiliary construction alongside
-    the no-auxiliary contrast."""
+    the no-auxiliary contrast: the `dhlab locality` payload."""
+    return {
+        "aux_unentangled": dhrep.locality_report(cfg, t_un, tol=rc.tol_exact),
+        "aux_entangled": dhrep.locality_report(cfg, t_en, tol=rc.tol_exact),
+        "noaux_contrast": dhrep.noaux_locality_report(rc.separations, rc.packet_width),
+    }
+
+
+def run_locality(rc: RunConfig) -> dict:
+    """The locality payload for the probe geometry at the largest kappa."""
     cfg0 = _config(rc, (rc.probe_point,))
     t_un = dhrep.build_unentangled_transform(cfg0)
     cfg, t_en = _entangled(cfg0, t_un, max(rc.kappas))
-    return {
-        "aux_unentangled": [r.to_dict() for r in dhrep.locality_report(cfg, t_un).rows],
-        "aux_entangled": [r.to_dict() for r in dhrep.locality_report(cfg, t_en).rows],
-        "noaux_contrast": dhrep.noaux_locality_report(rc.separations, rc.packet_width),
-    }
+    return _locality_payload(cfg, t_un, t_en, rc)
 
 
 def run_qubit(rc: RunConfig) -> list[dict]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -35,14 +34,11 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _parse_signs(text: str) -> tuple[int, int, int]:
+def _parse_signs(text: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated signs, got {text!r}") from exc
-    if len(parts) != 3 or any(s not in (1, -1) for s in parts):
-        raise ConfigError(f"signs must be three values of +-1, got {text!r}")
-    return parts  # type: ignore[return-value]
 
 
 # INI section -> key -> (RunConfig field, parser)
@@ -123,10 +119,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         overrides["out_path"] = args.out
     if args.format is not None:
         overrides["out_format"] = args.format
-    valid = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(overrides) - valid
-    if unknown:
-        raise ConfigError(f"unknown configuration fields {sorted(unknown)}")
     try:
         return RunConfig(**overrides)
     except (TypeError, ValueError) as exc:
@@ -139,7 +131,8 @@ def _rows_to_csv(rows: list[dict]) -> str:
     if not rows:
         return ""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+    # the locality tables differ in columns: take every key, in first-seen order
+    writer = csv.DictWriter(buf, fieldnames=list(dict.fromkeys(k for row in rows for k in row)))
     writer.writeheader()
     for row in rows:
         writer.writerow({k: _csv_cell(v) for k, v in row.items()})

@@ -69,6 +69,8 @@ from .model import (
 )
 
 UNITARITY_TOL = 1e-10
+# a packet magnitude at or below this counts as outside the packet's support
+SUPPORT_CUT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,6 @@ class DhTransform:
 
     operator: FockOperator
     factors: tuple[DhFactorParams, ...]
-    kappa: float | None = None
     base: "DhTransform | None" = None
 
     def __post_init__(self):
@@ -132,7 +133,7 @@ class DhTransform:
 
     @property
     def flavor(self) -> str:
-        return "unentangled" if self.kappa is None else "entangled"
+        return "unentangled" if self.base is None else "entangled"
 
     @property
     def signs(self) -> tuple[int, ...]:
@@ -192,7 +193,7 @@ def build_unentangled_transform(
     for (spin, region, aux), factor in zip(_REMOVAL_SLOTS, factors):
         w = removal_generator(cfg, spin, region, aux, factor.g)
         v = factor.exponential(w) @ v
-    return DhTransform(operator=v, factors=factors, kappa=None)
+    return DhTransform(operator=v, factors=factors)
 
 
 def build_entangled_transform(cfg: SystemConfig, base: DhTransform) -> DhTransform:
@@ -201,7 +202,7 @@ def build_entangled_transform(cfg: SystemConfig, base: DhTransform) -> DhTransfo
     if base.flavor != "unentangled":
         raise ValueError("base must be an unentangled transform")
     v = base.operator @ entangler_exponential(cfg)
-    return DhTransform(operator=v, factors=base.factors, kappa=cfg.kappa, base=base)
+    return DhTransform(operator=v, factors=base.factors, base=base)
 
 
 def conjugate(transform: DhTransform, op: FockOperator) -> FockOperator:
@@ -317,42 +318,6 @@ def dh_vacuum_moments(cfg: SystemConfig, transform: DhTransform) -> tuple[np.nda
     return spin_moments(vac.amplitudes, [v.matrix @ a for a in spin_stacks(cfg, w)])
 
 
-@dataclass(frozen=True)
-class LocalityRow:
-    point: float
-    spin: str
-    representation: str
-    distance: float
-    packet_magnitudes: tuple[float, float, float]
-    relevant_magnitude: float
-    outside_support: bool
-    local_ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "spin": self.spin,
-            "representation": self.representation,
-            "distance": self.distance,
-            "packet_magnitudes": list(self.packet_magnitudes),
-            "relevant_magnitude": self.relevant_magnitude,
-            "outside_support": self.outside_support,
-            "local_ok": self.local_ok,
-        }
-
-
-@dataclass(frozen=True)
-class LocalityReport:
-    representation: str
-    tol: float
-    support_cut: float
-    rows: tuple[LocalityRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.local_ok for r in self.rows)
-
-
 def _relevant_packets(spin: str, flavor: str) -> tuple[int, ...]:
     # Packets whose quanta the spin-s field can touch: region 1 carries the
     # up quantum, regions 2 and 3 the down quanta; the exchange coupling adds
@@ -367,13 +332,13 @@ def locality_report(
     transform: DhTransform,
     points: tuple[float, ...] | None = None,
     tol: float = 1e-10,
-    support_cut: float = 1e-12,
-) -> LocalityReport:
-    """Distance between conjugated and usual field sections, point by point.
+) -> list[dict]:
+    """Distance between conjugated and usual field sections, one row per
+    point and spin (the rows `dhlab locality` prints).
 
     A row is flagged `local_ok` unless the point lies outside the supports of
     every wavepacket carrying the corresponding quanta (all relevant packet
-    magnitudes <= support_cut) while the distance still exceeds tol.
+    magnitudes <= SUPPORT_CUT) while the distance still exceeds tol.
     """
     if points is None:
         centers = cfg.layout.centers
@@ -386,24 +351,22 @@ def locality_report(
              for spin in SPINS}
     rows = []
     for x in points:
-        mags = tuple(float(abs(v)) for v in cfg.layout.packet_values(x))
+        mags = [float(abs(v)) for v in cfg.layout.packet_values(x)]
         for spin in SPINS:
             dist = field_section(cfg, x, moved[spin]).norm()
             relevant = max(mags[r - 1] for r in _relevant_packets(spin, transform.flavor))
-            outside = relevant <= support_cut
-            rows.append(
-                LocalityRow(
-                    point=float(x),
-                    spin=spin,
-                    representation=transform.flavor,
-                    distance=float(dist),
-                    packet_magnitudes=mags,
-                    relevant_magnitude=relevant,
-                    outside_support=outside,
-                    local_ok=(not outside) or dist <= tol,
-                )
-            )
-    return LocalityReport(transform.flavor, tol, support_cut, tuple(rows))
+            outside = relevant <= SUPPORT_CUT
+            rows.append({
+                "point": float(x),
+                "spin": spin,
+                "representation": transform.flavor,
+                "distance": dist,
+                "packet_magnitudes": mags,
+                "relevant_magnitude": relevant,
+                "outside_support": outside,
+                "local_ok": (not outside) or dist <= tol,
+            })
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -422,19 +385,11 @@ class SinglePacketConfig:
     registry: ModeRegistry
     with_auxiliary: bool
 
-    @property
-    def packet_mode(self) -> PhysicalMode:
-        return PhysicalMode(SPIN_UP, 1)
-
-    @property
-    def probe_label(self) -> ProbeMode:
-        return ProbeMode(1)
-
     def b(self) -> FockOperator:
-        return mode_operator(self.registry, self.packet_mode)
+        return mode_operator(self.registry, PhysicalMode(SPIN_UP, 1))
 
     def probe(self) -> FockOperator:
-        return mode_operator(self.registry, self.probe_label)
+        return mode_operator(self.registry, ProbeMode(1))
 
 
 def single_packet_config(

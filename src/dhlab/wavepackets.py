@@ -330,7 +330,6 @@ def standard_layout(
     span: tuple[float, float] = DEFAULT_SPAN,
     n_points: int = DEFAULT_POINTS,
     probe_points: tuple[float, ...] = (),
-    aperture_threshold: float = APERTURE_THRESHOLD,
     aux_functions: tuple[GridFunction, GridFunction, GridFunction] | None = None,
 ) -> PacketLayout:
     """Build the default geometry: three unit-width Gaussians, matched
@@ -347,7 +346,7 @@ def standard_layout(
         spacing = (span[1] - span[0]) / (n_points - 1)
         grid = uniform_grid(lo, hi, int(round((hi - lo) / spacing)) + 1)
     packets = tuple(gaussian_packet(c, width, grid) for c in centers)
-    apertures = tuple(build_aperture(p, aperture_threshold) for p in packets)
+    apertures = tuple(build_aperture(p, APERTURE_THRESHOLD) for p in packets)
     if aux_functions is None:
         aux_functions = packets
     else:

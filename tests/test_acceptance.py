@@ -212,17 +212,16 @@ def test_criterion_07_closed_form_dh_operators(cfg_probe, t_un_probe, t_en_probe
 
 def test_criterion_08_effective_locality_contrast(cfg_probe, t_un_probe, t_en_probe):
     with criterion(8, "effective locality with auxiliaries, leakage without"):
-        support_cut = 1e-12
+        assert dhrep.SUPPORT_CUT == 1e-12
         for transform in (t_un_probe, t_en_probe):
-            report = dhrep.locality_report(
-                cfg_probe, transform, tol=EXACT_TOL, support_cut=support_cut)
-            assert report.passed
-            outside = [r for r in report.rows if r.outside_support]
+            rows = dhrep.locality_report(cfg_probe, transform, tol=EXACT_TOL)
+            assert all(r["local_ok"] for r in rows)
+            outside = [r for r in rows if r["outside_support"]]
             assert outside, "report must include outside-support points"
             for row in outside:
-                assert row.distance <= EXACT_TOL, (row.point, row.spin, row.distance)
-            probe_rows = [r for r in report.rows if r.point == 32.0]
-            assert any(r.outside_support for r in probe_rows)
+                assert row["distance"] <= EXACT_TOL, (row["point"], row["spin"], row["distance"])
+            probe_rows = [r for r in rows if r["point"] == 32.0]
+            assert any(r["outside_support"] for r in probe_rows)
         rows = dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0))
         section = [r["noaux_section_distance"] for r in rows]
         for row in rows:

@@ -9,7 +9,9 @@ import pytest
 
 from conftest import run_cli_capped, run_python
 from dhlab import cli, dhrep, model, qubits, wavepackets
-from dhlab.checks import RunConfig, directions, run_correlations, run_qubit, run_verify
+from dhlab.checks import (
+    MAX_DIRECTIONS, RunConfig, directions, run_correlations, run_qubit, run_verify,
+)
 from dhlab.errors import ConfigError
 from dhlab.model import SpinDirection
 
@@ -280,6 +282,28 @@ def test_locality_report_payload(tmp_path):
         assert {"point", "spin", "representation", "distance", "packet_magnitudes"} <= set(r)
 
 
+def test_locality_honours_tol_exact(tmp_path):
+    # the (32.0, down) probe rows sit 6.6e-15 from the usual section: inside the
+    # default 1e-10, outside 1e-20
+    out = tmp_path / "loc.json"
+    assert cli.main(["locality", "--tol-exact", "1e-20", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    rows = payload["aux_unentangled"] + payload["aux_entangled"]
+    for r in rows:
+        assert r["local_ok"] == (not r["outside_support"] or r["distance"] <= 1e-20)
+    assert not all(r["local_ok"] for r in rows)
+
+
+def test_locality_csv_holds_every_table(tmp_path):
+    out = tmp_path / "loc.csv"
+    assert cli.main(["locality", "--format", "csv", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["table"] for r in rows} == {"aux_unentangled", "aux_entangled", "noaux_contrast"}
+    noaux = [r for r in rows if r["table"] == "noaux_contrast"]
+    assert [float(r["separation"]) for r in noaux] == [10.0, 20.0, 40.0]
+
+
 def test_csv_output(tmp_path):
     out = tmp_path / "qubit.csv"
     assert cli.main(["qubit", "--kappa", "0.05", "--format", "csv", "--out", str(out)]) == 0
@@ -332,6 +356,9 @@ MEANINGLESS = {
     "nan-wsw-tol": "[tolerances]\nwsw = nan\n",
     "negative-aperture-tol": "[tolerances]\naperture = -1e-8\n",
     "sub-spacing-width": "[geometry]\npacket_width = 1e-9\n",
+    "duplicate-kappa": "[run]\nkappa = 0.05, 0.05\n",
+    "huge-n-random": "[directions]\nmode = random\nn_random = 200000\n",
+    "huge-grid-random": "[directions]\nmode = random\nn_theta = 100000\nn_phi = 100000\n",
 }
 
 
@@ -363,6 +390,8 @@ MEANINGLESS = {
     ("locality", "negative-aperture-tol"),
     ("verify", "sub-spacing-width"),
     ("locality", "sub-spacing-width"),
+    ("verify", "duplicate-kappa"),
+    ("correlations", "duplicate-kappa"),
 ])
 def test_meaningless_config_exits_two_with_one_line(tmp_path, capsys, command, case):
     ini = tmp_path / "run.ini"
@@ -370,6 +399,27 @@ def test_meaningless_config_exits_two_with_one_line(tmp_path, capsys, command, c
     assert cli.main([command, "--config", str(ini), "--out", str(tmp_path / "o.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, case", [
+    ("verify", "huge-n-random"),
+    ("correlations", "huge-n-random"),
+    ("verify", "huge-grid-random"),
+])
+def test_oversized_direction_set_exits_two_under_memory_cap(command, case):
+    # a sweep holds (directions x directions) arrays; verify also derives an
+    # even theta grid from n_theta and n_phi in random mode
+    proc = run_cli_capped([command], MEANINGLESS[case])
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("configuration error: ") and proc.stderr.count("\n") == 1
+
+
+def test_direction_cap_keeps_the_default_and_benchmark_counts():
+    assert len(directions(RunConfig())) == 20
+    assert len(directions(RunConfig(direction_mode="random", n_random=40))) == 40
+    assert RunConfig(direction_mode="random", n_random=MAX_DIRECTIONS).n_random == MAX_DIRECTIONS
+    with pytest.raises(ConfigError):
+        RunConfig(direction_mode="random", n_random=MAX_DIRECTIONS + 1)
 
 
 def test_packet_width_of_one_grid_spacing_is_valid():

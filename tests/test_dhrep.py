@@ -356,40 +356,40 @@ def test_dh_equivalence_against_usual(kappa):
 
 
 def test_locality_report_unentangled(cfg_probe, t_un_probe):
-    report = dhrep.locality_report(cfg_probe, t_un_probe)
-    assert report.passed
-    by_key = {(r.point, r.spin): r for r in report.rows}
+    rows = dhrep.locality_report(cfg_probe, t_un_probe)
+    assert all(r["local_ok"] for r in rows)
+    by_key = {(r["point"], r["spin"]): r for r in rows}
     # spin-up sections in region 3 and at the probe point are untouched
-    assert by_key[(20.0, "up")].distance <= 1e-10
-    assert by_key[(32.0, "up")].distance <= 1e-10
-    assert by_key[(32.0, "down")].distance <= 1e-10
-    assert by_key[(32.0, "down")].outside_support
+    assert by_key[(20.0, "up")]["distance"] <= 1e-10
+    assert by_key[(32.0, "up")]["distance"] <= 1e-10
+    assert by_key[(32.0, "down")]["distance"] <= 1e-10
+    assert by_key[(32.0, "down")]["outside_support"]
     # where the quantum lives, the transformed operator differs at order one
-    assert by_key[(-20.0, "up")].distance > 1.0
+    assert by_key[(-20.0, "up")]["distance"] > 1.0
 
 
 def test_locality_report_entangled_cross_term(cfg_probe, t_en_probe):
-    report = dhrep.locality_report(cfg_probe, t_en_probe)
-    assert report.passed
-    by_key = {(r.point, r.spin): r for r in report.rows}
+    rows = dhrep.locality_report(cfg_probe, t_en_probe)
+    assert all(r["local_ok"] for r in rows)
+    by_key = {(r["point"], r["spin"]): r for r in rows}
     # the exchange coupling leaks the partner region's support at order kappa
-    assert by_key[(0.0, "up")].distance >= 5.0 * cfg_probe.kappa
-    assert by_key[(-20.0, "down")].distance >= 5.0 * cfg_probe.kappa
+    assert by_key[(0.0, "up")]["distance"] >= 5.0 * cfg_probe.kappa
+    assert by_key[(-20.0, "down")]["distance"] >= 5.0 * cfg_probe.kappa
     # but region 3 and the probe stay clean
-    assert by_key[(20.0, "up")].distance <= 1e-10
-    assert by_key[(32.0, "up")].distance <= 1e-10
+    assert by_key[(20.0, "up")]["distance"] <= 1e-10
+    assert by_key[(32.0, "up")]["distance"] <= 1e-10
 
 
 @pytest.mark.parametrize("flavor", ["unentangled", "entangled"])
 def test_locality_holds_across_the_grid(cfg_probe, t_un_probe, t_en_probe, flavor):
     transform = t_un_probe if flavor == "unentangled" else t_en_probe
     points = tuple(float(x) for x in cfg_probe.layout.grid.points[::4])
-    report = dhrep.locality_report(cfg_probe, transform, points=points)
-    assert report.passed
-    outside = [r for r in report.rows if r.outside_support]
+    rows = dhrep.locality_report(cfg_probe, transform, points=points)
+    assert all(r["local_ok"] for r in rows)
+    outside = [r for r in rows if r["outside_support"]]
     assert outside
-    worst = max(outside, key=lambda r: r.distance)
-    assert worst.distance <= 1e-10, (worst.point, worst.spin, worst.distance)
+    worst = max(outside, key=lambda r: r["distance"])
+    assert worst["distance"] <= 1e-10, (worst["point"], worst["spin"], worst["distance"])
 
 
 @pytest.mark.parametrize("flavor", ["unentangled", "entangled"])
@@ -397,12 +397,13 @@ def test_locality_report_matches_per_point_conjugation(cfg_probe, t_un_probe, t_
                                                        flavor):
     # oracle: conjugate the whole usual section at each point
     transform = t_un_probe if flavor == "unentangled" else t_en_probe
-    report = dhrep.locality_report(cfg_probe, transform)
-    assert len(report.rows) == 12
-    for row in report.rows:
-        usual = dhrep.field_section(cfg_probe, row.point, dhrep.section_modes(cfg_probe, row.spin))
+    rows = dhrep.locality_report(cfg_probe, transform)
+    assert len(rows) == 12
+    for row in rows:
+        point, spin = row["point"], row["spin"]
+        usual = dhrep.field_section(cfg_probe, point, dhrep.section_modes(cfg_probe, spin))
         oracle = operator_distance(dhrep.conjugate(transform, usual), usual)
-        assert row.distance == pytest.approx(oracle, rel=1e-12, abs=1e-14), (row.point, row.spin)
+        assert row["distance"] == pytest.approx(oracle, rel=1e-12, abs=1e-14), (point, spin)
 
 
 def test_noaux_transform_actions():
