@@ -114,6 +114,8 @@ class RunConfig:
             raise ConfigError(f"kappa values must be finite, got {self.kappas}")
         if any(k < 0 for k in self.kappas):
             raise ConfigError("kappa values must be non-negative")
+        # -0.0 passes `k < 0` but is labelled "-0": make it the kappa 0 it is
+        self.kappas = tuple(abs(k) if k == 0 else k for k in self.kappas)
         labels = [f"{k:g}" for k in self.kappas]
         if len(set(labels)) < len(labels):  # record ids carry the label
             raise ConfigError(f"kappa values must have distinct labels, got {', '.join(labels)}")
@@ -524,7 +526,7 @@ def run_correlations(rc: RunConfig) -> list[dict]:
         label = "entangled" if kappa > 0 else "unentangled"
         exacts, firsts, dhs = (corr.ravel().tolist() for _, corr in
                                _sweeps(*_entangled(cfg0, t_un, kappa), u)[1])
-        closed_forms = _closed_grids(model.correlation_closed_form, dirs, kappa).ravel()
+        closed_forms = _closed_grids(model.correlation_closed_form, dirs, kappa).ravel().tolist()
         for ((ra, rb), da, db), first, exact, dh, closed in zip(
                 itertools.product(PAIRS, dirs, dirs), firsts, exacts, dhs, closed_forms):
             rows.append({

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import io
 import json
 import sys
@@ -84,8 +85,9 @@ def load_config_file(path: str) -> dict:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    except configparser.Error as exc:  # its message spans lines: file, line number, text
+        reason = "; ".join(line.strip() for line in str(exc).splitlines() if line.strip())
+        raise ConfigError(f"cannot parse config {path}: {reason}") from exc
     overrides: dict = {}
     for section in parser.sections():
         if section not in _SCHEMA:
@@ -147,6 +149,32 @@ def _csv_cell(value):
     return value
 
 
+@functools.cache
+def _encoder(depth: int):
+    """Encode and item indent for an all-scalar container at `depth`: the item
+    separator carries the newline, so only the brackets need padding."""
+    pad = "\n" + "  " * (depth + 1)
+    return json.JSONEncoder(separators=("," + pad, ": ")).encode, pad
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """`json.dumps(value, indent=2)` for plain lists, tuples and str-keyed
+    dicts, with each innermost container encoded in one C-encoder call."""
+    encode, pad = _encoder(depth)
+    if not isinstance(value, (list, tuple, dict)) or not value:
+        return encode(value)
+    items = value.values() if isinstance(value, dict) else value
+    if {*map(type, items)}.isdisjoint((list, tuple, dict)):
+        text = encode(value)  # encoded strings hold no raw newline, so only separators break lines
+        return text[0] + pad + text[1:-1] + pad[:-2] + text[-1]
+    if isinstance(value, dict):
+        key = json.encoder.encode_basestring_ascii  # raises on a non-str key
+        inner = ("," + pad).join(f"{key(k)}: {_json_text(v, depth + 1)}" for k, v in value.items())
+        return f"{{{pad}{inner}{pad[:-2]}}}"
+    inner = ("," + pad).join(_json_text(item, depth + 1) for item in value)
+    return f"[{pad}{inner}{pad[:-2]}]"
+
+
 def _emit(payload, rc: RunConfig) -> None:
     if rc.out_format == "csv":
         if isinstance(payload, dict):
@@ -158,7 +186,7 @@ def _emit(payload, rc: RunConfig) -> None:
         else:
             text = _rows_to_csv(payload)
     else:
-        text = json.dumps(payload, indent=2)
+        text = _json_text(payload)
     if rc.out_path in ("-", ""):
         sys.stdout.write(text + ("\n" if not text.endswith("\n") else ""))
     else:
@@ -201,25 +229,24 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             records = run_verify(rc)
-            _emit([r.to_dict() for r in records], rc)
-            failed = [r for r in records if not r.passed]
-            for r in failed:
-                print(f"FAIL {r.id}: |{r.actual} - {r.expected}| = "
-                      f"{r.abs_error} > {r.tolerance}", file=sys.stderr)
-            return 1 if failed else 0
-        if args.command == "correlations":
-            _emit(run_correlations(rc), rc)
-            return 0
-        if args.command == "locality":
-            _emit(run_locality(rc), rc)
-            return 0
-        if args.command == "qubit":
-            _emit(run_qubit(rc), rc)
-            return 0
+            payload = [r.to_dict() for r in records]
+        else:
+            records = []
+            payload = {"correlations": run_correlations, "locality": run_locality,
+                       "qubit": run_qubit}[args.command](rc)
     except (ConfigError, LayoutError, SignConstraintError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
+    try:
+        _emit(payload, rc)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    failed = [r for r in records if not r.passed]
+    for r in failed:
+        print(f"FAIL {r.id}: |{r.actual} - {r.expected}| = "
+              f"{r.abs_error} > {r.tolerance}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

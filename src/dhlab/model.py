@@ -12,6 +12,7 @@ dimensionless strength kappa.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -54,10 +55,13 @@ class SpinDirection:
         if not 0.0 <= self.phi < 2.0 * math.pi:
             raise ValueError("phi must lie in [0, 2*pi)")
 
-    @property
+    @functools.cached_property
     def unit_vector(self) -> np.ndarray:
+        """Computed once per direction, and read-only since it is shared."""
         st, ct = math.sin(self.theta), math.cos(self.theta)
-        return np.array([st * math.cos(self.phi), st * math.sin(self.phi), ct])
+        u = np.array([st * math.cos(self.phi), st * math.sin(self.phi), ct])
+        u.flags.writeable = False
+        return u
 
     @property
     def u3(self) -> float:

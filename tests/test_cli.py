@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import run_cli_capped, run_python
 from dhlab import cli, dhrep, model, qubits, wavepackets
@@ -359,6 +361,9 @@ MEANINGLESS = {
     "duplicate-kappa": "[run]\nkappa = 0.05, 0.05\n",
     "huge-n-random": "[directions]\nmode = random\nn_random = 200000\n",
     "huge-grid-random": "[directions]\nmode = random\nn_theta = 100000\nn_phi = 100000\n",
+    "negative-zero-kappa": "[run]\nkappa = 0, -0\n",
+    "not-ini": "this is not an ini file {{{\n",
+    "keyless-line": "[run]\nkappa\n",
 }
 
 
@@ -392,6 +397,11 @@ MEANINGLESS = {
     ("locality", "sub-spacing-width"),
     ("verify", "duplicate-kappa"),
     ("correlations", "duplicate-kappa"),
+    ("verify", "negative-zero-kappa"),
+    ("correlations", "negative-zero-kappa"),
+    ("verify", "not-ini"),
+    ("locality", "not-ini"),
+    ("qubit", "keyless-line"),
 ])
 def test_meaningless_config_exits_two_with_one_line(tmp_path, capsys, command, case):
     ini = tmp_path / "run.ini"
@@ -420,6 +430,34 @@ def test_direction_cap_keeps_the_default_and_benchmark_counts():
     assert RunConfig(direction_mode="random", n_random=MAX_DIRECTIONS).n_random == MAX_DIRECTIONS
     with pytest.raises(ConfigError):
         RunConfig(direction_mode="random", n_random=MAX_DIRECTIONS + 1)
+
+
+def test_negative_zero_kappa_is_kappa_zero(tmp_path, capsys):
+    # -0.0 passes `k < 0` but was labelled "-0", so `0,-0` ran kappa 0 twice
+    (kappa,) = RunConfig(kappas=(-0.0,)).kappas
+    assert kappa == 0.0 and math.copysign(1.0, kappa) == 1.0
+    assert cli.main(["verify", "--kappa", "0,-0", "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    ini = tmp_path / "run.ini"
+    ini.write_text("[directions]\nn_theta = 2\nn_phi = 2\n")
+    for command in ("correlations", "qubit"):
+        texts = []
+        for kappa in ("0", "-0"):
+            out = tmp_path / f"{command}{kappa}.json"
+            assert cli.main([command, "--config", str(ini), f"--kappa={kappa}",
+                             "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("command", ["verify", "correlations", "locality", "qubit"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_exits_two_with_one_line(tmp_path, capsys, command, target):
+    out = tmp_path / "absent" / "o.json" if target == "missing-directory" else tmp_path
+    assert cli.main([command, *FAST_FLAGS, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
 
 
 def test_packet_width_of_one_grid_spacing_is_valid():
@@ -459,3 +497,50 @@ def test_locality_never_loads_the_exponential_kernel(tmp_path):
     proc = run_python(["-c", code, str(tmp_path / "o.json")])
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[False, False]"
+
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.text()
+                | st.floats() | st.floats().map(np.float64))
+json_values = st.recursive(
+    json_scalars,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(value=json_values)
+@example(value=[[], {}, (), [[]], {"": {}}])
+@example(value=[math.nan, math.inf, -math.inf, -0.0, np.float64(-0.0), np.float64(0.1)])
+@example(value={"quote\"": "a\nb\"c\\", "caf\u00e9": ["\u2603", "tab\t", "\n"], "t": (True, None)})
+@example(value=[{"a": 1.5, "b": "x"}, {"a": [1, 2], "b": {"c": (3,)}}])
+def test_json_text_equals_indent_two_dumps(value):
+    cli._encoder.cache_clear()
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_is_the_same_without_the_c_encoder(monkeypatch):
+    value = {"rows": [{"a": -0.0, "b": "caf\u00e9\n"}, {"c": [math.nan, None]}], "e": []}
+    expected = json.dumps(value, indent=2)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    cli._encoder.cache_clear()
+    assert cli._json_text(value) == expected
+
+
+def test_encoder_cache_is_a_functools_cache_of_the_cli():
+    # emptying dhlab's functools caches reaches the per-depth encoders too
+    assert cli._encoder.__module__ == "dhlab.cli" and callable(cli._encoder.cache_clear)
+
+
+@pytest.mark.parametrize("command", ["verify", "correlations", "locality", "qubit"])
+def test_emitted_json_is_the_indent_two_text(tmp_path, capsys, command):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[directions]\nn_theta = 2\nn_phi = 2\n")
+    flags = ["--config", str(ini), *FAST_FLAGS]
+    out = tmp_path / "o.json"
+    assert cli.main([command, *flags, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main([command, *flags, "--out", "-"]) == 0
+    for text in (out.read_text(), capsys.readouterr().out.removesuffix("\n")):
+        assert text == json.dumps(json.loads(text), indent=2)

@@ -40,6 +40,14 @@ def test_spin_direction_validation():
     assert SpinDirection.x1().unit_vector == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
 
 
+def test_unit_vector_is_computed_once_and_read_only():
+    d = SpinDirection(1.1, 2.2)
+    u = d.unit_vector
+    assert d.unit_vector is u
+    with pytest.raises(ValueError):
+        u[0] = 0.0
+
+
 def test_build_state_normalized_and_orthogonal(cfg0):
     states = [build_state(cfg0, UNENTANGLED_OCC)] + [
         build_state(cfg0, FLIPPED_OCC[r]) for r in (1, 2, 3)
