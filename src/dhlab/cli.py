@@ -19,9 +19,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import errno
 import functools
 import io
 import json
+import os
 import sys
 
 from .checks import RunConfig, run_correlations, run_locality, run_qubit, run_verify
@@ -129,15 +131,36 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _check_out_path(path: str) -> None:
+    """Raise OSError, worded as open() words it, unless `path` can be written:
+    its parent is a writable directory, and the path is no directory and, if
+    it exists, writable.  Nothing is opened, so a run that fails later leaves
+    an existing file as it was."""
+    if path in ("-", ""):
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(parent, os.W_OK | os.X_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _rows_to_csv(rows: list[dict]) -> str:
+    """The csv.DictWriter text of `rows` over every key in first-seen order
+    (the locality tables differ in columns), a missing key written as ""."""
     if not rows:
         return ""
+    fields = list(dict.fromkeys(k for row in rows for k in row))
     buf = io.StringIO()
-    # the locality tables differ in columns: take every key, in first-seen order
-    writer = csv.DictWriter(buf, fieldnames=list(dict.fromkeys(k for row in rows for k in row)))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _csv_cell(v) for k, v in row.items()})
+    writer = csv.writer(buf)
+    writer.writerow(fields)
+    writer.writerows([_csv_cell(row.get(k, "")) for k in fields] for row in rows)
     return buf.getvalue()
 
 
@@ -224,6 +247,11 @@ def main(argv: list[str] | None = None) -> int:
         rc = build_run_config(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        _check_out_path(rc.out_path)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
 
     try:

@@ -17,8 +17,8 @@ in floating point with zero error.
 Operators are thin immutable wrappers around scipy sparse arrays, states
 around numpy vectors; both are bound to their registry and never mutated after
 construction, so they may be shared freely between threads.  Exponentials are
-actions (Al-Mohy & Higham): on a state, or on the identity columns when the
-operator itself is wanted.
+actions (Al-Mohy & Higham): on a state, or on the compressed identity columns
+when the operator itself is wanted.
 """
 
 from __future__ import annotations
@@ -330,10 +330,32 @@ def exponential_action(a: FockOperator, state: FockState) -> FockState:
 
 
 def matrix_exponential(a: FockOperator) -> FockOperator:
-    """exp(a) as its action on the identity columns, stored sparse.  Unitary for
-    skew-Hermitian a; the suite holds it to 1e-12 against a Taylor oracle."""
-    identity = np.eye(a.registry.dimension, dtype=complex)
-    return FockOperator(a.registry, sparse.csr_array(_exponential_action(a, identity)))
+    """exp(a) as its action on compressed identity columns, stored sparse.
+
+    Basis vectors in different weakly connected components of a's sparsity
+    graph never share a row of exp(a), so one probe column serves the t-th
+    index of every component (Curtis, Powell & Reid's column compression):
+    the probe is as wide as the largest component, not the dimension.  The
+    result equals the full identity's action to expm_multiply's tolerance
+    (its step choice depends on the probe's width, so the last bits may
+    differ).  Unitary for skew-Hermitian a; the suite holds it to 1e-12
+    against a Taylor oracle."""
+    # Deferred, as expm_multiply is: `import dhlab.cli` and `dhlab locality` never need it.
+    from scipy.sparse.csgraph import connected_components
+
+    _, labels = connected_components(a.matrix != 0, directed=True, connection="weak")
+    order = np.argsort(labels, kind="stable")  # components in turn, each in index order
+    counts = np.bincount(labels)
+    starts = np.cumsum(counts) - counts
+    slot = np.empty(labels.size, dtype=np.int64)
+    slot[order] = np.arange(labels.size) - np.repeat(starts, counts)
+    probe = np.zeros((labels.size, counts.max()), dtype=complex)
+    probe[np.arange(labels.size), slot] = 1.0
+    x = _exponential_action(a, probe)
+    # Entry (i, j) of exp(a) is x[i, slot[j]] within a component, 0 across;
+    # csr_array drops exact zeros, as it did for the full identity's action.
+    return FockOperator(a.registry,
+                        sparse.csr_array(np.where(labels[:, None] == labels, x[:, slot], 0)))
 
 
 def expectation(state: FockState, op: FockOperator) -> complex:

@@ -1,8 +1,10 @@
 """Runner contract: exit codes, config handling, report schemas, determinism."""
 
 import csv
+import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 from conftest import run_cli_capped, run_python
 from dhlab import cli, dhrep, model, qubits, wavepackets
 from dhlab.checks import (
-    MAX_DIRECTIONS, RunConfig, directions, run_correlations, run_qubit, run_verify,
+    MAX_DIRECTIONS, RunConfig, directions, run_correlations, run_locality, run_qubit,
+    run_verify,
 )
 from dhlab.errors import ConfigError
 from dhlab.model import SpinDirection
@@ -306,6 +309,27 @@ def test_locality_csv_holds_every_table(tmp_path):
     assert [float(r["separation"]) for r in noaux] == [10.0, 20.0, 40.0]
 
 
+def _dict_writer_csv(rows):
+    """The csv.DictWriter text that cli._rows_to_csv must reproduce byte for byte."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(dict.fromkeys(k for row in rows for k in row)))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: cli._csv_cell(v) for k, v in row.items()})
+    return buf.getvalue()
+
+
+def test_rows_to_csv_is_the_dict_writer_text():
+    rc = RunConfig(kappas=(0.05,), n_theta=2, n_phi=2)
+    locality = [{"table": table, **row}
+                for table, content in run_locality(rc).items() for row in content]
+    assert len({frozenset(row) for row in locality}) > 1  # mixed columns
+    odd = [{"a": np.float64(-0.0), "b": "x,\"y\"\n", "c": [np.float64(0.1), 2]},
+           {"c": (None,), "d": None, "a": math.nan}, {"b": True, "d": np.float32(0.5)}]
+    for rows in (run_correlations(rc), locality, run_qubit(rc), odd):
+        assert cli._rows_to_csv(rows) == _dict_writer_csv(rows)
+
+
 def test_csv_output(tmp_path):
     out = tmp_path / "qubit.csv"
     assert cli.main(["qubit", "--kappa", "0.05", "--format", "csv", "--out", str(out)]) == 0
@@ -453,11 +477,30 @@ def test_negative_zero_kappa_is_kappa_zero(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["verify", "correlations", "locality", "qubit"])
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
-def test_unwritable_out_exits_two_with_one_line(tmp_path, capsys, command, target):
+def test_unwritable_out_exits_two_with_one_line(tmp_path, capsys, monkeypatch, command, target):
+    # refused before the run computes anything
+    def must_not_run(rc):
+        raise AssertionError(f"{command} computed before refusing --out")
+
+    monkeypatch.setattr(cli, f"run_{command}", must_not_run)
     out = tmp_path / "absent" / "o.json" if target == "missing-directory" else tmp_path
+    start = time.perf_counter()
     assert cli.main([command, *FAST_FLAGS, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 0.5
     err = capsys.readouterr().err
     assert err.startswith("output error: ") and err.count("\n") == 1
+    assert str(out) in err
+
+
+def test_out_check_leaves_an_existing_file_alone(tmp_path):
+    # the path is checked, never opened, before the run: a run that fails
+    # with exit 2 must not truncate what the file held
+    out = tmp_path / "o.json"
+    out.write_text("kept")
+    assert cli.main(["verify", "--signs", "1,1,1", "--format", "csv", "--kappa", "nan",
+                     "--out", str(out)]) == 2
+    assert cli.main(["locality", "--signs", "1,1,1", "--out", str(out)]) == 2
+    assert out.read_text() == "kept"
 
 
 def test_packet_width_of_one_grid_spacing_is_valid():
@@ -490,13 +533,15 @@ def test_oversized_grid_exits_two_under_memory_cap(command, case):
 
 def test_locality_never_loads_the_exponential_kernel(tmp_path):
     # `import dhlab.cli` and `dhlab locality` pay no import of scipy.sparse.linalg
-    # (expm_multiply) or scipy.linalg (the qubit oracle's expm).
+    # (expm_multiply), scipy.sparse.csgraph (matrix_exponential's components)
+    # or scipy.linalg (the qubit oracle's expm).
     code = ("import sys, dhlab.cli\n"
             "assert dhlab.cli.main(['locality', '--out', sys.argv[1]]) == 0\n"
-            "print([m in sys.modules for m in ('scipy.sparse.linalg', 'scipy.linalg')])")
+            "print([m in sys.modules for m in\n"
+            "       ('scipy.sparse.linalg', 'scipy.sparse.csgraph', 'scipy.linalg')])")
     proc = run_python(["-c", code, str(tmp_path / "o.json")])
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[False, False]"
+    assert proc.stdout.strip() == "[False, False, False]"
 
 
 json_scalars = (st.none() | st.booleans() | st.integers() | st.text()

@@ -136,16 +136,69 @@ def test_double_creation_antisymmetry(registry):
 
 
 def test_expm_identity(registry):
-    z = zero_operator(registry)
-    assert operator_distance(matrix_exponential(z), identity_operator(registry)) == 0.0
+    e = matrix_exponential(zero_operator(registry))
+    assert operator_distance(e, identity_operator(registry)) == 0.0
+    assert e.matrix.nnz == registry.dimension  # no stored zeros
+
+
+def _on_shuffled_indices(blocks, seed, dim=16):
+    """A dim x dim matrix holding the given square blocks on disjoint,
+    randomly drawn basis indices; the indices left over are zero."""
+    perm = np.random.default_rng(seed).permutation(dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for block in blocks:
+        idx = perm[start:start + len(block)]
+        out[np.ix_(idx, idx)] = block
+        start += len(block)
+    return out
+
+
+def _random_block(size, seed):
+    rng = np.random.default_rng(seed)
+    return 0.5 * (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+
+
+def _check_03_skew(seed=0):
+    """The dense 16x16 skew-Hermitian exponent of verify check 03."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    skew = raw - raw.conj().T
+    return skew * (1.0 / max(1.0, np.linalg.norm(skew, 2)))
+
+
+COMPRESSED_CASES = {
+    "unequal-blocks": lambda: _on_shuffled_indices(
+        [_random_block(size, size) for size in (5, 3, 2, 2, 1)], seed=11),
+    "isolated-diagonal": lambda: np.diag([0.7, 0, -1.2j, 0, 0, 0.3 + 0.4j, 0, 0,
+                                          0, 0, 0, -0.9, 0, 0, 0, 0]),
+    # edges only one way: the components are weakly, not strongly, connected
+    "one-way-chains": lambda: _on_shuffled_indices(
+        [np.diag([0.8, -0.5j, 1.1, 0.6], k=1), np.diag([0.3 + 0.2j, -0.7], k=1)], seed=12),
+    "nonzero-trace": lambda: _on_shuffled_indices(
+        [_random_block(size, 20 + size) for size in (6, 4, 1)], seed=13)
+        + (0.25 - 0.4j) * np.eye(16),
+    "check-03-dense-skew": _check_03_skew,
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPRESSED_CASES))
+def test_compressed_exponential_against_dense_expm(case):
+    # Test-only oracle: scipy's dense expm of the whole matrix.
+    dense = COMPRESSED_CASES[case]()
+    reg = ModeRegistry(tuple(ProbeMode(i + 1) for i in range(4)))
+    before = np.random.get_state()
+    e = matrix_exponential(FockOperator(reg, sparse.csr_array(dense)))
+    after = np.random.get_state()
+    assert before[0] == after[0] and np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
+    assert np.abs(e.matrix.toarray() - scipy.linalg.expm(dense)).max() <= 1e-13
+    assert not np.any(e.matrix.data == 0)  # exact zeros are dropped
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_expm_against_taylor_oracle(seed):
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    skew = raw - raw.conj().T
-    skew *= 1.0 / max(1.0, np.linalg.norm(skew, 2))
+    skew = _check_03_skew(seed)
     reg = ModeRegistry(tuple(ProbeMode(i + 1) for i in range(4)))
     a = FockOperator(reg, sparse.csr_array(skew))
     e = matrix_exponential(a)
