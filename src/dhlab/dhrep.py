@@ -26,9 +26,9 @@ sum_k alpha_k(x) m_k over a mode list.  The usual section takes the mode
 basis m_k = b_{s,1..3}, probe_{s,j}; a Deutsch-Hayden section takes the
 images of those modes, either in closed form or conjugated as V m_k V^dag.
 Locality reports conjugate each mode once and read the distance between
-conjugated and usual sections point by point; the no-auxiliary construction
-is provided for contrast (its probe-mode support leakage is
-separation-independent).
+conjugated and usual sections at every point from one gather of the moved
+modes; the no-auxiliary construction is provided for contrast (its
+probe-mode support leakage is separation-independent).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from . import wavepackets as wp
 from .errors import SignConstraintError
@@ -145,9 +146,8 @@ def removal_generator(
 ) -> FockOperator:
     """Skew-Hermitian generator g (a_j b_{s,r} - bdag_{s,r} adag_j) that swaps
     one region's physical quantum into its auxiliary partner."""
-    b = cfg.b(spin, region)
-    a = cfg.a(aux_index)
-    return g * (a @ b - b.dagger() @ a.dagger())
+    a, b = cfg.a(aux_index), cfg.b(spin, region)
+    return g * (a @ b - cfg.bdag(spin, region) @ cfg.adag(aux_index))
 
 
 def rotation_exponential(w: FockOperator, theta: float, g: float) -> FockOperator:
@@ -261,19 +261,42 @@ def closed_form_modes(
     return modes
 
 
+def section_coefficients(cfg: SystemConfig, x: float) -> np.ndarray:
+    """alpha(x): the packet values psi_1..3(x), then the probe values chi_j(x)."""
+    return np.concatenate([cfg.layout.packet_values(x), cfg.layout.probe_values(x)])
+
+
 def field_section(cfg: SystemConfig, x: float, modes: Sequence[FockOperator]) -> FockOperator:
-    """The section sum_k alpha_k(x) modes[k] at x, with alpha(x) the packet
-    values psi_1..3(x) followed by the probe values chi_j(x).
+    """The section sum_k alpha_k(x) modes[k] at x.
 
     With section_modes this is the usual field operator at x; with
     closed_form_modes, or the conjugated modes [conjugate(t, m) for m in
     section_modes(cfg, spin)], it is the transformed one.
     """
-    alpha = np.concatenate([cfg.layout.packet_values(x), cfg.layout.probe_values(x)])
+    alpha = section_coefficients(cfg, x)
     op = complex(alpha[0]) * modes[0]
     for coeff, mode in zip(alpha[1:], modes[1:]):
         op = op + complex(coeff) * mode
     return op
+
+
+def _union_gather(modes: Sequence[FockOperator]) -> np.ndarray:
+    """The modes on their union sparsity pattern (keys row * dim + col merged by
+    np.unique) as a dense (nnz x k) block; toarray sums duplicate entries."""
+    mats = [m.matrix.tocoo() for m in modes]
+    keys = np.concatenate([m.row.astype(np.int64) * m.shape[1] + m.col for m in mats])
+    union, slots = np.unique(keys, return_inverse=True)
+    cols = np.repeat(np.arange(len(mats)), [m.nnz for m in mats])
+    return sparse.coo_array((np.concatenate([m.data for m in mats]), (slots, cols)),
+                            shape=(union.size, len(mats))).toarray()
+
+
+def section_norms(cfg: SystemConfig, points: Sequence[float],
+                  modes: Sequence[FockOperator]) -> np.ndarray:
+    """field_section(cfg, x, modes).norm() at each point, as ||D alpha(x)|| for
+    D the union gather; one point at a time, so no (nnz x points) temporary."""
+    block = _union_gather(modes)
+    return np.array([np.linalg.norm(block @ section_coefficients(cfg, x)) for x in points])
 
 
 def dh_vacuum_spin(
@@ -342,18 +365,16 @@ def locality_report(
     """
     if points is None:
         centers = cfg.layout.centers
-        mids = tuple(
-            0.5 * (centers[i] + centers[i + 1]) for i in range(len(centers) - 1)
-        )
+        mids = tuple(0.5 * (a + b) for a, b in zip(centers, centers[1:]))
         points = centers + mids + cfg.layout.probe_points
     # V u(x) V^dag - u(x) is linear in alpha(x): conjugate each mode once
-    moved = {spin: [conjugate(transform, m) - m for m in section_modes(cfg, spin)]
-             for spin in SPINS}
+    moved = {s: [conjugate(transform, m) - m for m in section_modes(cfg, s)] for s in SPINS}
+    dists = {s: section_norms(cfg, points, modes) for s, modes in moved.items()}
     rows = []
-    for x in points:
+    for i, x in enumerate(points):
         mags = [float(abs(v)) for v in cfg.layout.packet_values(x)]
         for spin in SPINS:
-            dist = field_section(cfg, x, moved[spin]).norm()
+            dist = float(dists[spin][i])
             relevant = max(mags[r - 1] for r in _relevant_packets(spin, transform.flavor))
             outside = relevant <= SUPPORT_CUT
             rows.append({
@@ -385,8 +406,8 @@ class SinglePacketConfig:
     registry: ModeRegistry
     with_auxiliary: bool
 
-    def b(self) -> FockOperator:
-        return mode_operator(self.registry, PhysicalMode(SPIN_UP, 1))
+    def b(self, dagger: bool = False) -> FockOperator:
+        return mode_operator(self.registry, PhysicalMode(SPIN_UP, 1), dagger)
 
     def probe(self) -> FockOperator:
         return mode_operator(self.registry, ProbeMode(1))
@@ -398,8 +419,7 @@ def single_packet_config(
     """Packet at the origin, probe packet `separation` widths away."""
     margin = 15.0 * width
     lo, hi = -margin, separation * width + margin
-    n = max(16, int(round((hi - lo) / 0.05)) + 1)
-    grid = wp.uniform_grid(lo, hi, n)
+    grid = wp.uniform_grid(lo, hi, max(16, np.round((hi - lo) / 0.05) + 1))
     packet = wp.gaussian_packet(0.0, width, grid)
     probe_point = separation * width
     probe = wp.orthogonalized(wp.gaussian_packet(probe_point, width, grid), (packet,))
@@ -422,17 +442,17 @@ def single_particle_state(cfg: SinglePacketConfig) -> FockState:
     state = vacuum_state(cfg.registry)
     if cfg.with_auxiliary:
         state = mode_operator(cfg.registry, AuxiliaryMode(1), dagger=True) @ state
-    return cfg.b().dagger() @ state
+    return cfg.b(dagger=True) @ state
 
 
 def _noaux_generator(cfg: SinglePacketConfig) -> FockOperator:
     """The bare removal generator W = b - bdag (no auxiliary field); for the
     auxiliary-partner config, W = a b - bdag adag instead."""
-    b = cfg.b()
+    b, bdag = cfg.b(), cfg.b(dagger=True)
     if cfg.with_auxiliary:
-        a = mode_operator(cfg.registry, AuxiliaryMode(1))
-        return a @ b - b.dagger() @ a.dagger()
-    return b - b.dagger()
+        a, adag = (mode_operator(cfg.registry, AuxiliaryMode(1), d) for d in (False, True))
+        return a @ b - bdag @ adag
+    return b - bdag
 
 
 def noaux_rotation(cfg: SinglePacketConfig, theta: float) -> FockOperator:

@@ -263,6 +263,12 @@ def _annihilator_matrix(nmodes: int, position: int) -> sparse.csr_array:
     return mat
 
 
+@cache
+def _creator_matrix(nmodes: int, position: int) -> sparse.csr_array:
+    """Conjugate transpose of `_annihilator_matrix`, cached beside it."""
+    return sparse.csr_array(_annihilator_matrix(nmodes, position).conj().T)
+
+
 def mode_operator(registry: ModeRegistry, label: ModeLabel, dagger: bool = False) -> FockOperator:
     """Annihilator (or creator, if `dagger`) for one registry mode.
 
@@ -270,11 +276,8 @@ def mode_operator(registry: ModeRegistry, label: ModeLabel, dagger: bool = False
     string over all modes ordered before j, so every anticommutation identity
     holds exactly.
     """
-    position = registry.index(label)
-    mat = _annihilator_matrix(registry.size, position)
-    if dagger:
-        mat = sparse.csr_array(mat.conj().T)
-    return FockOperator(registry, mat)
+    matrix = _creator_matrix if dagger else _annihilator_matrix
+    return FockOperator(registry, matrix(registry.size, registry.index(label)))
 
 
 def identity_operator(registry: ModeRegistry) -> FockOperator:

@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import wavepackets as wp
 from .errors import DuplicateOccupationError, LayoutError, PerturbativeRangeWarning
@@ -232,20 +233,29 @@ def localized_spin_operator(cfg: SystemConfig, region: int, direction: SpinDirec
     return op
 
 
-def spin_components(cfg: SystemConfig, region: int) -> tuple[FockOperator, FockOperator, FockOperator]:
-    """(Sx, Sy, Sz) of one region; localized_spin_operator is u . (Sx, Sy, Sz):
+def spin_components(cfg: SystemConfig, region: int) -> tuple[FockOperator, ...]:
+    """(Sx, Sy, Sz) of one region, so that localized_spin_operator is u . (Sx, Sy, Sz):
+    X = bdag_down b_up, Sx = X + X^dag, Sy = i (X - X^dag), Sz = n_up - n_down."""
+    return _region_spins(cfg.registry, region)
 
-        X = bdag_down b_up,  Sx = X + X^dag,  Sy = i (X - X^dag),  Sz = n_up - n_down
-    """
-    up, dn = cfg.b(SPIN_UP, region), cfg.b(SPIN_DOWN, region)
-    updag, dndag = cfg.bdag(SPIN_UP, region), cfg.bdag(SPIN_DOWN, region)
+
+def _region_spins(registry: ModeRegistry, region: int) -> tuple[FockOperator, ...]:
+    up, dn, updag, dndag = (mode_operator(registry, PhysicalMode(s, region), d)
+                            for d in (False, True) for s in SPINS)
     x, xdag = dndag @ up, updag @ dn
     return x + xdag, 1j * (x - xdag), updag @ up - dndag @ dn
 
 
+@functools.cache
+def _spin_stack(registry: ModeRegistry) -> sparse.csr_array:
+    """The (Sx, Sy, Sz) of regions 1, 2, 3 stacked row-wise: (9 dim x dim)."""
+    return sparse.vstack([s.matrix for r in (1, 2, 3) for s in _region_spins(registry, r)],
+                         format="csr")
+
+
 def spin_stacks(cfg: SystemConfig, ket: FockState) -> list[np.ndarray]:
-    """Per region 1, 2, 3 the dim x 3 array [Sx ket, Sy ket, Sz ket]."""
-    return [np.array([(s @ ket).amplitudes for s in spin_components(cfg, r)]).T for r in (1, 2, 3)]
+    """Per region 1, 2, 3 the dim x 3 array [Sx ket, Sy ket, Sz ket], from one product."""
+    return list((_spin_stack(cfg.registry) @ ket.amplitudes).reshape(3, 3, -1).transpose(0, 2, 1))
 
 
 def spin_moments(bra: np.ndarray, stacks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -292,10 +302,16 @@ def entangling_generator(cfg: SystemConfig) -> FockOperator:
 
     G is Hermitian; exp(-iG) is the exact entangling evolution.
     """
-    k = cfg.kappa
-    t1 = cfg.bdag(SPIN_DOWN, 1) @ cfg.bdag(SPIN_UP, 2) @ cfg.b(SPIN_DOWN, 2) @ cfg.b(SPIN_UP, 1)
-    t2 = cfg.bdag(SPIN_UP, 1) @ cfg.bdag(SPIN_DOWN, 2) @ cfg.b(SPIN_UP, 2) @ cfg.b(SPIN_DOWN, 1)
-    return (-1j * k) * (t1 - t2)
+    return (-1j * cfg.kappa) * _exchange_operator(cfg.registry)
+
+
+@functools.cache
+def _exchange_operator(registry: ModeRegistry) -> FockOperator:
+    """The kappa-free t1 - t2 of entangling_generator, built once per registry."""
+    b, bdag = ({(s, r): mode_operator(registry, PhysicalMode(s, r), d)
+                for s in SPINS for r in (1, 2)} for d in (False, True))
+    t1 = bdag[SPIN_DOWN, 1] @ bdag[SPIN_UP, 2] @ b[SPIN_DOWN, 2] @ b[SPIN_UP, 1]
+    return t1 - bdag[SPIN_UP, 1] @ bdag[SPIN_DOWN, 2] @ b[SPIN_UP, 2] @ b[SPIN_DOWN, 1]
 
 
 def evolve(cfg: SystemConfig, state: FockState, order: str = "exact") -> FockState:

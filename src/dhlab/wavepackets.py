@@ -63,10 +63,11 @@ class Grid:
         return self is other or np.array_equal(self.points, other.points)
 
 
-def uniform_grid(lo: float, hi: float, n: int) -> Grid:
-    if n > MAX_GRID_POINTS:
-        raise LayoutError(f"a grid of {n} points exceeds the cap of {MAX_GRID_POINTS}")
-    return Grid(np.linspace(lo, hi, n))
+def uniform_grid(lo: float, hi: float, n: float) -> Grid:
+    """n points over [lo, hi]; a count derived from a huge span may be inf."""
+    if not n <= MAX_GRID_POINTS:  # inf and NaN fail too
+        raise LayoutError(f"a grid of {n:.0f} points exceeds the cap of {MAX_GRID_POINTS}")
+    return Grid(np.linspace(lo, hi, int(n)))
 
 
 def _check_same_grid(f, g):
@@ -344,7 +345,7 @@ def standard_layout(
         lo = min(span[0], min(probe_points) - 10.0 * width)
         hi = max(span[1], max(probe_points) + 10.0 * width)
         spacing = (span[1] - span[0]) / (n_points - 1)
-        grid = uniform_grid(lo, hi, int(round((hi - lo) / spacing)) + 1)
+        grid = uniform_grid(lo, hi, np.round((hi - lo) / spacing) + 1)
     packets = tuple(gaussian_packet(c, width, grid) for c in centers)
     apertures = tuple(build_aperture(p, APERTURE_THRESHOLD) for p in packets)
     if aux_functions is None:

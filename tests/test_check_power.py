@@ -1,14 +1,36 @@
 """Check power: a verify record must fail when the code it guards is broken.
 
 Each case applies one monkeypatch mutant and runs `run_verify` on the
-default RunConfig; the record family the case names must then fail.  The
-table covers the two records whose oracles are wide operations:
+default RunConfig; every record family the case names must then fail.
+The table covers the records whose oracles are wide operations or read
+operators built once per call:
 
 - `01-car-suite` reads every anticommutator from one stacked product;
 - `33-rotation-fastpath` compares the closed-form factor exponentials with
-  `matrix_exponential`, which probes compressed columns.
+  `matrix_exponential`, which probes compressed columns;
+- `22` and `35`-`38` read the cached exchange operator and the stacked
+  spin operator;
+- `40`-`42` and `50`-`52` read field sections through the union gather of
+  `dhrep.section_norms` or through each mode's vacuum column.
 
-The other record families have no mutant in this table yet.
+Where a mutant cannot reach the record family it sits under, the case names
+the records that do catch it:
+
+- `35` compares the exact evolution with the two-step transform, and both
+  read the same cached exchange operator, so a wrong operator cancels there.
+  A wrong sign is caught by the closed forms of `36` and by `41`.
+- `40`/`41` take the section norms of mode differences that vanish exactly,
+  so no gather error can show in them.  A dropped gather column shows in
+  `52` when it is the region-2 slot, which carries the exchange leak.
+- `42`: zeroing a probe mode's vacuum column changes nothing, since probe
+  annihilators kill the vacuum.  The case reads m^dag|0> in place of m|0>.
+- `50`/`51` read points where every mode that moves has a coefficient
+  below `SUPPORT_CUT`.  An offset of the union keys moves entries only
+  within their columns, which changes a norm only where two moving modes
+  both carry a coefficient, never at those points.  Columns shifted onto
+  the wrong coefficients do show.
+
+The record families not listed here have no mutant in this table yet.
 """
 
 import numpy as np
@@ -16,7 +38,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from dhlab import checks, fock
+from dhlab import checks, dhrep, fock, model
 from dhlab.checks import RunConfig, run_verify
 from dhlab.fock import FockOperator
 
@@ -38,10 +60,52 @@ def _exponential_without_one_block(a):
     return FockOperator(a.registry, sparse.csr_array(e))
 
 
+# the originals the mutants below wrap, bound before any patch
+EXCHANGE, SPIN_STACK = model._exchange_operator, model._spin_stack
+GATHER, VACUUM_ACTION = dhrep._union_gather, dhrep.vacuum_action
+
+
+def _exchange_negated(registry):
+    return -EXCHANGE(registry)
+
+
+def _spin_stack_regions_swapped(registry):
+    # the rows of regions 1 and 2 trade places
+    stack, rows = SPIN_STACK(registry), 3 * registry.dimension
+    return sparse.vstack([stack[rows:2 * rows], stack[:rows], stack[2 * rows:]], format="csr")
+
+
+def _gather_without_region2_column(modes):
+    block = GATHER(modes)
+    block[:, 1] = 0.0
+    return block
+
+
+def _gather_columns_shifted(modes):
+    return np.roll(GATHER(modes), 1, axis=1)
+
+
+def _vacuum_row_for_column(op):
+    return VACUUM_ACTION(op.dagger())
+
+
+# name -> (record families that must each fail, module, attribute, mutant)
 MUTANTS = {
-    "jordan-wigner-string-dropped": ("01-", "mode_operator", _annihilator_without_string),
-    "partner-not-block-transposed": ("01-", "_block_transposed", lambda m, block: m),
-    "component-block-dropped": ("33-", "matrix_exponential", _exponential_without_one_block),
+    "jordan-wigner-string-dropped": (("01-",), checks, "mode_operator",
+                                     _annihilator_without_string),
+    "partner-not-block-transposed": (("01-",), checks, "_block_transposed",
+                                     lambda m, block: m),
+    "component-block-dropped": (("33-",), checks, "matrix_exponential",
+                                _exponential_without_one_block),
+    "exchange-operator-negated": (("36-", "41-"), model, "_exchange_operator",
+                                  _exchange_negated),
+    "spin-stack-regions-swapped": (("22-", "36-"), model, "_spin_stack",
+                                   _spin_stack_regions_swapped),
+    "gather-column-dropped": (("52-",), dhrep, "_union_gather",
+                              _gather_without_region2_column),
+    "vacuum-row-for-column": (("42-",), dhrep, "vacuum_action", _vacuum_row_for_column),
+    "gather-columns-shifted": (("50-", "51-"), dhrep, "_union_gather",
+                               _gather_columns_shifted),
 }
 
 
@@ -55,6 +119,8 @@ def test_default_run_passes_without_a_mutant():
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_fails_its_record(monkeypatch, name):
-    family, attribute, mutant = MUTANTS[name]
-    monkeypatch.setattr(checks, attribute, mutant)
-    assert any(rid.startswith(family) for rid in _failed(run_verify(RunConfig())))
+    families, module, attribute, mutant = MUTANTS[name]
+    monkeypatch.setattr(module, attribute, mutant)
+    failed = _failed(run_verify(RunConfig()))
+    for family in families:
+        assert any(rid.startswith(family) for rid in failed), (family, sorted(failed))

@@ -388,6 +388,12 @@ MEANINGLESS = {
     "negative-zero-kappa": "[run]\nkappa = 0, -0\n",
     "not-ini": "this is not an ini file {{{\n",
     "keyless-line": "[run]\nkappa\n",
+    # finite, but the grid extents derived from them overflow to infinity
+    "huge-probe": "[geometry]\nprobe_point = 1e308\n",
+    "huge-negative-probe": "[geometry]\nprobe_point = -1e308\n",
+    "huge-separation": "[geometry]\nseparations = 1e308\n",
+    "huge-negative-separation": "[geometry]\nseparations = -1e308\n",
+    "huge-width": "[geometry]\npacket_width = 1e308\n",
 }
 
 
@@ -426,6 +432,15 @@ MEANINGLESS = {
     ("verify", "not-ini"),
     ("locality", "not-ini"),
     ("qubit", "keyless-line"),
+    ("verify", "huge-probe"),
+    ("locality", "huge-probe"),
+    ("verify", "huge-negative-probe"),
+    ("locality", "huge-negative-probe"),
+    ("verify", "huge-separation"),
+    ("locality", "huge-separation"),
+    ("verify", "huge-negative-separation"),
+    ("verify", "huge-width"),
+    ("locality", "huge-width"),
 ])
 def test_meaningless_config_exits_two_with_one_line(tmp_path, capsys, command, case):
     ini = tmp_path / "run.ini"

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import grid_directions
 from dhlab import dhrep, fock, model
@@ -383,13 +384,38 @@ def test_locality_report_entangled_cross_term(cfg_probe, t_en_probe):
 @pytest.mark.parametrize("flavor", ["unentangled", "entangled"])
 def test_locality_holds_across_the_grid(cfg_probe, t_un_probe, t_en_probe, flavor):
     transform = t_un_probe if flavor == "unentangled" else t_en_probe
-    points = tuple(float(x) for x in cfg_probe.layout.grid.points[::4])
+    points = tuple(float(x) for x in cfg_probe.layout.grid.points)
     rows = dhrep.locality_report(cfg_probe, transform, points=points)
     assert all(r["local_ok"] for r in rows)
     outside = [r for r in rows if r["outside_support"]]
     assert outside
     worst = max(outside, key=lambda r: r["distance"])
     assert worst["distance"] <= 1e-10, (worst["point"], worst["spin"], worst["distance"])
+
+
+@pytest.mark.parametrize("flavor", ["unentangled", "entangled"])
+def test_section_norms_match_the_per_point_sections(cfg_probe, t_un_probe, t_en_probe, flavor):
+    # oracle: build the sparse section at every grid point and take its norm
+    transform = t_un_probe if flavor == "unentangled" else t_en_probe
+    points = tuple(float(x) for x in cfg_probe.layout.grid.points)
+    for spin in fock.SPINS:
+        moved = [dhrep.conjugate(transform, m) - m for m in dhrep.section_modes(cfg_probe, spin)]
+        got = dhrep.section_norms(cfg_probe, points, moved)
+        want = np.array([dhrep.field_section(cfg_probe, x, moved).norm() for x in points])
+        assert got.shape == want.shape and want.max() > 0.1
+        assert np.all(np.abs(got - want) <= 1e-13 * want), (spin, np.abs(got - want).max())
+
+
+def test_section_norms_sum_duplicate_entries(cfg_probe):
+    # a matrix holding one entry twice counts as its sum, as in a sparse sum
+    dim = cfg_probe.registry.dimension
+    dup = fock.FockOperator(cfg_probe.registry, sparse.csr_array(
+        (np.array([1.0, 2.0, 1j]), np.array([5, 5, 7]), np.r_[0, 3, np.full(dim - 1, 3)]),
+        shape=(dim, dim)))
+    modes = [dup] + dhrep.section_modes(cfg_probe, "up")[1:]
+    x = cfg_probe.layout.centers[0]
+    assert dhrep.section_norms(cfg_probe, (x,), modes)[0] == pytest.approx(
+        dhrep.field_section(cfg_probe, x, modes).norm(), rel=1e-15)
 
 
 @pytest.mark.parametrize("flavor", ["unentangled", "entangled"])

@@ -8,7 +8,8 @@ import pytest
 import scipy.linalg
 from scipy import sparse
 
-from dhlab import fock
+import dhlab
+from dhlab import checks, cli, dhrep, fock, model, qubits, wavepackets
 from dhlab.errors import RegistryError
 from dhlab.fock import (
     AuxiliaryMode,
@@ -91,6 +92,33 @@ def test_adjoint_involution_and_product_rule(registry):
     b = mode_operator(registry, registry.modes[3], dagger=True)
     assert (a.dagger().dagger() - a).max_abs() == 0.0
     assert ((a @ b).dagger() - b.dagger() @ a.dagger()).max_abs() == 0.0
+
+
+def test_creator_is_the_cached_conjugate_transpose(registry):
+    for label in registry.modes:
+        c = mode_operator(registry, label).matrix
+        cdag = mode_operator(registry, label, dagger=True).matrix
+        assert cdag.shape == c.shape and cdag.nnz == c.nnz
+        assert abs(cdag - sparse.csr_array(c.conj().T)).max() == 0.0
+        assert mode_operator(registry, label, dagger=True).matrix is cdag
+
+
+def test_caches_are_module_level_functools_caches():
+    # benchmark calls start cold by clearing every functools cache bound at
+    # module level in a dhlab module; a cache anywhere else would survive
+    found = {f"{m.__name__}.{name}" for m in (dhlab, checks, cli, dhrep, fock, model, qubits,
+                                             wavepackets)
+             for name, value in vars(m).items()
+             if callable(getattr(value, "cache_clear", None))
+             and getattr(value, "__module__", None) == m.__name__}
+    assert found == {"dhlab.cli._encoder", "dhlab.fock._annihilator_matrix",
+                     "dhlab.fock._creator_matrix", "dhlab.model._spin_stack",
+                     "dhlab.model._exchange_operator"}
+    reg = standard_registry()
+    model._spin_stack(reg)
+    assert model._spin_stack.cache_info().currsize >= 1
+    model._spin_stack.cache_clear()
+    assert model._spin_stack.cache_info().currsize == 0
 
 
 def test_commutator_and_anticommutator(registry):

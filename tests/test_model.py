@@ -124,6 +124,10 @@ def test_entangling_generator_action(cfg05):
     assert (g @ psi - (-1j * cfg05.kappa) * exch).norm() <= 1e-14
     assert (g @ cfg05.vacuum()).norm() == 0.0
     assert (g - g.dagger()).max_abs() == 0.0  # Hermitian generator
+    # the cached kappa-free operator gives the product of the docstring exactly
+    t1 = cfg05.bdag("down", 1) @ cfg05.bdag("up", 2) @ cfg05.b("down", 2) @ cfg05.b("up", 1)
+    t2 = cfg05.bdag("up", 1) @ cfg05.bdag("down", 2) @ cfg05.b("up", 2) @ cfg05.b("down", 1)
+    assert (g - (-1j * cfg05.kappa) * (t1 - t2)).max_abs() == 0.0
 
 
 def test_evolve_kappa_zero_is_identity(cfg0):
@@ -291,6 +295,15 @@ def test_spin_components_span_localized_spin(cfg0):
             u = d.unit_vector
             direct = localized_spin_operator(cfg0, region, d)
             assert fock.operator_distance(u[0] * sx + u[1] * sy + u[2] * sz, direct) <= 1e-15
+
+
+def test_spin_stacks_are_the_separate_products(cfg05):
+    # one product with the stacked operator, bit for bit the nine separate ones
+    psi = evolve(cfg05, unentangled_state(cfg05), "exact")
+    stacks = model.spin_stacks(cfg05, psi)
+    for region, stack in zip((1, 2, 3), stacks):
+        loop = np.array([(s @ psi).amplitudes for s in model.spin_components(cfg05, region)]).T
+        assert np.array_equal(stack, loop)
 
 
 def test_kernel_matches_direct_evaluators_on_axes(kernel_cases):
