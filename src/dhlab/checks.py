@@ -220,39 +220,25 @@ def _with_zero(kappas: tuple[float, ...]) -> tuple[float, ...]:
     return kappas if 0.0 in kappas else (0.0,) + tuple(kappas)
 
 
-class _Recorder:
-    """Accumulates CheckRecords, attributing wall time between records."""
+def _record(check_id: str, ref: str, expected, actual, tolerance) -> CheckRecord:
+    """A record that passes iff |actual - expected| <= tolerance; _timed sets its wall_time."""
+    err = abs(float(actual) - float(expected))
+    return CheckRecord(check_id, ref, float(expected), float(actual), err, float(tolerance),
+                       err <= tolerance, 0.0)
 
-    def __init__(self):
-        self.records: list[CheckRecord] = []
-        self._mark = time.perf_counter()
 
-    def _elapsed(self) -> float:
-        now = time.perf_counter()
-        dt = now - self._mark
-        self._mark = now
-        return dt
+def _lower_bound(check_id: str, ref: str, bound, actual) -> CheckRecord:
+    """A record that passes iff actual >= bound; abs_error is the shortfall."""
+    err = max(0.0, float(bound) - float(actual))
+    return CheckRecord(check_id, ref, float(bound), float(actual), err, 0.0, err <= 0.0, 0.0)
 
-    def _append(self, check_id, ref, expected, actual, err, tolerance):
-        self.records.append(
-            CheckRecord(
-                id=check_id,
-                paper_ref=ref,
-                expected=float(expected),
-                actual=float(actual),
-                abs_error=err,
-                tolerance=float(tolerance),
-                passed=err <= tolerance,
-                wall_time=self._elapsed(),
-            )
-        )
 
-    def close(self, check_id, ref, expected, actual, tolerance):
-        self._append(check_id, ref, expected, actual,
-                     abs(float(actual) - float(expected)), tolerance)
-
-    def close_lower_bound(self, check_id, ref, bound, actual):
-        self._append(check_id, ref, bound, actual, max(0.0, float(bound) - float(actual)), 0.0)
+def _timed(group, *args) -> list[CheckRecord]:
+    """The group's records, each with its share of the group's wall time."""
+    start = time.perf_counter()
+    records = group(*args)
+    share = (time.perf_counter() - start) / max(len(records), 1)
+    return [replace(r, wall_time=share) for r in records]
 
 
 def _block_transposed(m: sparse.sparray, block: int) -> sparse.coo_array:
@@ -274,12 +260,8 @@ def _taylor_expm(matrix: np.ndarray, terms: int = 40) -> np.ndarray:
     return out
 
 
-def run_verify(rc: RunConfig) -> list[CheckRecord]:
-    """Run the full invariant and identity suite; records sorted by id."""
-    rec = _Recorder()
-    dirs = directions(rc)
-
-    # --- mode algebra ------------------------------------------------------
+def _algebra_checks(seed: int) -> list[CheckRecord]:
+    """01-04: the mode algebra and the generic exponential against its oracle."""
     reg = ModeRegistry(model.standard_registry().modes + (ProbeMode(1),))
     ops = [(mode_operator(reg, m), mode_operator(reg, m, dagger=True)) for m in reg.modes]
     # Block (p, q) of the product is e_p e_q over e = (c_1 .. c_K, c_1^dag .. c_K^dag);
@@ -289,140 +271,125 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
     k_dim = len(ops) * reg.dimension  # {c_i, c_i^dag} = I sits K blocks off the diagonal
     target = sparse.eye_array(2 * k_dim, k=k_dim) + sparse.eye_array(2 * k_dim, k=-k_dim)
     anticommutators = products + _block_transposed(products, reg.dimension) - target
-    rec.close("01-car-suite", "canonical anticommutation relations, all mode pairs",
-              0.0, np.abs(anticommutators.data).max(initial=0.0), 0.0)
-
     vac = vacuum_state(reg)
-    worst = max((c @ vac).norm() for c, _ in ops)
-    rec.close("02-vacuum-annihilation", "every annihilator kills the vacuum",
-              0.0, worst, 0.0)
 
-    rng = np.random.default_rng(rc.seed)
+    rng = np.random.default_rng(seed)
     raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     skew = raw - raw.conj().T
     skew *= 1.0 / max(1.0, np.linalg.norm(skew, 2))
     small_reg = ModeRegistry(model.standard_registry().modes[:4])
-    a = FockOperator(small_reg, sparse.csr_array(skew))
-    e = matrix_exponential(a)
+    e = matrix_exponential(FockOperator(small_reg, sparse.csr_array(skew)))
     dev = operator_distance(e, FockOperator(small_reg, sparse.csr_array(_taylor_expm(skew))))
-    rec.close("03-expm-taylor-oracle", "matrix exponential vs truncated Taylor oracle",
-              0.0, dev, 1e-12)
-    rec.close("04-expm-unitarity", "exp of skew-Hermitian input is unitary",
-              0.0, operator_distance(e @ e.dagger(), identity_operator(small_reg)), 1e-11)
+    return [
+        _record("01-car-suite", "canonical anticommutation relations, all mode pairs",
+                0.0, np.abs(anticommutators.data).max(initial=0.0), 0.0),
+        _record("02-vacuum-annihilation", "every annihilator kills the vacuum",
+                0.0, max((c @ vac).norm() for c, _ in ops), 0.0),
+        _record("03-expm-taylor-oracle", "matrix exponential vs truncated Taylor oracle",
+                0.0, dev, 1e-12),
+        _record("04-expm-unitarity", "exp of skew-Hermitian input is unitary",
+                0.0, operator_distance(e @ e.dagger(), identity_operator(small_reg)), 1e-11),
+    ]
 
-    # --- geometry gates ----------------------------------------------------
-    cfg0 = _config(rc)
+
+def _model_checks(rc: RunConfig, cfg0: model.SystemConfig, psi_un, dirs, u) -> list[CheckRecord]:
+    """10-30: the geometry gates, the unentangled model and the sign constraint."""
     wsw = wp.wsw_report(list(cfg0.layout.packets), tol=rc.wsw_tol)
-    rec.close("10-wsw-gate", "pointwise products of distinct packets vanish",
-              0.0, wsw.max_product, rc.wsw_tol)
     apt = wp.aperture_report(list(cfg0.layout.apertures), list(cfg0.layout.packets),
                              tol=rc.aperture_tol)
-    rec.close("11-aperture-products", "aperture mutual exclusion and idempotence",
-              0.0, 0.0 if apt.products_exact else 1.0, 0.0)
-    rec.close("12-aperture-pointwise", "apertures pass their packets through unchanged",
-              0.0, apt.max_pointwise_error, rc.aperture_tol)
-    rec.close("13-aperture-integrals", "aperture-weighted packet norms are Kronecker deltas",
-              0.0, apt.max_integral_error, rc.aperture_tol)
-
-    # --- unentangled model -------------------------------------------------
-    psi_un = model.unentangled_state(cfg0)
-    for region, eig in ((1, 1.0), (2, -1.0), (3, -1.0)):
-        s = model.localized_spin_operator(cfg0, region, SpinDirection.x3())
-        rec.close(f"20-spin-eigenvalue-r{region}",
-                  "axis-aligned localized spin eigenvalue",
-                  0.0, (s @ psi_un - eig * psi_un).norm(), rc.tol_exact)
-
     states = [psi_un] + [model.build_state(cfg0, model.FLIPPED_OCC[r]) for r in (1, 2, 3)]
-    gram_dev = max(
-        abs(si.overlap(sj) - (1.0 if i == j else 0.0))
-        for i, si in enumerate(states)
-        for j, sj in enumerate(states)
-    )
-    rec.close("21-state-orthonormality", "basis kets are normalized and orthogonal",
-              0.0, gram_dev, rc.tol_exact)
-
-    u = _unit_vectors(dirs)
+    gram_dev = max(abs(si.overlap(sj) - (1.0 if i == j else 0.0))
+                   for i, si in enumerate(states) for j, sj in enumerate(states))
     corr = _sweep(model.state_moments(cfg0, psi_un), u)[1]
-    rec.close("22-unentangled-correlations", "pairwise spin correlations, closed forms",
-              0.0, np.abs(corr - _closed_grids(model.correlation_closed_form, dirs, 0.0)).max(),
-              rc.tol_exact)
+    return [
+        _record("10-wsw-gate", "pointwise products of distinct packets vanish",
+                0.0, wsw.max_product, rc.wsw_tol),
+        _record("11-aperture-products", "aperture mutual exclusion and idempotence",
+                0.0, 0.0 if apt.products_exact else 1.0, 0.0),
+        _record("12-aperture-pointwise", "apertures pass their packets through unchanged",
+                0.0, apt.max_pointwise_error, rc.aperture_tol),
+        _record("13-aperture-integrals", "aperture-weighted packet norms are Kronecker deltas",
+                0.0, apt.max_integral_error, rc.aperture_tol),
+        *(_record(f"20-spin-eigenvalue-r{region}", "axis-aligned localized spin eigenvalue", 0.0,
+                  (model.localized_spin_operator(cfg0, region, SpinDirection.x3()) @ psi_un
+                   - eig * psi_un).norm(), rc.tol_exact)
+          for region, eig in ((1, 1.0), (2, -1.0), (3, -1.0))),
+        _record("21-state-orthonormality", "basis kets are normalized and orthogonal",
+                0.0, gram_dev, rc.tol_exact),
+        _record("22-unentangled-correlations", "pairwise spin correlations, closed forms",
+                0.0, np.abs(corr - _closed_grids(model.correlation_closed_form, dirs, 0.0)).max(),
+                rc.tol_exact),
+        _record("30-sign-constraint", "factor signs satisfy s1*s2*s3 = -1",
+                -1.0, float(math.prod(rc.signs)), 0.0),
+    ]
 
-    # --- standardizing transforms -----------------------------------------
-    sprod = rc.signs[0] * rc.signs[1] * rc.signs[2]
-    rec.close("30-sign-constraint", "factor signs satisfy s1*s2*s3 = -1",
-              -1.0, float(sprod), 0.0)
-    if sprod != -1:
-        return sorted(rec.records, key=lambda r: r.id)
 
-    t_uns = {signs: dhrep.build_unentangled_transform(cfg0, signs)
-             for signs in ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1))}
+def _transform_checks(rc: RunConfig, cfg0: model.SystemConfig, psi_un, t_uns: dict,
+                      t_un0: dhrep.DhTransform, dirs, u) -> list[CheckRecord]:
+    """31-38: the unentangled transforms and their factors, then at each kappa
+    the two-step transform and the DH-vacuum values."""
     worst = max(abs(cfg0.vacuum().overlap(t.operator @ psi_un) - 1.0) for t in t_uns.values())
-    rec.close("31-standardization-unentangled",
-              "transform maps the three-particle state to the vacuum, all sign choices",
-              0.0, worst, rc.tol_exact)
-
-    t_un0 = t_uns[tuple(rc.signs)]
     w1 = dhrep.removal_generator(cfg0, "up", 1, 1)
-    rec.close("32-removal-skewness", "removal generators are skew-Hermitian",
-              0.0, (w1 + w1.dagger()).max_abs(), 0.0)
     generic = matrix_exponential((math.pi / 2.0) * w1)
     dev = max(operator_distance(closed, generic) for closed in (
         dhrep.rotation_exponential(w1, math.pi / 2.0, 1.0),
         dhrep.DhFactorParams.from_sign(1).exponential(w1)))  # the factor V_un uses
-    rec.close("33-rotation-fastpath", "factor exponential closed form vs generic path",
-              0.0, dev, 1e-12)
-
-    smear_dev = max(
-        operator_distance(dhrep.conjugate(t_un0, cfg0.b("up", 1)),
-                          float(t_un0.signs[0]) * cfg0.adag(1)),
-        operator_distance(dhrep.conjugate(t_un0, cfg0.b("down", 2)),
-                          float(t_un0.signs[1]) * cfg0.adag(2)),
-        operator_distance(dhrep.conjugate(t_un0, cfg0.b("down", 3)),
-                          float(t_un0.signs[2]) * cfg0.adag(3)),
-        operator_distance(dhrep.conjugate(t_un0, cfg0.b("down", 1)), cfg0.b("down", 1)),
-    )
-    rec.close("34-closed-form-smeared", "packet-smeared transformed operators, closed forms",
-              0.0, smear_dev, rc.tol_exact)
-
+    s1, s2, s3 = (float(s) for s in t_un0.signs)
+    smear_dev = max(operator_distance(dhrep.conjugate(t_un0, cfg0.b(spin, r)), image)
+                    for spin, r, image in (("up", 1, s1 * cfg0.adag(1)),
+                                           ("down", 2, s2 * cfg0.adag(2)),
+                                           ("down", 3, s3 * cfg0.adag(3)),
+                                           ("down", 1, cfg0.b("down", 1))))
+    records = [
+        _record("31-standardization-unentangled",
+                "transform maps the three-particle state to the vacuum, all sign choices",
+                0.0, worst, rc.tol_exact),
+        _record("32-removal-skewness", "removal generators are skew-Hermitian",
+                0.0, (w1 + w1.dagger()).max_abs(), 0.0),
+        _record("33-rotation-fastpath", "factor exponential closed form vs generic path",
+                0.0, dev, 1e-12),
+        _record("34-closed-form-smeared", "packet-smeared transformed operators, closed forms",
+                0.0, smear_dev, rc.tol_exact),
+    ]
     for kappa in rc.kappas:
         cfg, t_en = _entangled(cfg0, t_un0, kappa)
         exact, (ue, uf, dh) = _sweeps(cfg, t_en, u)
-        rec.close(f"35-standardization-entangled-k{kappa:g}",
-                  "two-step transform maps the evolved state to the vacuum",
-                  0.0, (t_en.operator @ exact - cfg.vacuum()).norm(), rc.tol_exact)
-
         closed = _closed_grids(model.correlation_closed_form, dirs, kappa)
-        rec.close(f"36-entangled-correlations-k{kappa:g}",
-                  "first-order correlation closed forms vs exact evolution",
-                  0.0, np.abs(ue[1] - closed).max(), max(5.0 * kappa**2, rc.tol_exact))
-        rec.close(f"37-dh-equivalence-exact-k{kappa:g}",
-                  "operator-encoded values equal exact usual-representation values",
-                  0.0, max(np.abs(d - e).max() for d, e in zip(dh, ue)), rc.tol_exact)
-        rec.close(f"38-dh-equivalence-first-k{kappa:g}",
-                  "operator-encoded values vs first-order usual-representation values",
-                  0.0, max(np.abs(d - f).max() for d, f in zip(dh, uf)), kappa**2 + rc.tol_exact)
+        records += [
+            _record(f"35-standardization-entangled-k{kappa:g}",
+                    "two-step transform maps the evolved state to the vacuum",
+                    0.0, (t_en.operator @ exact - cfg.vacuum()).norm(), rc.tol_exact),
+            _record(f"36-entangled-correlations-k{kappa:g}",
+                    "first-order correlation closed forms vs exact evolution",
+                    0.0, np.abs(ue[1] - closed).max(), max(5.0 * kappa**2, rc.tol_exact)),
+            _record(f"37-dh-equivalence-exact-k{kappa:g}",
+                    "operator-encoded values equal exact usual-representation values",
+                    0.0, max(np.abs(d - e).max() for d, e in zip(dh, ue)), rc.tol_exact),
+            _record(f"38-dh-equivalence-first-k{kappa:g}",
+                    "operator-encoded values vs first-order usual-representation values",
+                    0.0, max(np.abs(d - f).max() for d, f in zip(dh, uf)),
+                    kappa**2 + rc.tol_exact),
+        ]
+    return records
 
-    # --- field sections and locality ---------------------------------------
-    kmid = rc.kappas[len(rc.kappas) // 2]
-    cfgp0 = _config(rc, (rc.probe_point,))
-    t_un = dhrep.build_unentangled_transform(cfgp0)
-    cfgp, t_en = _entangled(cfgp0, t_un, kmid)
+
+def _section_checks(rc: RunConfig, cfgp: model.SystemConfig, t_un: dhrep.DhTransform,
+                    t_en: dhrep.DhTransform, kmid: float) -> list[CheckRecord]:
+    """40-55 on the probe system at kmid: field sections and locality."""
     pts = cfgp.layout.centers + (rc.probe_point,)
+    modes = {spin: dhrep.section_modes(cfgp, spin) for spin in ("up", "down")}
+    # one call conjugates G_DH once for both spins' lists
+    both = dhrep.first_order_entangled_conjugate(cfgp, t_un, modes["up"] + modes["down"])
+    first = {"up": both[:len(modes["up"])], "down": both[len(modes["up"]):]}
     closed_un, closed_en, dev_un, dev_en = {}, {}, 0.0, 0.0
     for spin in ("up", "down"):
-        modes = dhrep.section_modes(cfgp, spin)
         closed_un[spin] = dhrep.closed_form_modes(cfgp, spin, t_un)
         closed_en[spin] = dhrep.closed_form_modes(cfgp, spin, t_en)
         # ||section(a) - section(b)|| is the norm of the section of a - b
         dev_un = max(dev_un, *dhrep.section_norms(cfgp, pts, [
-            c - dhrep.conjugate(t_un, m) for c, m in zip(closed_un[spin], modes)]))
-        dev_en = max(dev_en, *dhrep.section_norms(cfgp, pts, [c - f for c, f in zip(
-            closed_en[spin], dhrep.first_order_entangled_conjugate(cfgp, t_un, modes))]))
-    rec.close("40-closed-form-sections", "transformed field sections vs conjugation",
-              0.0, dev_un, rc.tol_exact)
-    rec.close("41-closed-form-sections-entangled",
-              "entangled field sections vs first-order conjugation",
-              0.0, dev_en, rc.tol_exact)
+            c - dhrep.conjugate(t_un, m) for c, m in zip(closed_un[spin], modes[spin])]))
+        dev_en = max(dev_en, *dhrep.section_norms(cfgp, pts, [
+            c - f for c, f in zip(closed_en[spin], first[spin])]))
 
     vac = cfgp.vacuum()
     s1, s2, s3 = (float(s) for s in t_un.signs)
@@ -442,38 +409,46 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
                     down_expect + s1 * s2 * kmid * complex(psi[0]) * kterm_down)
         dev = max(dev, *(np.linalg.norm(sum(complex(a) * c for a, c in zip(alpha, cols)) - want)
                          for cols, want in zip(columns, expected)))
-    rec.close("42-vacuum-actions", "transformed operators acting on the vacuum, closed forms",
-              0.0, dev, rc.tol_exact)
-
     loc = _locality_payload(cfgp, t_un, t_en, rc)
-    for check_id, table, ref in (
-            ("50-locality-aux-outside-support", "aux_unentangled",
-             "transformed operators differ only where their quanta live"),
-            ("51-locality-aux-entangled-outside-support", "aux_entangled",
-             "entangled transform stays local away from the coupled regions")):
-        outside = [r["distance"] for r in loc[table] if r["outside_support"]]
-        rec.close(check_id, ref, 0.0, max(outside) if outside else 0.0, rc.tol_exact)
+    outside = {table: [r["distance"] for r in rows if r["outside_support"]]
+               for table, rows in loc.items() if table.startswith("aux_")}
     region2_up = next(
         r["distance"] for r in loc["aux_entangled"]
         if r["spin"] == "up" and abs(r["point"] - cfgp.layout.centers[1]) < 1e-9
     )
-    rec.close_lower_bound("52-locality-entangled-cross-term",
-                          "exchange coupling leaks the partner region's support",
-                          5.0 * kmid, region2_up)
-
     noaux = loc["noaux_contrast"]
-    rec.close_lower_bound("53-noaux-probe-distance",
-                          "bare construction moves the distant probe operator",
-                          0.1, min(r["noaux_probe_operator_distance"] for r in noaux))
     sect = [r["noaux_section_distance"] for r in noaux]
-    rec.close("54-noaux-separation-invariance",
-              "probe leakage of the bare construction ignores the separation",
-              0.0, max(sect) - min(sect), rc.tol_exact)
-    rec.close("55-aux-probe-distance",
-              "auxiliary-partner construction leaves the probe untouched",
-              0.0, max(r["aux_probe_operator_distance"] for r in noaux), rc.tol_exact)
+    return [
+        _record("40-closed-form-sections", "transformed field sections vs conjugation",
+                0.0, dev_un, rc.tol_exact),
+        _record("41-closed-form-sections-entangled",
+                "entangled field sections vs first-order conjugation",
+                0.0, dev_en, rc.tol_exact),
+        _record("42-vacuum-actions", "transformed operators acting on the vacuum, closed forms",
+                0.0, dev, rc.tol_exact),
+        _record("50-locality-aux-outside-support",
+                "transformed operators differ only where their quanta live",
+                0.0, max(outside["aux_unentangled"], default=0.0), rc.tol_exact),
+        _record("51-locality-aux-entangled-outside-support",
+                "entangled transform stays local away from the coupled regions",
+                0.0, max(outside["aux_entangled"], default=0.0), rc.tol_exact),
+        _lower_bound("52-locality-entangled-cross-term",
+                     "exchange coupling leaks the partner region's support",
+                     5.0 * kmid, region2_up),
+        _lower_bound("53-noaux-probe-distance",
+                     "bare construction moves the distant probe operator",
+                     0.1, min(r["noaux_probe_operator_distance"] for r in noaux)),
+        _record("54-noaux-separation-invariance",
+                "probe leakage of the bare construction ignores the separation",
+                0.0, max(sect) - min(sect), rc.tol_exact),
+        _record("55-aux-probe-distance",
+                "auxiliary-partner construction leaves the probe untouched",
+                0.0, max(r["aux_probe_operator_distance"] for r in noaux), rc.tol_exact),
+    ]
 
-    # --- first-quantized oracle --------------------------------------------
+
+def _qubit_checks(rc: RunConfig, dirs, u) -> list[CheckRecord]:
+    """60-64 at each nonzero kappa: the first-quantized oracle."""
     # The kappa^3 closed-form comparison needs a theta grid without pi/2:
     # the displayed pair-(1,2) form drops a (4/3) kappa^3 transverse term, so
     # exactly transverse-aligned pairs sit above the kappa^3 line.  Even-count
@@ -482,38 +457,62 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
     dirs_even = directions(replace(rc, direction_mode="grid",
                                    n_theta=rc.n_theta + rc.n_theta % 2, n_phi=max(rc.n_phi, 2)))
     u_even = _unit_vectors(dirs_even)
-    for kappa in rc.kappas:
-        if kappa == 0.0:
-            continue
+    records = []
+    for kappa in filter(None, rc.kappas):  # kappa = 0 has nothing to expand
         k3 = kappa**3
         psi0, exact, second = _qubit_states(kappa)
-        rec.close(f"60-qubit-state-distance-k{kappa:g}",
-                  "exact evolution vs second-order expansion", 0.0,
-                  float(np.linalg.norm(exact - second)), k3)
         (exp_exact, corr_exact), (_, corr0) = (
             _sweep(qubits.pauli_moments(s), u) for s in (exact, psi0))
         corr_second = _sweep(qubits.pauli_moments(second), u_even)[1]
         closed_exp = np.array([[qubits.expectation_closed_form(q, d, kappa) for q in (1, 2, 3)]
                                for d in dirs])
-        rec.close(f"61-qubit-expectations-k{kappa:g}",
-                  "spin expectations vs second-order closed forms", 0.0,
-                  np.abs(exp_exact - closed_exp).max(), k3)
-        closed = _closed_grids(qubits.correlation_closed_form, dirs_even, kappa)
-        rec.close(f"62-qubit-correlations-second-k{kappa:g}",
-                  "second-order state correlations vs displayed closed forms",
-                  0.0, np.abs(corr_second - closed).max(), k3)
+        closed_even = _closed_grids(qubits.correlation_closed_form, dirs_even, kappa)
         closed = _closed_grids(qubits.correlation_closed_form, dirs, kappa)
-        rec.close(f"63-qubit-correlations-exact-k{kappa:g}",
-                  "exact state correlations vs displayed closed forms",
-                  0.0, np.abs(corr_exact - closed).max(), 2.0 * k3)
         # corr[1:] is pairs (2,3) and (3,1): those with the qubit the exchange leaves alone
         c0, ck = np.abs(corr0[1:]), np.abs(corr_exact[1:])
-        worst_dec = np.abs((c0 - ck) - 2.0 * kappa**2 * c0).max()
-        rec.close(f"64-qubit-second-order-decrease-k{kappa:g}",
-                  "untouched-pair correlations shrink by twice kappa squared",
-                  0.0, worst_dec, k3)
+        records += [
+            _record(f"60-qubit-state-distance-k{kappa:g}",
+                    "exact evolution vs second-order expansion", 0.0,
+                    float(np.linalg.norm(exact - second)), k3),
+            _record(f"61-qubit-expectations-k{kappa:g}",
+                    "spin expectations vs second-order closed forms", 0.0,
+                    np.abs(exp_exact - closed_exp).max(), k3),
+            _record(f"62-qubit-correlations-second-k{kappa:g}",
+                    "second-order state correlations vs displayed closed forms",
+                    0.0, np.abs(corr_second - closed_even).max(), k3),
+            _record(f"63-qubit-correlations-exact-k{kappa:g}",
+                    "exact state correlations vs displayed closed forms",
+                    0.0, np.abs(corr_exact - closed).max(), 2.0 * k3),
+            _record(f"64-qubit-second-order-decrease-k{kappa:g}",
+                    "untouched-pair correlations shrink by twice kappa squared",
+                    0.0, np.abs((c0 - ck) - 2.0 * kappa**2 * c0).max(), k3),
+        ]
+    return records
 
-    return sorted(rec.records, key=lambda r: r.id)
+
+def run_verify(rc: RunConfig) -> list[CheckRecord]:
+    """Run the full invariant and identity suite; records sorted by id.  A
+    record's wall_time is its check group's time over the group's record count;
+    the setup that builds what several groups read is charged to no record."""
+    import scipy.sparse.linalg  # noqa: F401  (fock's deferred import, paid here in setup)
+    dirs = directions(rc)
+    u = _unit_vectors(dirs)
+    cfg0 = _config(rc)
+    psi_un = model.unentangled_state(cfg0)
+    records = _timed(_algebra_checks, rc.seed) + _timed(_model_checks, rc, cfg0, psi_un, dirs, u)
+    # the transforms exist only under s1*s2*s3 = -1
+    if next(r for r in records if r.id == "30-sign-constraint").passed:
+        t_uns = {signs: dhrep.build_unentangled_transform(cfg0, signs)
+                 for signs in ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1))}
+        t_un0 = t_uns[tuple(rc.signs)]
+        kmid = rc.kappas[len(rc.kappas) // 2]
+        cfgp0 = _config(rc, (rc.probe_point,))
+        t_un = dhrep.build_unentangled_transform(cfgp0)
+        cfgp, t_en = _entangled(cfgp0, t_un, kmid)
+        records += (_timed(_transform_checks, rc, cfg0, psi_un, t_uns, t_un0, dirs, u)
+                    + _timed(_section_checks, rc, cfgp, t_un, t_en, kmid)
+                    + _timed(_qubit_checks, rc, dirs, u))
+    return sorted(records, key=lambda r: r.id)
 
 
 def run_correlations(rc: RunConfig) -> list[dict]:

@@ -107,22 +107,22 @@ def load_config_file(path: str) -> dict:
     return overrides
 
 
+# command-line flag -> the _SCHEMA entry it overrides
+_FLAGS = {
+    "kappa": _SCHEMA["run"]["kappa"],
+    "signs": _SCHEMA["run"]["signs"],
+    "seed": _SCHEMA["run"]["seed"],
+    "tol_exact": _SCHEMA["tolerances"]["exact"],
+    "out": _SCHEMA["output"]["path"],
+    "format": _SCHEMA["output"]["format"],
+}
+
+
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    overrides: dict = {}
-    if args.config is not None:
-        overrides.update(load_config_file(args.config))
-    if args.kappa is not None:
-        overrides["kappas"] = _parse_floats(args.kappa)
-    if args.signs is not None:
-        overrides["signs"] = _parse_signs(args.signs)
-    if args.tol_exact is not None:
-        overrides["tol_exact"] = args.tol_exact
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_path"] = args.out
-    if args.format is not None:
-        overrides["out_format"] = args.format
+    overrides = load_config_file(args.config) if args.config is not None else {}
+    for flag, (field, parse) in _FLAGS.items():
+        if getattr(args, flag) is not None:
+            overrides[field] = parse(getattr(args, flag))
     try:
         return RunConfig(**overrides)
     except (TypeError, ValueError) as exc:

@@ -455,11 +455,6 @@ def _noaux_generator(cfg: SinglePacketConfig) -> FockOperator:
     return b - bdag
 
 
-def noaux_rotation(cfg: SinglePacketConfig, theta: float) -> FockOperator:
-    """exp(theta W) for the config's removal generator, at any angle."""
-    return rotation_exponential(_noaux_generator(cfg), theta, 1.0)
-
-
 def noaux_transform(cfg: SinglePacketConfig, theta: float = math.pi / 2.0) -> DhTransform:
     """Standardizing transform exp(theta W) at cos(theta) = 0 (a pure sign)."""
     factor = DhFactorParams(g=1.0, theta=theta)

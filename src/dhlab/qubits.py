@@ -137,8 +137,7 @@ def pauli_moments(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and C[qa, qb] = <sigma_qa^i sigma_qb^j>, qubits counted from 0; see
     model.spin_moments."""
     psi = state / np.linalg.norm(state)
-    stacks = [np.array([pauli_operator(q, i) @ psi for i in (1, 2, 3)]).T for q in (1, 2, 3)]
-    return spin_moments(psi, stacks)
+    return spin_moments(psi, list((_EMBEDDED @ psi).transpose(0, 2, 1)))
 
 
 def is_product_with_qubit3(state: np.ndarray, tol: float = 1e-12) -> bool:

@@ -2,16 +2,18 @@
 
 Each case applies one monkeypatch mutant and runs `run_verify` on the
 default RunConfig; every record family the case names must then fail.
-The table covers the records whose oracles are wide operations or read
-operators built once per call:
+The table covers each check group of `run_verify`:
 
 - `01-car-suite` reads every anticommutator from one stacked product;
-- `33-rotation-fastpath` compares the closed-form factor exponentials with
-  `matrix_exponential`, which probes compressed columns;
+- `20` reads each region's localized spin operator on the unentangled state;
+- `31`, `33` and `34` read the closed-form factor exponential that `V_un` is
+  built from; `33` compares it with `matrix_exponential`, which probes
+  compressed columns;
 - `22` and `35`-`38` read the cached exchange operator and the stacked
   spin operator;
 - `40`-`42` and `50`-`52` read field sections through the union gather of
-  `dhrep.section_norms` or through each mode's vacuum column.
+  `dhrep.section_norms` or through each mode's vacuum column;
+- `60` compares the exact qubit evolution with its second-order expansion.
 
 Where a mutant cannot reach the record family it sits under, the case names
 the records that do catch it:
@@ -38,9 +40,9 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from dhlab import checks, dhrep, fock, model
+from dhlab import checks, dhrep, fock, model, qubits
 from dhlab.checks import RunConfig, run_verify
-from dhlab.fock import FockOperator
+from dhlab.fock import FockOperator, identity_operator
 
 
 def _annihilator_without_string(registry, label, dagger=False):
@@ -63,6 +65,25 @@ def _exponential_without_one_block(a):
 # the originals the mutants below wrap, bound before any patch
 EXCHANGE, SPIN_STACK = model._exchange_operator, model._spin_stack
 GATHER, VACUUM_ACTION = dhrep._union_gather, dhrep.vacuum_action
+LOCALIZED_SPIN, EVOLVE_QUBITS = model.localized_spin_operator, qubits.evolve_qubits
+
+
+def _localized_spin_negated(cfg, region, direction):
+    return -LOCALIZED_SPIN(cfg, region, direction)
+
+
+def _factor_exponential_sign_flipped(self, w):
+    # I - (s/g) w + w @ w / g^2 is exp(-theta w), the inverse factor, still unitary
+    g = self.g
+    return identity_operator(w.registry) + (-self.sign / g) * w + (1.0 / (g * g)) * (w @ w)
+
+
+def _second_order_without_half(state, kappa, order="exact"):
+    if order != "second":
+        return EVOLVE_QUBITS(state, kappa, order)
+    g = qubits.build_h1q(kappa)
+    first = -1j * (g @ state)
+    return state + first - 1j * (g @ first)
 
 
 def _exchange_negated(registry):
@@ -106,6 +127,13 @@ MUTANTS = {
     "vacuum-row-for-column": (("42-",), dhrep, "vacuum_action", _vacuum_row_for_column),
     "gather-columns-shifted": (("50-", "51-"), dhrep, "_union_gather",
                                _gather_columns_shifted),
+    "localized-spin-negated": (("20-spin-eigenvalue-r1", "20-spin-eigenvalue-r2",
+                                "20-spin-eigenvalue-r3"), model, "localized_spin_operator",
+                               _localized_spin_negated),
+    "factor-exponential-sign-flipped": (("31-", "33-", "34-"), dhrep.DhFactorParams,
+                                        "exponential", _factor_exponential_sign_flipped),
+    "second-order-without-half": (("60-",), qubits, "evolve_qubits",
+                                  _second_order_without_half),
 }
 
 

@@ -247,6 +247,47 @@ def test_kappa_independent_setup_is_built_once_per_probe_set(monkeypatch):
     assert counts == {"standard_layout": 1, "build_unentangled_transform": 1}
 
 
+def test_verify_wall_times_share_each_group_time():
+    # run_verify times each check group once and splits that time evenly
+    # among the group's records: 01-04, 10-30, 31-38, 40-55 and 60-64
+    start = time.perf_counter()
+    records = run_verify(RunConfig(kappas=(0.02, 0.05)))
+    elapsed = time.perf_counter() - start
+    assert sum(r.wall_time for r in records) <= elapsed
+    shares = {}
+    for r in records:
+        group = next(i for i, last in enumerate((4, 30, 38, 55, 64)) if int(r.id[:2]) <= last)
+        shares.setdefault(group, set()).add(r.wall_time)
+    assert sorted(shares) == [0, 1, 2, 3, 4]
+    assert all(len(times) == 1 for times in shares.values()), shares
+
+
+def test_verify_charges_the_kernel_import_to_no_record():
+    # the first import of scipy.sparse.linalg (expm_multiply, loaded on first
+    # use) is slowed by 0.5 s; run_verify pays it in its setup, so neither
+    # record 03, the first exponential, nor any other record carries it
+    code = ("import sys, time\n"
+            "class Delay:\n"
+            "    slept = False\n"
+            "    def find_spec(self, name, path, target=None):\n"
+            "        if name == 'scipy.sparse.linalg' and not Delay.slept:\n"
+            "            Delay.slept = True\n"
+            "            time.sleep(0.5)\n"
+            "        return None\n"
+            "sys.meta_path.insert(0, Delay())\n"
+            "from dhlab.checks import RunConfig, run_verify\n"
+            "assert 'scipy.sparse.linalg' not in sys.modules\n"
+            "records = run_verify(RunConfig(kappas=(0.05,)))\n"
+            "assert Delay.slept\n"
+            "print(next(r.wall_time for r in records if r.id == '03-expm-taylor-oracle'),\n"
+            "      sum(r.wall_time for r in records))")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    oracle, total = (float(v) for v in proc.stdout.split())
+    assert oracle < 0.5
+    assert total < 0.5
+
+
 def test_qubit_rows_match_direct_evaluators():
     axes = {"x1": SpinDirection.x1(), "x2": SpinDirection.x2(), "x3": SpinDirection.x3()}
     for row in run_qubit(RunConfig(kappas=(0.1,))):

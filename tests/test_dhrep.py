@@ -437,7 +437,7 @@ def test_noaux_transform_actions():
     psi1 = dhrep.single_particle_state(cfg)
     vac = vacuum_state(cfg.registry)
     theta = math.pi / 3.0
-    rotated = dhrep.noaux_rotation(cfg, theta) @ psi1
+    rotated = dhrep.rotation_exponential(dhrep._noaux_generator(cfg), theta, 1.0) @ psi1
     expected = math.cos(theta) * psi1 + math.sin(theta) * vac
     assert (rotated - expected).norm() <= 1e-14
     t = dhrep.noaux_transform(cfg)
