@@ -29,7 +29,7 @@ from .fock import (
     operator_distance,
     vacuum_state,
 )
-from .model import SpinDirection
+from .model import PAIRS, SpinDirection
 
 
 @dataclass(frozen=True)
@@ -160,9 +160,6 @@ def directions(rc: RunConfig) -> list[SpinDirection]:
     return [SpinDirection(float(t), float(p)) for t in thetas for p in phis]
 
 
-PAIRS = ((1, 2), (2, 3), (3, 1))
-
-
 def _unit_vectors(dirs: list[SpinDirection]) -> np.ndarray:
     return np.array([d.unit_vector for d in dirs])
 
@@ -172,12 +169,6 @@ def _sweep(moments: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> tuple[np.nd
     correlation u_a^T C[a, b] u_b (PAIRS x directions x directions)."""
     m, c = moments
     return u @ m.T, np.array([u @ c[a - 1, b - 1] @ u.T for a, b in PAIRS])
-
-
-def _closed_grids(closed_form, dirs: list[SpinDirection], kappa: float) -> np.ndarray:
-    """A correlation closed form on the _sweep grid, direction by direction."""
-    return np.array([[[closed_form(a, b, da, db, kappa) for db in dirs] for da in dirs]
-                     for a, b in PAIRS])
 
 
 def _config(rc: RunConfig, probe_points: tuple[float, ...] = ()) -> model.SystemConfig:
@@ -229,8 +220,14 @@ def _record(check_id: str, ref: str, expected, actual, tolerance) -> CheckRecord
 
 def _lower_bound(check_id: str, ref: str, bound, actual) -> CheckRecord:
     """A record that passes iff actual >= bound; abs_error is the shortfall."""
-    err = max(0.0, float(bound) - float(actual))
+    err = _worst([float(bound) - float(actual)])
     return CheckRecord(check_id, ref, float(bound), float(actual), err, 0.0, err <= 0.0, 0.0)
+
+
+def _worst(deviations) -> float:
+    """max(0.0, *deviations), but NaN if any deviation is NaN: Python's max
+    drops a NaN that follows a number, so a record reduced with it passes."""
+    return float(np.max(np.fromiter(deviations, float), initial=0.0))
 
 
 def _timed(group, *args) -> list[CheckRecord]:
@@ -284,7 +281,7 @@ def _algebra_checks(seed: int) -> list[CheckRecord]:
         _record("01-car-suite", "canonical anticommutation relations, all mode pairs",
                 0.0, np.abs(anticommutators.data).max(initial=0.0), 0.0),
         _record("02-vacuum-annihilation", "every annihilator kills the vacuum",
-                0.0, max((c @ vac).norm() for c, _ in ops), 0.0),
+                0.0, _worst((c @ vac).norm() for c, _ in ops), 0.0),
         _record("03-expm-taylor-oracle", "matrix exponential vs truncated Taylor oracle",
                 0.0, dev, 1e-12),
         _record("04-expm-unitarity", "exp of skew-Hermitian input is unitary",
@@ -298,8 +295,8 @@ def _model_checks(rc: RunConfig, cfg0: model.SystemConfig, psi_un, dirs, u) -> l
     apt = wp.aperture_report(list(cfg0.layout.apertures), list(cfg0.layout.packets),
                              tol=rc.aperture_tol)
     states = [psi_un] + [model.build_state(cfg0, model.FLIPPED_OCC[r]) for r in (1, 2, 3)]
-    gram_dev = max(abs(si.overlap(sj) - (1.0 if i == j else 0.0))
-                   for i, si in enumerate(states) for j, sj in enumerate(states))
+    gram_dev = _worst(abs(si.overlap(sj) - (1.0 if i == j else 0.0))
+                      for i, si in enumerate(states) for j, sj in enumerate(states))
     corr = _sweep(model.state_moments(cfg0, psi_un), u)[1]
     return [
         _record("10-wsw-gate", "pointwise products of distinct packets vanish",
@@ -317,7 +314,7 @@ def _model_checks(rc: RunConfig, cfg0: model.SystemConfig, psi_un, dirs, u) -> l
         _record("21-state-orthonormality", "basis kets are normalized and orthogonal",
                 0.0, gram_dev, rc.tol_exact),
         _record("22-unentangled-correlations", "pairwise spin correlations, closed forms",
-                0.0, np.abs(corr - _closed_grids(model.correlation_closed_form, dirs, 0.0)).max(),
+                0.0, np.abs(corr - model.correlation_closed_grid(dirs, dirs, 0.0)).max(),
                 rc.tol_exact),
         _record("30-sign-constraint", "factor signs satisfy s1*s2*s3 = -1",
                 -1.0, float(math.prod(rc.signs)), 0.0),
@@ -328,18 +325,18 @@ def _transform_checks(rc: RunConfig, cfg0: model.SystemConfig, psi_un, t_uns: di
                       t_un0: dhrep.DhTransform, dirs, u) -> list[CheckRecord]:
     """31-38: the unentangled transforms and their factors, then at each kappa
     the two-step transform and the DH-vacuum values."""
-    worst = max(abs(cfg0.vacuum().overlap(t.operator @ psi_un) - 1.0) for t in t_uns.values())
+    worst = _worst(abs(cfg0.vacuum().overlap(t.operator @ psi_un) - 1.0) for t in t_uns.values())
     w1 = dhrep.removal_generator(cfg0, "up", 1, 1)
     generic = matrix_exponential((math.pi / 2.0) * w1)
-    dev = max(operator_distance(closed, generic) for closed in (
+    dev = _worst(operator_distance(closed, generic) for closed in (
         dhrep.rotation_exponential(w1, math.pi / 2.0, 1.0),
         dhrep.DhFactorParams.from_sign(1).exponential(w1)))  # the factor V_un uses
     s1, s2, s3 = (float(s) for s in t_un0.signs)
-    smear_dev = max(operator_distance(dhrep.conjugate(t_un0, cfg0.b(spin, r)), image)
-                    for spin, r, image in (("up", 1, s1 * cfg0.adag(1)),
-                                           ("down", 2, s2 * cfg0.adag(2)),
-                                           ("down", 3, s3 * cfg0.adag(3)),
-                                           ("down", 1, cfg0.b("down", 1))))
+    smear_dev = _worst(operator_distance(dhrep.conjugate(t_un0, cfg0.b(spin, r)), image)
+                       for spin, r, image in (("up", 1, s1 * cfg0.adag(1)),
+                                              ("down", 2, s2 * cfg0.adag(2)),
+                                              ("down", 3, s3 * cfg0.adag(3)),
+                                              ("down", 1, cfg0.b("down", 1))))
     records = [
         _record("31-standardization-unentangled",
                 "transform maps the three-particle state to the vacuum, all sign choices",
@@ -354,7 +351,7 @@ def _transform_checks(rc: RunConfig, cfg0: model.SystemConfig, psi_un, t_uns: di
     for kappa in rc.kappas:
         cfg, t_en = _entangled(cfg0, t_un0, kappa)
         exact, (ue, uf, dh) = _sweeps(cfg, t_en, u)
-        closed = _closed_grids(model.correlation_closed_form, dirs, kappa)
+        closed = model.correlation_closed_grid(dirs, dirs, kappa)
         records += [
             _record(f"35-standardization-entangled-k{kappa:g}",
                     "two-step transform maps the evolved state to the vacuum",
@@ -364,10 +361,10 @@ def _transform_checks(rc: RunConfig, cfg0: model.SystemConfig, psi_un, t_uns: di
                     0.0, np.abs(ue[1] - closed).max(), max(5.0 * kappa**2, rc.tol_exact)),
             _record(f"37-dh-equivalence-exact-k{kappa:g}",
                     "operator-encoded values equal exact usual-representation values",
-                    0.0, max(np.abs(d - e).max() for d, e in zip(dh, ue)), rc.tol_exact),
+                    0.0, _worst(np.abs(d - e).max() for d, e in zip(dh, ue)), rc.tol_exact),
             _record(f"38-dh-equivalence-first-k{kappa:g}",
                     "operator-encoded values vs first-order usual-representation values",
-                    0.0, max(np.abs(d - f).max() for d, f in zip(dh, uf)),
+                    0.0, _worst(np.abs(d - f).max() for d, f in zip(dh, uf)),
                     kappa**2 + rc.tol_exact),
         ]
     return records
@@ -381,14 +378,14 @@ def _section_checks(rc: RunConfig, cfgp: model.SystemConfig, t_un: dhrep.DhTrans
     # one call conjugates G_DH once for both spins' lists
     both = dhrep.first_order_entangled_conjugate(cfgp, t_un, modes["up"] + modes["down"])
     first = {"up": both[:len(modes["up"])], "down": both[len(modes["up"]):]}
-    closed_un, closed_en, dev_un, dev_en = {}, {}, 0.0, 0.0
+    closed_un, closed_en, dev_un, dev_en = {}, {}, [], []
     for spin in ("up", "down"):
         closed_un[spin] = dhrep.closed_form_modes(cfgp, spin, t_un)
         closed_en[spin] = dhrep.closed_form_modes(cfgp, spin, t_en)
         # ||section(a) - section(b)|| is the norm of the section of a - b
-        dev_un = max(dev_un, *dhrep.section_norms(cfgp, pts, [
+        dev_un.extend(dhrep.section_norms(cfgp, pts, [
             c - dhrep.conjugate(t_un, m) for c, m in zip(closed_un[spin], modes[spin])]))
-        dev_en = max(dev_en, *dhrep.section_norms(cfgp, pts, [
+        dev_en.extend(dhrep.section_norms(cfgp, pts, [
             c - f for c, f in zip(closed_en[spin], first[spin])]))
 
     vac = cfgp.vacuum()
@@ -399,7 +396,7 @@ def _section_checks(rc: RunConfig, cfgp: model.SystemConfig, t_un: dhrep.DhTrans
     # a section's vacuum action is sum_k alpha_k(x) m_k|0>: each m_k|0> is read once
     columns = [[dhrep.vacuum_action(m).amplitudes for m in images[spin]]
                for images in (closed_un, closed_en) for spin in ("up", "down")]
-    dev = 0.0
+    dev = []
     for x in pts:
         psi, alpha = cfgp.layout.packet_values(x), dhrep.section_coefficients(cfgp, x)
         up_expect = complex(psi[0]) * s1 * aux1
@@ -407,8 +404,8 @@ def _section_checks(rc: RunConfig, cfgp: model.SystemConfig, t_un: dhrep.DhTrans
         expected = (up_expect, down_expect,
                     up_expect - s1 * s2 * kmid * complex(psi[1]) * kterm_up,
                     down_expect + s1 * s2 * kmid * complex(psi[0]) * kterm_down)
-        dev = max(dev, *(np.linalg.norm(sum(complex(a) * c for a, c in zip(alpha, cols)) - want)
-                         for cols, want in zip(columns, expected)))
+        dev += [np.linalg.norm(sum(complex(a) * c for a, c in zip(alpha, cols)) - want)
+                for cols, want in zip(columns, expected)]
     loc = _locality_payload(cfgp, t_un, t_en, rc)
     outside = {table: [r["distance"] for r in rows if r["outside_support"]]
                for table, rows in loc.items() if table.startswith("aux_")}
@@ -420,30 +417,30 @@ def _section_checks(rc: RunConfig, cfgp: model.SystemConfig, t_un: dhrep.DhTrans
     sect = [r["noaux_section_distance"] for r in noaux]
     return [
         _record("40-closed-form-sections", "transformed field sections vs conjugation",
-                0.0, dev_un, rc.tol_exact),
+                0.0, _worst(dev_un), rc.tol_exact),
         _record("41-closed-form-sections-entangled",
                 "entangled field sections vs first-order conjugation",
-                0.0, dev_en, rc.tol_exact),
+                0.0, _worst(dev_en), rc.tol_exact),
         _record("42-vacuum-actions", "transformed operators acting on the vacuum, closed forms",
-                0.0, dev, rc.tol_exact),
+                0.0, _worst(dev), rc.tol_exact),
         _record("50-locality-aux-outside-support",
                 "transformed operators differ only where their quanta live",
-                0.0, max(outside["aux_unentangled"], default=0.0), rc.tol_exact),
+                0.0, _worst(outside["aux_unentangled"]), rc.tol_exact),
         _record("51-locality-aux-entangled-outside-support",
                 "entangled transform stays local away from the coupled regions",
-                0.0, max(outside["aux_entangled"], default=0.0), rc.tol_exact),
+                0.0, _worst(outside["aux_entangled"]), rc.tol_exact),
         _lower_bound("52-locality-entangled-cross-term",
                      "exchange coupling leaks the partner region's support",
                      5.0 * kmid, region2_up),
         _lower_bound("53-noaux-probe-distance",
                      "bare construction moves the distant probe operator",
-                     0.1, min(r["noaux_probe_operator_distance"] for r in noaux)),
+                     0.1, np.min([r["noaux_probe_operator_distance"] for r in noaux])),
         _record("54-noaux-separation-invariance",
                 "probe leakage of the bare construction ignores the separation",
-                0.0, max(sect) - min(sect), rc.tol_exact),
+                0.0, np.ptp(sect), rc.tol_exact),
         _record("55-aux-probe-distance",
                 "auxiliary-partner construction leaves the probe untouched",
-                0.0, max(r["aux_probe_operator_distance"] for r in noaux), rc.tol_exact),
+                0.0, _worst(r["aux_probe_operator_distance"] for r in noaux), rc.tol_exact),
     ]
 
 
@@ -466,8 +463,8 @@ def _qubit_checks(rc: RunConfig, dirs, u) -> list[CheckRecord]:
         corr_second = _sweep(qubits.pauli_moments(second), u_even)[1]
         closed_exp = np.array([[qubits.expectation_closed_form(q, d, kappa) for q in (1, 2, 3)]
                                for d in dirs])
-        closed_even = _closed_grids(qubits.correlation_closed_form, dirs_even, kappa)
-        closed = _closed_grids(qubits.correlation_closed_form, dirs, kappa)
+        closed_even = qubits.correlation_closed_grid(dirs_even, dirs_even, kappa)
+        closed = qubits.correlation_closed_grid(dirs, dirs, kappa)
         # corr[1:] is pairs (2,3) and (3,1): those with the qubit the exchange leaves alone
         c0, ck = np.abs(corr0[1:]), np.abs(corr_exact[1:])
         records += [
@@ -521,29 +518,35 @@ def run_correlations(rc: RunConfig) -> list[dict]:
     u = _unit_vectors(dirs)
     cfg0 = _config(rc)
     t_un = dhrep.build_unentangled_transform(cfg0)
+    # the rows run over product(PAIRS, dirs, dirs); each label and angle is one shared object
+    n = len(dirs)
+    regions = [label for a, b in PAIRS for label in [f"({a},{b})"] * n * n]
+    dir_a = [d for d in dirs for _ in range(n)] * len(PAIRS)
+    dir_b = dirs * (n * len(PAIRS))
     rows = []
     for kappa in _with_zero(rc.kappas):
         # at kappa = 0 the entangler is the identity, so t_en's matrix equals t_un's
         label = "entangled" if kappa > 0 else "unentangled"
-        exacts, firsts, dhs = (corr.ravel().tolist() for _, corr in
-                               _sweeps(*_entangled(cfg0, t_un, kappa), u)[1])
-        closed_forms = _closed_grids(model.correlation_closed_form, dirs, kappa).ravel().tolist()
-        for ((ra, rb), da, db), first, exact, dh, closed in zip(
-                itertools.product(PAIRS, dirs, dirs), firsts, exacts, dhs, closed_forms):
-            rows.append({
-                "representation": label,
-                "kappa": kappa,
-                "regions": f"({ra},{rb})",
-                "ua_theta": da.theta, "ua_phi": da.phi,
-                "ub_theta": db.theta, "ub_phi": db.phi,
-                "first_order": first,
-                "exact": exact,
-                "dh_vacuum": dh,
-                "closed_form": closed,
-                "dev_first_closed": abs(first - closed),
-                "dev_exact_closed": abs(exact - closed),
-                "dev_dh_exact": abs(dh - exact),
-            })
+        exact, first, dh = (corr.ravel() for _, corr in
+                            _sweeps(*_entangled(cfg0, t_un, kappa), u)[1])
+        closed = model.correlation_closed_grid(dirs, dirs, kappa).ravel()
+        values = (first, exact, dh, closed,
+                  np.abs(first - closed), np.abs(exact - closed), np.abs(dh - exact))
+        rows += [{
+            "representation": label,
+            "kappa": kappa,
+            "regions": reg,
+            "ua_theta": da.theta, "ua_phi": da.phi,
+            "ub_theta": db.theta, "ub_phi": db.phi,
+            "first_order": f,
+            "exact": e,
+            "dh_vacuum": d,
+            "closed_form": c,
+            "dev_first_closed": dfc,
+            "dev_exact_closed": dec,
+            "dev_dh_exact": dde,
+        } for reg, da, db, f, e, d, c, dfc, dec, dde in zip(
+            regions, dir_a, dir_b, *(v.tolist() for v in values))]
     return rows
 
 
@@ -570,7 +573,8 @@ def run_qubit(rc: RunConfig) -> list[dict]:
     """Exact vs second-order qubit expectations/correlations over the kappa list."""
     probe_dirs = [("x3", SpinDirection.x3()), ("x1", SpinDirection.x1()),
                   ("x2", SpinDirection.x2())]
-    u = _unit_vectors([d for _, d in probe_dirs])
+    dirs = [d for _, d in probe_dirs]
+    u = _unit_vectors(dirs)
     rows = []
     for kappa in _with_zero(rc.kappas):
         (exp_exact, corr_exact), (exp_second, corr_second) = (
@@ -585,15 +589,16 @@ def run_qubit(rc: RunConfig) -> list[dict]:
                 "second_order": second,
                 "closed_form": qubits.expectation_closed_form(q, d, kappa),
             })
-        for ((qa, qb), (name_a, da), (name_b, db)), exact, second in zip(
+        for ((qa, qb), (name_a, _), (name_b, _)), exact, second, closed in zip(
                 itertools.product(PAIRS, probe_dirs, probe_dirs),
-                corr_exact.ravel().tolist(), corr_second.ravel().tolist()):
+                corr_exact.ravel().tolist(), corr_second.ravel().tolist(),
+                qubits.correlation_closed_grid(dirs, dirs, kappa).ravel().tolist()):
             rows.append({
                 "kappa": kappa,
                 "item": f"correlation_q{qa}{qb}_{name_a}_{name_b}",
                 "exact": exact,
                 "second_order": second,
-                "closed_form": qubits.correlation_closed_form(qa, qb, da, db, kappa),
+                "closed_form": closed,
             })
     for row in rows:
         row["dev_exact_closed"] = abs(row["exact"] - row["closed_form"])

@@ -388,6 +388,45 @@ def is_entangled(cfg: SystemConfig, state: FockState, tol: float = 1e-12) -> boo
     return abs(c0 * c1) > tol and residual <= math.sqrt(tol)
 
 
+# the order of every pair axis: the sweeps' correlation grids and the closed forms
+PAIRS = ((1, 2), (2, 3), (3, 1))
+
+
+def pair_index(a: int, b: int, what: str = "regions") -> int:
+    """The position of the unordered pair {a, b} in PAIRS."""
+    pair = {a, b}
+    for i, known in enumerate(PAIRS):
+        if pair == set(known):
+            return i
+    raise ValueError(f"{what} must be two distinct members of (1, 2, 3), got {pair}")
+
+
+def unit_products(dirs_a, dirs_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u_a3 (n,), u_b3 (m,) and every dot u_a . u_b (n x m) of two direction
+    lists.  The stacks are two arrays, (n x 3) and (3 x m), so numpy's matmul
+    runs gemm, which on OpenBLAS sums like one pair's ua @ ub.  One stack
+    times its own transpose would go to syrk, whose sums can differ by an ulp."""
+    ua = np.array([d.unit_vector for d in dirs_a])
+    ub = np.stack([d.unit_vector for d in dirs_b], axis=1)
+    return ua[:, 2], ub[2], ua @ ub
+
+
+def correlation_closed_grid(dirs_a, dirs_b, kappa: float = 0.0) -> np.ndarray:
+    """First-order closed forms of the pairwise spin correlations over two
+    direction lists (n and m long), as the (PAIRS, n, m) grid.
+
+    Unentangled (kappa=0): -u_a3 u_b3 for (1,2), +u_a3 u_b3 for (2,3),
+    -u_a3 u_b3 for (3,1).  The entangling coupling modifies only the (1,2)
+    pair at first order: -(1-2k) u_a3 u_b3 - 2k u_a.u_b.
+    """
+    ua3, ub3, dots = unit_products(dirs_a, dirs_b)
+    return np.array([
+        (-(1.0 - 2.0 * kappa) * ua3)[:, None] * ub3 - 2.0 * kappa * dots,
+        ua3[:, None] * ub3,
+        (-ua3)[:, None] * ub3,
+    ])
+
+
 def correlation_closed_form(
     region_a: int,
     region_b: int,
@@ -395,18 +434,6 @@ def correlation_closed_form(
     dir_b: SpinDirection,
     kappa: float = 0.0,
 ) -> float:
-    """First-order closed forms of the pairwise spin correlations.
-
-    Unentangled (kappa=0): -u_a3 u_b3 for (1,2), +u_a3 u_b3 for (2,3),
-    -u_a3 u_b3 for (3,1).  The entangling coupling modifies only the (1,2)
-    pair at first order: -(1-2k) u_a3 u_b3 - 2k u_a.u_b.
-    """
-    pair = {region_a, region_b}
-    ua, ub = dir_a.unit_vector, dir_b.unit_vector
-    if pair == {1, 2}:
-        return -(1.0 - 2.0 * kappa) * ua[2] * ub[2] - 2.0 * kappa * float(ua @ ub)
-    if pair == {2, 3}:
-        return ua[2] * ub[2]
-    if pair == {1, 3}:
-        return -ua[2] * ub[2]
-    raise ValueError(f"regions must be two distinct members of (1, 2, 3), got {pair}")
+    """correlation_closed_grid at one pair of regions and one pair of directions."""
+    pair = pair_index(region_a, region_b)
+    return float(correlation_closed_grid([dir_a], [dir_b], kappa)[pair, 0, 0])

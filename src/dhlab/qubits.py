@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import SpinDirection, spin_moments
+from .model import SpinDirection, pair_index, spin_moments, unit_products
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -160,6 +160,23 @@ def expectation_closed_form(qubit: int, direction: SpinDirection, kappa: float) 
     raise ValueError("qubit must be 1, 2, or 3")
 
 
+def correlation_closed_grid(dirs_a, dirs_b, kappa: float) -> np.ndarray:
+    """Second-order closed forms of the pairwise correlations over two
+    direction lists (n and m long), as the (PAIRS, n, m) grid:
+
+        (1,2): -(1 - 2k) u_a3 u_b3 - 2k u_a . u_b
+        (2,3): +(1 - 2k^2) u_a3 u_b3
+        (3,1): -(1 - 2k^2) u_a3 u_b3
+    """
+    ua3, ub3, dots = unit_products(dirs_a, dirs_b)
+    c = 1.0 - 2.0 * kappa**2
+    return np.array([
+        (-(1.0 - 2.0 * kappa) * ua3)[:, None] * ub3 - 2.0 * kappa * dots,
+        (c * ua3)[:, None] * ub3,
+        (-c * ua3)[:, None] * ub3,
+    ])
+
+
 def correlation_closed_form(
     qubit_a: int,
     qubit_b: int,
@@ -167,18 +184,6 @@ def correlation_closed_form(
     dir_b: SpinDirection,
     kappa: float,
 ) -> float:
-    """Second-order closed forms of the pairwise correlations:
-
-        (1,2): -(1 - 2k) u_a3 u_b3 - 2k u_a . u_b
-        (2,3): +(1 - 2k^2) u_a3 u_b3
-        (3,1): -(1 - 2k^2) u_a3 u_b3
-    """
-    pair = {qubit_a, qubit_b}
-    ua, ub = dir_a.unit_vector, dir_b.unit_vector
-    if pair == {1, 2}:
-        return -(1.0 - 2.0 * kappa) * ua[2] * ub[2] - 2.0 * kappa * float(ua @ ub)
-    if pair == {2, 3}:
-        return (1.0 - 2.0 * kappa**2) * ua[2] * ub[2]
-    if pair == {1, 3}:
-        return -(1.0 - 2.0 * kappa**2) * ua[2] * ub[2]
-    raise ValueError(f"qubits must be two distinct members of (1, 2, 3), got {pair}")
+    """correlation_closed_grid at one pair of qubits and one pair of directions."""
+    pair = pair_index(qubit_a, qubit_b, "qubits")
+    return float(correlation_closed_grid([dir_a], [dir_b], kappa)[pair, 0, 0])

@@ -13,7 +13,13 @@ The table covers each check group of `run_verify`:
   spin operator;
 - `40`-`42` and `50`-`52` read field sections through the union gather of
   `dhrep.section_norms` or through each mode's vacuum column;
-- `60` compares the exact qubit evolution with its second-order expansion.
+- `60` compares the exact qubit evolution with its second-order expansion;
+- `62` and `63` compare the qubit correlations with the closed-form grid of
+  `qubits.correlation_closed_grid`.
+
+The `nan-` cases put a NaN in a non-first position of the values a record
+reduces: Python's `max` and `min` drop a NaN that follows a number, so a
+record must reduce through NaN-propagating numpy calls to fail on one.
 
 Where a mutant cannot reach the record family it sits under, the case names
 the records that do catch it:
@@ -66,6 +72,10 @@ def _exponential_without_one_block(a):
 EXCHANGE, SPIN_STACK = model._exchange_operator, model._spin_stack
 GATHER, VACUUM_ACTION = dhrep._union_gather, dhrep.vacuum_action
 LOCALIZED_SPIN, EVOLVE_QUBITS = model.localized_spin_operator, qubits.evolve_qubits
+QUBIT_GRID, SECTION_COEFFICIENTS = qubits.correlation_closed_grid, dhrep.section_coefficients
+SECTION_NORMS = dhrep.section_norms
+LOCALITY, NOAUX_LOCALITY = dhrep.locality_report, dhrep.noaux_locality_report
+DH_MOMENTS = dhrep.dh_vacuum_moments
 
 
 def _localized_spin_negated(cfg, region, direction):
@@ -84,6 +94,54 @@ def _second_order_without_half(state, kappa, order="exact"):
     g = qubits.build_h1q(kappa)
     first = -1j * (g @ state)
     return state + first - 1j * (g @ first)
+
+
+def _qubit_grid_without_exchange_term(dirs_a, dirs_b, kappa):
+    grid = QUBIT_GRID(dirs_a, dirs_b, kappa)
+    grid[0] += 2.0 * kappa * model.unit_products(dirs_a, dirs_b)[2]
+    return grid
+
+
+def _qubit_grid_without_second_order_factor(dirs_a, dirs_b, kappa):
+    # at kappa = 0 the factor (1 - 2 kappa^2) of pairs (2,3) and (3,1) is 1
+    grid = QUBIT_GRID(dirs_a, dirs_b, kappa)
+    grid[1:] = QUBIT_GRID(dirs_a, dirs_b, 0.0)[1:]
+    return grid
+
+
+def _section_norm_nan_at_last_point(cfg, points, modes):
+    norms = SECTION_NORMS(cfg, points, modes)
+    norms[-1] = np.nan
+    return norms
+
+
+def _coefficients_nan_at_probe(cfg, x):
+    # the probe point is the last point of the section records
+    alpha = SECTION_COEFFICIENTS(cfg, x)
+    return alpha * np.nan if x == cfg.layout.probe_points[-1] else alpha
+
+
+def _last_outside_row_nan(cfg, transform, points=None, tol=1e-10):
+    rows = LOCALITY(cfg, transform, points, tol)
+    outside = [r for r in rows if r["outside_support"]]
+    outside[-1]["distance"] = np.nan
+    return rows
+
+
+def _last_noaux_row_nan(separations, width):
+    rows = NOAUX_LOCALITY(separations, width)
+    for key in ("noaux_probe_operator_distance", "noaux_section_distance",
+                "aux_probe_operator_distance"):
+        rows[-1][key] = np.nan
+    return rows
+
+
+def _dh_correlations_nan(cfg, transform):
+    # the expectations stay finite: the correlations are the second value reduced
+    m, c = DH_MOMENTS(cfg, transform)
+    c = c.copy()
+    c[0, 1] = np.nan
+    return m, c
 
 
 def _exchange_negated(registry):
@@ -134,6 +192,18 @@ MUTANTS = {
                                         "exponential", _factor_exponential_sign_flipped),
     "second-order-without-half": (("60-",), qubits, "evolve_qubits",
                                   _second_order_without_half),
+    "qubit-grid-without-exchange-term": (("63-",), qubits, "correlation_closed_grid",
+                                         _qubit_grid_without_exchange_term),
+    "qubit-grid-without-second-order-factor": (("62-",), qubits, "correlation_closed_grid",
+                                               _qubit_grid_without_second_order_factor),
+    "nan-section-norm-at-last-point": (("40-", "41-"), dhrep, "section_norms",
+                                       _section_norm_nan_at_last_point),
+    "nan-section-at-probe-point": (("42-",), dhrep, "section_coefficients",
+                                   _coefficients_nan_at_probe),
+    "nan-last-outside-row": (("50-", "51-"), dhrep, "locality_report", _last_outside_row_nan),
+    "nan-last-noaux-row": (("53-", "54-", "55-"), dhrep, "noaux_locality_report",
+                           _last_noaux_row_nan),
+    "nan-dh-correlations": (("37-", "38-"), dhrep, "dh_vacuum_moments", _dh_correlations_nan),
 }
 
 

@@ -608,25 +608,76 @@ json_values = st.recursive(
                       | st.dictionaries(st.text(max_size=6), children, max_size=4)),
     max_leaves=30,
 )
+# a table: dicts of one key tuple, each column drawn from one kind of value
+json_columns = st.sampled_from([
+    st.floats(), st.floats().map(np.float64), st.text(), st.integers(), st.booleans(),
+    st.none(), json_scalars, json_values,
+])
+
+
+def _rows(columns):
+    keys = [key for key, _ in columns]
+    return st.lists(st.tuples(*(column for _, column in columns)).map(
+        lambda values: dict(zip(keys, values))), max_size=6)
+
+
+json_tables = st.lists(st.tuples(st.text(max_size=4), json_columns), max_size=4,
+                       unique_by=lambda column: column[0]).flatmap(_rows)
+SHARED = 0.1  # one float object in several rows: encoded once
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(value=json_values)
+@given(value=json_values | json_tables)
 @example(value=[[], {}, (), [[]], {"": {}}])
 @example(value=[math.nan, math.inf, -math.inf, -0.0, np.float64(-0.0), np.float64(0.1)])
 @example(value={"quote\"": "a\nb\"c\\", "caf\u00e9": ["\u2603", "tab\t", "\n"], "t": (True, None)})
 @example(value=[{"a": 1.5, "b": "x"}, {"a": [1, 2], "b": {"c": (3,)}}])
+@example(value=[{"x": -0.0, "y": np.float64(-0.0)}, {"x": 0.0, "y": np.float64(0.0)},
+                {"x": math.nan, "y": np.float64(math.inf)}, {"x": math.inf, "y": -math.inf}])
+@example(value=[{"b": True, "n": None, "i": 3}, {"b": False, "n": None, "i": -(2**70)}])
+@example(value=[{"50%": 1.0, "caf\u00e9 %s": "\u2603"}, {"50%": -2.5, "caf\u00e9 %s": "%d"}])
+@example(value=[{"k": SHARED, "v": SHARED}, {"k": SHARED, "v": -0.0}, {"k": SHARED, "v": 0.0}])
+@example(value=[{"only": 1.0}])
+@example(value=[{}, {}, {}])
+@example(value=[{1: 0.5, None: "x"}, {1: -0.0, None: "y"}])  # keys json.dumps converts
+@example(value=[{"i": float(i), "s": "ab"[i % 2]} for i in range(2 * cli._TABLE_CHUNK + 1)])
 def test_json_text_equals_indent_two_dumps(value):
     cli._encoder.cache_clear()
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
 def test_json_text_is_the_same_without_the_c_encoder(monkeypatch):
-    value = {"rows": [{"a": -0.0, "b": "caf\u00e9\n"}, {"c": [math.nan, None]}], "e": []}
+    value = {"rows": [{"a": -0.0, "b": "caf\u00e9\n"}, {"c": [math.nan, None]}], "e": [],
+             "table": [{"x": SHARED, "y": "caf\u00e9", "%": None}, {"x": -0.0, "y": "", "%": 1},
+                       {"x": SHARED, "y": "\n", "%": [math.inf]}]}
     expected = json.dumps(value, indent=2)
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
     cli._encoder.cache_clear()
     assert cli._json_text(value) == expected
+
+
+def test_streamed_correlations_are_the_dumps_text(tmp_path, capsysbinary):
+    # 2 x 1200 rows: the table is streamed in more than one piece
+    out = tmp_path / "o.json"
+    assert cli.main(["correlations", *FAST_FLAGS, "--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert cli.main(["correlations", *FAST_FLAGS, "--out", "-"]) == 0
+    printed, written = capsysbinary.readouterr().out, out.read_bytes()
+    rows = run_correlations(RunConfig(kappas=(0.05,)))
+    assert len(rows) > 2 * cli._TABLE_CHUNK
+    assert printed == written + b"\n"
+    assert written == json.dumps(rows, indent=2).encode()
+
+
+def test_unencodable_payload_leaves_an_existing_out_file_alone(tmp_path, monkeypatch):
+    # the first piece is made before the file is opened
+    out = tmp_path / "o.json"
+    out.write_text("kept")
+    monkeypatch.setattr(cli, "run_correlations",
+                        lambda rc: [{"a": 1.0, "b": object()}, {"a": 2.0, "b": 1}])
+    with pytest.raises(TypeError):
+        cli.main(["correlations", "--out", str(out)])
+    assert out.read_text() == "kept"
 
 
 def test_encoder_cache_is_a_functools_cache_of_the_cli():

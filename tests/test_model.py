@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import AXES, PAIRS, assert_moments_match, grid_directions
-from dhlab import dhrep, fock, model
+from dhlab import dhrep, fock, model, qubits
+from dhlab.checks import RunConfig, directions
 from dhlab.errors import DuplicateOccupationError, LayoutError, PerturbativeRangeWarning
 from dhlab.model import (
     EXCHANGED_OCC,
@@ -173,6 +174,42 @@ def test_unentangled_correlations_closed_forms(cfg0):
             for ra, rb in ((1, 2), (2, 3), (3, 1)):
                 got = spin_correlation(cfg0, psi, ra, da, rb, db)
                 assert abs(got - correlation_closed_form(ra, rb, da, db, 0.0)) <= 1e-10
+
+
+def _scalar_closed_forms(ua, ub, kappa, second_order):
+    """The (1,2), (2,3), (3,1) closed forms of one direction pair, written out
+    with the dot as ua @ ub: the reference the grids must reproduce."""
+    c = 1.0 - 2.0 * kappa**2 if second_order else 1.0
+    return (-(1.0 - 2.0 * kappa) * ua[2] * ub[2] - 2.0 * kappa * float(ua @ ub),
+            c * ua[2] * ub[2], -c * ua[2] * ub[2])
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.02, 0.1, 0.2])
+@pytest.mark.parametrize("mode", ["grid", "random"])
+@pytest.mark.parametrize("module", [model, qubits], ids=["model", "qubits"])
+def test_closed_form_grid_equals_the_per_direction_forms(module, mode, kappa):
+    # Exact equality, signs of zeros included: on OpenBLAS 0.3 the grid's gemm
+    # and the one-pair dot sum the three products alike.  A BLAS that orders
+    # them otherwise would need a 2-ulp bound here.
+    dirs = directions(RunConfig(direction_mode=mode, seed=7))
+    grid = module.correlation_closed_grid(dirs, dirs, kappa)
+    per_direction = np.array([[[module.correlation_closed_form(a, b, da, db, kappa)
+                                for db in dirs] for da in dirs] for a, b in PAIRS])
+    scalar = np.array([[_scalar_closed_forms(da.unit_vector, db.unit_vector, kappa,
+                                             module is qubits) for db in dirs] for da in dirs])
+    scalar = scalar.transpose(2, 0, 1)
+    assert grid.shape == (len(PAIRS), len(dirs), len(dirs))
+    assert np.array_equal(grid, per_direction) and np.array_equal(grid, scalar)
+    assert np.array_equal(np.signbit(grid), np.signbit(scalar))
+
+
+def test_closed_form_rejects_a_pair_outside_the_regions():
+    x3 = SpinDirection.x3()
+    for bad in ((1, 1), (0, 2), (3, 4)):
+        with pytest.raises(ValueError):
+            correlation_closed_form(*bad, x3, x3)
+        with pytest.raises(ValueError):
+            qubits.correlation_closed_form(*bad, x3, x3, 0.1)
 
 
 def test_same_region_correlation_rejected(cfg0):
