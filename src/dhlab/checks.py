@@ -56,10 +56,26 @@ class CheckRecord:
         }
 
 
+@dataclass(frozen=True)
+class Table:
+    """A table as its columns, each a float64 array or a list, all of one
+    length; the JSON emitter encodes it column by column, building no row."""
+    columns: dict[str, np.ndarray | list]
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def rows(self) -> list[dict]:
+        """The table as one dict per row, its array values as Python floats."""
+        values = [c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns.values()]
+        return [dict(zip(self.columns, row)) for row in zip(*values)]
+
+
 # exp(-iG) is periodic in kappa (G^3 = kappa^2 G), so larger values add no physics
 MAX_KAPPA = 2.0 * math.pi
 # a sweep holds (directions x directions) arrays and `correlations` writes
-# (kappas + 1) * 3 * n^2 rows of about 490 B: 100 directions give about 59 MB
+# (kappas + 1) * 3 * n^2 rows of about 490 B: 100 directions at the default
+# kappas give a 59 MB file, from a call whose peak RSS is about 148 MB
 MAX_DIRECTIONS = 100
 
 
@@ -112,8 +128,9 @@ class RunConfig:
             raise ConfigError(f"kappa values must be finite, got {self.kappas}")
         if any(k < 0 for k in self.kappas):
             raise ConfigError("kappa values must be non-negative")
-        # -0.0 passes `k < 0` but is labelled "-0": make it the kappa 0 it is
-        self.kappas = tuple(abs(k) if k == 0 else k for k in self.kappas)
+        # -0.0 passes `k < 0` but is labelled "-0": make it the kappa 0 it is; an
+        # int kappa is a float, as the float64 kappa column of `correlations` writes it
+        self.kappas = tuple(abs(k) if k == 0 else k for k in map(float, self.kappas))
         labels = [f"{k:g}" for k in self.kappas]
         if len(set(labels)) < len(labels):  # record ids carry the label
             raise ConfigError(f"kappa values must have distinct labels, got {', '.join(labels)}")
@@ -512,42 +529,37 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
     return sorted(records, key=lambda r: r.id)
 
 
-def run_correlations(rc: RunConfig) -> list[dict]:
-    """Correlation table over the direction set and kappa list."""
+def run_correlations(rc: RunConfig) -> Table:
+    """Correlation table over the direction set and kappa list: its rows run
+    over product(kappas, PAIRS, dirs, dirs)."""
     dirs = directions(rc)
     u = _unit_vectors(dirs)
     cfg0 = _config(rc)
     t_un = dhrep.build_unentangled_transform(cfg0)
-    # the rows run over product(PAIRS, dirs, dirs); each label and angle is one shared object
-    n = len(dirs)
-    regions = [label for a, b in PAIRS for label in [f"({a},{b})"] * n * n]
-    dir_a = [d for d in dirs for _ in range(n)] * len(PAIRS)
-    dir_b = dirs * (n * len(PAIRS))
-    rows = []
-    for kappa in _with_zero(rc.kappas):
+    kappas = _with_zero(rc.kappas)
+    n, blocks = len(dirs), len(kappas) * len(PAIRS)
+    thetas, phis = np.array([(d.theta, d.phi) for d in dirs]).T
+    labels, values = [], []
+    for kappa in kappas:
         # at kappa = 0 the entangler is the identity, so t_en's matrix equals t_un's
-        label = "entangled" if kappa > 0 else "unentangled"
+        labels += ["entangled" if kappa > 0 else "unentangled"] * (len(PAIRS) * n * n)
         exact, first, dh = (corr.ravel() for _, corr in
                             _sweeps(*_entangled(cfg0, t_un, kappa), u)[1])
         closed = model.correlation_closed_grid(dirs, dirs, kappa).ravel()
-        values = (first, exact, dh, closed,
-                  np.abs(first - closed), np.abs(exact - closed), np.abs(dh - exact))
-        rows += [{
-            "representation": label,
-            "kappa": kappa,
-            "regions": reg,
-            "ua_theta": da.theta, "ua_phi": da.phi,
-            "ub_theta": db.theta, "ub_phi": db.phi,
-            "first_order": f,
-            "exact": e,
-            "dh_vacuum": d,
-            "closed_form": c,
-            "dev_first_closed": dfc,
-            "dev_exact_closed": dec,
-            "dev_dh_exact": dde,
-        } for reg, da, db, f, e, d, c, dfc, dec, dde in zip(
-            regions, dir_a, dir_b, *(v.tolist() for v in values))]
-    return rows
+        values.append((first, exact, dh, closed,
+                       np.abs(first - closed), np.abs(exact - closed), np.abs(dh - exact)))
+    return Table({
+        "representation": labels,
+        "kappa": np.repeat(kappas, len(PAIRS) * n * n),
+        "regions": [label for a, b in PAIRS for label in [f"({a},{b})"] * n * n] * len(kappas),
+        "ua_theta": np.tile(np.repeat(thetas, n), blocks),
+        "ua_phi": np.tile(np.repeat(phis, n), blocks),
+        "ub_theta": np.tile(thetas, n * blocks),
+        "ub_phi": np.tile(phis, n * blocks),
+        **{name: np.concatenate(column) for name, column in zip(
+            ("first_order", "exact", "dh_vacuum", "closed_form",
+             "dev_first_closed", "dev_exact_closed", "dev_dh_exact"), zip(*values))},
+    })
 
 
 def _locality_payload(cfg: model.SystemConfig, t_un: dhrep.DhTransform,

@@ -24,11 +24,12 @@ import functools
 import io
 import itertools
 import json
-import operator
 import os
 import sys
 
-from .checks import RunConfig, run_correlations, run_locality, run_qubit, run_verify
+import numpy as np
+
+from .checks import RunConfig, Table, run_correlations, run_locality, run_qubit, run_verify
 from .errors import ConfigError, LayoutError, SignConstraintError
 
 
@@ -182,16 +183,20 @@ def _encoder(depth: int):
     return json.JSONEncoder(separators=("," + pad, ": ")).encode, pad
 
 
-# rows per piece of a table: it bounds the column temporaries, which for the
-# whole 19,200-row table of 40 directions raised peak memory by about 37 MB
+# rows per piece of a table: it bounds the text held at once; the 19,200-row
+# table of 40 directions encoded as one piece raised a call's peak RSS from
+# 79 to 98 MB
 _TABLE_CHUNK = 1024
 
 
 def _json_pieces(value, depth: int = 0):
-    """Yield `json.dumps(value, indent=2)` in pieces, for plain lists, tuples and
-    str-keyed dicts.  Each innermost container is one C-encoder call, and a
-    table (two or more dicts of one str key tuple) is encoded column by column,
-    one piece per _TABLE_CHUNK rows."""
+    """Yield `json.dumps(value, indent=2)` in pieces, for a Table and for plain
+    lists, tuples and str-keyed dicts.  Each innermost container is one
+    C-encoder call, and a table (a Table, or two or more dicts of one str key
+    tuple) is encoded column by column, one piece per _TABLE_CHUNK rows."""
+    if isinstance(value, Table):
+        yield from _table_pieces(value, depth)
+        return
     encode, pad = _encoder(depth)
     if not isinstance(value, (list, tuple, dict)) or not value:
         yield encode(value)
@@ -210,7 +215,7 @@ def _json_pieces(value, depth: int = 0):
             sep = "," + pad
         yield pad[:-2] + "}"
     elif types == {dict} and (keys := _table_keys(value)):
-        yield from _table_pieces(value, keys, depth)
+        yield from _table_pieces(Table({k: [row[k] for row in value] for k in keys}), depth)
     else:
         sep = "[" + pad
         for item in value:
@@ -221,7 +226,8 @@ def _json_pieces(value, depth: int = 0):
 
 
 def _json_text(value, depth: int = 0) -> str:
-    """`json.dumps(value, indent=2)` for plain lists, tuples and str-keyed dicts."""
+    """`json.dumps(value, indent=2)` (of `value.rows()` for a Table) for a
+    Table and for plain lists, tuples and str-keyed dicts."""
     return "".join(_json_pieces(value, depth))
 
 
@@ -234,21 +240,48 @@ def _table_keys(rows) -> tuple[str, ...] | None:
     return None
 
 
-def _table_pieces(rows, keys: tuple[str, ...], depth: int):
-    """The rows of a table as pieces of _TABLE_CHUNK rows: each column encoded
-    on its own, and each row joined through one %-template of its keys."""
-    pad, row_pad = _encoder(depth)[1], _encoder(depth + 1)[1]
+def _table_pieces(table: Table, depth: int):
+    """`table.rows()` as JSON text in pieces of _TABLE_CHUNK rows, with no row
+    built.  Every float is encoded once per distinct bit pattern in the
+    table; each piece is one join over slots that run key literal, value
+    text, ..., row closer, the value slots filled a column at a time."""
+    n = len(table)
+    if not n:
+        yield "[]"
+        return
+    (encode, pad), row_pad = _encoder(depth), _encoder(depth + 1)[1]
+    columns = [np.array(c) if isinstance(c, list) and {*map(type, c)} == {float} else c
+               for c in table.columns.values()]
+    floats = [i for i, c in enumerate(columns) if isinstance(c, np.ndarray)]
+    if floats:
+        # One text per distinct bit pattern: equal bits give equal text, and
+        # -0.0 and 0.0, or two NaN payloads, differ in bits, so are never merged.
+        bits, inverse = np.unique(np.concatenate([columns[i] for i in floats]).view(np.int64),
+                                  return_inverse=True)
+        text = encode(bits.view(np.float64).tolist())  # a float's text holds no comma
+        texts = np.array(text[1:-1].split("," + pad), dtype=object)
+        for i, index in zip(floats, inverse.reshape(len(floats), n)):
+            columns[i] = index  # each float column as its values' indices into `texts`
     key = json.encoder.encode_basestring_ascii
-    fields = ("," + row_pad).join(key(k).replace("%", "%%") + ": %s" for k in keys)
-    template = f"{{{row_pad}{fields}{row_pad[:-2]}}}"
-    getters = [operator.itemgetter(k) for k in keys]
+    width = 2 * len(columns) + 1
+    slots = [None] * width
+    for i, k in enumerate(table.columns):
+        slots[2 * i] = ("," if i else "{") + row_pad + key(k) + ": "
+    slots[-1] = row_pad[:-2] + "}," + pad
+    slots *= min(n, _TABLE_CHUNK)
     sep = "[" + pad
-    for start in range(0, len(rows), _TABLE_CHUNK):
-        chunk = rows[start:start + _TABLE_CHUNK]
-        columns = [_column_texts(list(map(get, chunk)), depth + 2) for get in getters]
-        yield sep + ("," + pad).join(map(template.__mod__, zip(*columns)))
-        sep = "," + pad
-    yield pad[:-2] + "]"
+    for start in range(0, n, _TABLE_CHUNK):
+        stop = min(start + _TABLE_CHUNK, n)
+        del slots[(stop - start) * width:]  # the last piece may be shorter
+        for i, column in enumerate(columns):
+            if isinstance(column, np.ndarray):
+                slots[2 * i + 1::width] = texts[column[start:stop]].tolist()
+            else:
+                slots[2 * i + 1::width] = _column_texts(column[start:stop], depth + 2)
+        if stop == n:
+            slots[-1] = row_pad[:-2] + "}" + pad[:-2] + "]"
+        yield sep + "".join(slots)
+        sep = ""
 
 
 def _column_texts(values: list, depth: int) -> list[str]:
@@ -256,11 +289,7 @@ def _column_texts(values: list, depth: int) -> list[str]:
     identity, not equality, since -0.0 == 0.0 and NaN != NaN."""
     by_id = dict(zip(map(id, values), values))
     distinct = list(by_id.values())
-    types = {*map(type, distinct)}
-    if types == {float}:  # one encoder call; a float's text holds no comma
-        encode, pad = _encoder(depth)
-        texts = encode(distinct)[1:-1].split("," + pad)
-    elif types == {str}:
+    if {*map(type, distinct)} == {str}:
         texts = list(map(json.encoder.encode_basestring_ascii, distinct))
     else:
         texts = [_json_text(v, depth) for v in distinct]
@@ -281,7 +310,7 @@ def _emit(payload, rc: RunConfig) -> None:
                     rows.append({"table": section, **row})
             text = _rows_to_csv(rows)
         else:
-            text = _rows_to_csv(payload)
+            text = _rows_to_csv(payload.rows() if isinstance(payload, Table) else payload)
         pieces = iter([text])
     else:
         pieces = _json_pieces(payload)

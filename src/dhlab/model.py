@@ -270,8 +270,9 @@ def spin_moments(bra: np.ndarray, stacks: list[np.ndarray]) -> tuple[np.ndarray,
     a = np.concatenate(stacks, axis=1)
     m = (bra.conj() @ a).reshape(n, 3)
     c = (a.conj().T @ a).reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
-    imag = max(np.abs(m.imag).max(), np.abs(c[~np.eye(n, dtype=bool)].imag).max(initial=0.0))
-    if imag > IMAG_TOL:
+    # one numpy max, so a NaN anywhere is the result and fails the guard
+    imag = np.abs(np.concatenate((m.imag.ravel(), c[~np.eye(n, dtype=bool)].imag.ravel()))).max()
+    if not imag <= IMAG_TOL:
         raise ArithmeticError(f"spin moments have imaginary part {imag}")
     return m.real, c.real
 

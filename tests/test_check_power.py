@@ -4,8 +4,11 @@ Each case applies one monkeypatch mutant and runs `run_verify` on the
 default RunConfig; every record family the case names must then fail.
 The table covers each check group of `run_verify`:
 
-- `01-car-suite` reads every anticommutator from one stacked product;
-- `20` reads each region's localized spin operator on the unentangled state;
+- `01-car-suite` reads every anticommutator from one stacked product, and
+  `02` each annihilator on the vacuum;
+- `03` and `04` read the generic exponential of a random skew matrix;
+- `20` reads each region's localized spin operator on the unentangled state,
+  and `21` the Gram matrix of the basis kets;
 - `31`, `33` and `34` read the closed-form factor exponential that `V_un` is
   built from; `33` compares it with `matrix_exponential`, which probes
   compressed columns;
@@ -13,7 +16,9 @@ The table covers each check group of `run_verify`:
   spin operator;
 - `40`-`42` and `50`-`52` read field sections through the union gather of
   `dhrep.section_norms` or through each mode's vacuum column;
-- `60` compares the exact qubit evolution with its second-order expansion;
+- `60` compares the exact qubit evolution with its second-order expansion,
+  `61` its expectations with `qubits.expectation_closed_form`, and `64` its
+  untouched-pair correlations with the second-order decrease;
 - `62` and `63` compare the qubit correlations with the closed-form grid of
   `qubits.correlation_closed_grid`.
 
@@ -38,7 +43,16 @@ the records that do catch it:
   both carry a coefficient, never at those points.  Columns shifted onto
   the wrong coefficients do show.
 
-The record families not listed here have no mutant in this table yet.
+Three record families have no mutant, for these reasons:
+
+- `10`-`13` restate the geometry gates that `model.standard_config` already
+  enforces: a mutant of the packets or apertures that breaks them makes
+  `_config` raise LayoutError, the CLI's exit 2, before any record exists.
+- `30` reads the sign triple of the RunConfig, which no code computes;
+  `--signs 1,1,1` fails it (`test_cli.py::test_verify_sign_violation_exits_one`).
+- `32`: a removal generator that is not skew-Hermitian makes `V_un`
+  non-unitary, and `dhrep.build_unentangled_transform` refuses it with a
+  ValueError in `run_verify`'s setup, before the record is built.
 """
 
 import numpy as np
@@ -76,6 +90,8 @@ QUBIT_GRID, SECTION_COEFFICIENTS = qubits.correlation_closed_grid, dhrep.section
 SECTION_NORMS = dhrep.section_norms
 LOCALITY, NOAUX_LOCALITY = dhrep.locality_report, dhrep.noaux_locality_report
 DH_MOMENTS = dhrep.dh_vacuum_moments
+VACUUM_STATE, BUILD_STATE = checks.vacuum_state, model.build_state
+EXPECTATION, MATRIX_EXPONENTIAL = qubits.expectation_closed_form, checks.matrix_exponential
 
 
 def _localized_spin_negated(cfg, region, direction):
@@ -168,6 +184,30 @@ def _vacuum_row_for_column(op):
     return VACUUM_ACTION(op.dagger())
 
 
+def _vacuum_with_one_quantum(registry):
+    # the last mode occupied: its annihilator does not kill this "vacuum"
+    return fock.mode_operator(registry, registry.modes[-1], dagger=True) @ VACUUM_STATE(registry)
+
+
+def _flipped_states_unnormalized(cfg, desc):
+    state = BUILD_STATE(cfg, desc)
+    return 2.0 * state if desc in model.FLIPPED_OCC.values() else state
+
+
+def _expectation_without_second_order_term(qubit, direction, kappa):
+    # qubit 1 reads u3 in place of (1 - 2 kappa^2) u3
+    return direction.u3 if qubit == 1 else EXPECTATION(qubit, direction, kappa)
+
+
+def _exponential_scaled(a):
+    # exp(a) off by a factor 1 + 1e-9: no longer unitary, off the Taylor oracle
+    return (1.0 + 1e-9) * MATRIX_EXPONENTIAL(a)
+
+
+def _exact_qubit_evolution_at_larger_kappa(state, kappa, order="exact"):
+    return EVOLVE_QUBITS(state, 1.2 * kappa if order == "exact" else kappa, order)
+
+
 # name -> (record families that must each fail, module, attribute, mutant)
 MUTANTS = {
     "jordan-wigner-string-dropped": (("01-",), checks, "mode_operator",
@@ -176,6 +216,10 @@ MUTANTS = {
                                      lambda m, block: m),
     "component-block-dropped": (("33-",), checks, "matrix_exponential",
                                 _exponential_without_one_block),
+    "vacuum-with-one-quantum": (("02-",), checks, "vacuum_state", _vacuum_with_one_quantum),
+    "exponential-scaled": (("03-", "04-"), checks, "matrix_exponential", _exponential_scaled),
+    "flipped-states-unnormalized": (("21-",), model, "build_state",
+                                    _flipped_states_unnormalized),
     "exchange-operator-negated": (("36-", "41-"), model, "_exchange_operator",
                                   _exchange_negated),
     "spin-stack-regions-swapped": (("22-", "36-"), model, "_spin_stack",
@@ -192,6 +236,11 @@ MUTANTS = {
                                         "exponential", _factor_exponential_sign_flipped),
     "second-order-without-half": (("60-",), qubits, "evolve_qubits",
                                   _second_order_without_half),
+    "expectation-without-second-order-term": (("61-",), qubits, "expectation_closed_form",
+                                              _expectation_without_second_order_term),
+    "exact-qubit-evolution-at-larger-kappa": (("60-", "61-", "63-", "64-"), qubits,
+                                              "evolve_qubits",
+                                              _exact_qubit_evolution_at_larger_kappa),
     "qubit-grid-without-exchange-term": (("63-",), qubits, "correlation_closed_grid",
                                          _qubit_grid_without_exchange_term),
     "qubit-grid-without-second-order-factor": (("62-",), qubits, "correlation_closed_grid",

@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli_capped, run_python
-from dhlab import cli, dhrep, model, qubits, wavepackets
+from dhlab import checks, cli, dhrep, model, qubits, wavepackets
 from dhlab.checks import (
-    MAX_DIRECTIONS, RunConfig, directions, run_correlations, run_locality, run_qubit,
+    MAX_DIRECTIONS, RunConfig, Table, directions, run_correlations, run_locality, run_qubit,
     run_verify,
 )
 from dhlab.errors import ConfigError
@@ -209,7 +209,7 @@ def test_correlation_rows_match_direct_evaluators():
     # the table comes from the moment tensors; sampled rows must equal the
     # per-direction evaluators of each representation
     rc = RunConfig(kappas=(0.05,), direction_mode="random", n_random=4, seed=3)
-    rows = run_correlations(rc)
+    rows = run_correlations(rc).rows()
     assert len(rows) == 2 * 3 * 16
     for row in rows[::7]:
         kappa = row["kappa"]
@@ -367,7 +367,7 @@ def test_rows_to_csv_is_the_dict_writer_text():
     assert len({frozenset(row) for row in locality}) > 1  # mixed columns
     odd = [{"a": np.float64(-0.0), "b": "x,\"y\"\n", "c": [np.float64(0.1), 2]},
            {"c": (None,), "d": None, "a": math.nan}, {"b": True, "d": np.float32(0.5)}]
-    for rows in (run_correlations(rc), locality, run_qubit(rc), odd):
+    for rows in (run_correlations(rc).rows(), locality, run_qubit(rc), odd):
         assert cli._rows_to_csv(rows) == _dict_writer_csv(rows)
 
 
@@ -512,6 +512,14 @@ def test_direction_cap_keeps_the_default_and_benchmark_counts():
         RunConfig(direction_mode="random", n_random=MAX_DIRECTIONS + 1)
 
 
+@pytest.mark.filterwarnings("ignore::dhlab.errors.PerturbativeRangeWarning")  # kappa = 1
+def test_int_kappas_are_floats_in_every_table():
+    # the correlation table's kappa column is float64; the qubit rows agree
+    rc = RunConfig(kappas=(1, 0), n_theta=2, n_phi=2)
+    assert all(type(k) is float for k in rc.kappas)
+    assert {row["kappa"] for row in run_qubit(rc)} == set(run_correlations(rc).columns["kappa"])
+
+
 def test_negative_zero_kappa_is_kappa_zero(tmp_path, capsys):
     # -0.0 passes `k < 0` but was labelled "-0", so `0,-0` ran kappa 0 twice
     (kappa,) = RunConfig(kappas=(-0.0,)).kappas
@@ -600,6 +608,16 @@ def test_locality_never_loads_the_exponential_kernel(tmp_path):
     assert proc.stdout.strip() == "[False, False, False]"
 
 
+def _assert_same_text(text, expected):
+    # `assert text == expected` on texts of megabytes has pytest build a
+    # difflib report for minutes; name the first difference instead
+    if text != expected:
+        at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b),
+                  min(len(text), len(expected)))
+        lo = max(at - 40, 0)
+        pytest.fail(f"texts differ at {at}: {text[lo:at + 40]!r} != {expected[lo:at + 40]!r}")
+
+
 json_scalars = (st.none() | st.booleans() | st.integers() | st.text()
                 | st.floats() | st.floats().map(np.float64))
 json_values = st.recursive(
@@ -643,7 +661,7 @@ SHARED = 0.1  # one float object in several rows: encoded once
 @example(value=[{"i": float(i), "s": "ab"[i % 2]} for i in range(2 * cli._TABLE_CHUNK + 1)])
 def test_json_text_equals_indent_two_dumps(value):
     cli._encoder.cache_clear()
-    assert cli._json_text(value) == json.dumps(value, indent=2)
+    _assert_same_text(cli._json_text(value), json.dumps(value, indent=2))
 
 
 def test_json_text_is_the_same_without_the_c_encoder(monkeypatch):
@@ -663,10 +681,67 @@ def test_streamed_correlations_are_the_dumps_text(tmp_path, capsysbinary):
     capsysbinary.readouterr()
     assert cli.main(["correlations", *FAST_FLAGS, "--out", "-"]) == 0
     printed, written = capsysbinary.readouterr().out, out.read_bytes()
-    rows = run_correlations(RunConfig(kappas=(0.05,)))
+    rows = run_correlations(RunConfig(kappas=(0.05,))).rows()
     assert len(rows) > 2 * cli._TABLE_CHUNK
     assert printed == written + b"\n"
-    assert written == json.dumps(rows, indent=2).encode()
+    _assert_same_text(written.decode(), json.dumps(rows, indent=2))
+
+
+# float64 bit patterns: raw draws, plus 0.0, -0.0, +-inf, NaNs with and
+# without payload or sign, and the smallest and largest subnormals
+FLOAT_BITS = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([
+    0, -(2**63), 0x7FF0 << 48, -(0x0010 << 48), 0x7FF8 << 48, 0x7FF0_0000_0000_0001,
+    -(0x0007_FFFF_FFFF_FFFF), 2**63 - 1, 1, 0x000F_FFFF_FFFF_FFFF,
+])
+
+
+@st.composite
+def column_tables(draw):
+    """Tables of float64 array, float list, str list and mixed list columns,
+    each column drawn from a small pool so that its values repeat."""
+    n = draw(st.integers(0, 12) | st.sampled_from([cli._TABLE_CHUNK, 2 * cli._TABLE_CHUNK + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for name in draw(st.lists(st.text(max_size=4), max_size=5, unique=True)):
+        kind = draw(st.sampled_from(["array", "floats", "str", "list"]))
+        if kind in ("array", "floats"):
+            pool = np.array(draw(st.lists(FLOAT_BITS, min_size=1, max_size=6))).view(np.float64)
+            column = pool[rng.integers(len(pool), size=n)]
+            columns[name] = column if kind == "array" else column.tolist()
+        else:
+            values = st.text(max_size=3) if kind == "str" else json_values
+            pool = draw(st.lists(values, min_size=1, max_size=4))
+            columns[name] = [pool[i] for i in rng.integers(len(pool), size=n)]
+    return Table(columns)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(table=column_tables())
+@example(table=Table({"x": np.array([0.0, -0.0, math.nan, -math.nan, math.inf, 5e-324] * 400),
+                      "s": ["a", "\u2603"] * 1200, "f": [0.1, -0.0] * 1200}))
+def test_table_text_is_the_dumps_text_of_its_rows(table):
+    expected = json.dumps(table.rows(), indent=2)
+    c_make_encoder = json.encoder.c_make_encoder
+    try:
+        for encoder in (c_make_encoder, None):
+            json.encoder.c_make_encoder = encoder
+            cli._encoder.cache_clear()
+            _assert_same_text(cli._json_text(table), expected)
+    finally:
+        json.encoder.c_make_encoder = c_make_encoder
+        cli._encoder.cache_clear()
+
+
+def test_correlations_json_builds_no_row(tmp_path, monkeypatch):
+    # the table is encoded from its columns: no row dict is ever built
+    expected = json.dumps(run_correlations(RunConfig(kappas=(0.05,))).rows(), indent=2)
+
+    def no_rows(self):
+        raise AssertionError("Table.rows called")
+    monkeypatch.setattr(checks.Table, "rows", no_rows)
+    out = tmp_path / "o.json"
+    assert cli.main(["correlations", *FAST_FLAGS, "--out", str(out)]) == 0
+    _assert_same_text(out.read_text(), expected)
 
 
 def test_unencodable_payload_leaves_an_existing_out_file_alone(tmp_path, monkeypatch):

@@ -379,6 +379,18 @@ def test_spin_moments_reject_complex_values():
         model.spin_moments(np.zeros(2, dtype=complex), [1j * real, real])
 
 
+def test_spin_moments_reject_a_nan_imaginary_part():
+    # a NaN is no real moment; Python's max drops a NaN that follows a number,
+    # and `nan > tol` is False, so the guard must reduce with numpy
+    bra = np.array([1.0, 0.0], dtype=complex)
+    real = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=complex)
+    nan_column = real.copy()
+    nan_column[:, 2] = 1.0 + np.nan * 1j
+    for stacks in ([real, nan_column], [nan_column, real]):
+        with pytest.raises(ArithmeticError):
+            model.spin_moments(bra, stacks)
+
+
 @pytest.mark.parametrize("kappa", [0.02, 0.05, 0.1])
 def test_first_order_correlation_tensors(kappa):
     # C_12 = -(1-2k) e3 e3^T - 2k I within the check-36 bound 5 k^2 (the
