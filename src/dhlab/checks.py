@@ -14,12 +14,12 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 
 from . import dhrep, model, qubits
 from . import wavepackets as wp
 from .errors import ConfigError
 from .fock import (
+    CSRMatrix,
     FockOperator,
     ModeRegistry,
     ProbeMode,
@@ -28,6 +28,7 @@ from .fock import (
     mode_operator,
     operator_distance,
     vacuum_state,
+    vstack,
 )
 from .model import PAIRS, SpinDirection
 
@@ -73,6 +74,11 @@ class Table:
 
 # exp(-iG) is periodic in kappa (G^3 = kappa^2 G), so larger values add no physics
 MAX_KAPPA = 2.0 * math.pi
+# Records 60-64 hold O(1) values to kappa^3, and those values carry a few ulps
+# of rounding (up to 4 eps measured): below kappa^3 = 4 eps (kappa ~ 9.6e-6)
+# the records fail on rounding alone, and below ~1.5e-154 kappa^2 underflows
+# to 0 in the rotation closed form.  So a nonzero kappa may not go lower.
+MIN_KAPPA = (4.0 * np.finfo(float).eps) ** (1.0 / 3.0)
 # a sweep holds (directions x directions) arrays and `correlations` writes
 # (kappas + 1) * 3 * n^2 rows of about 490 B: 100 directions at the default
 # kappas give a 59 MB file, from a call whose peak RSS is about 148 MB
@@ -137,6 +143,10 @@ class RunConfig:
         if max(self.kappas) > MAX_KAPPA:
             raise ConfigError(f"kappa values must be at most 2 pi = {MAX_KAPPA!r}, "
                               f"got {max(self.kappas)!r}")
+        tiny = [k for k in self.kappas if 0.0 < k < MIN_KAPPA]
+        if tiny:
+            raise ConfigError(f"nonzero kappa values must be at least {MIN_KAPPA:.4g}, where "
+                              f"kappa^3 still exceeds the rounding of O(1) values, got {tiny[0]!r}")
         if len(self.packet_centers) != 3:
             raise ConfigError(f"need exactly three packet centers, got {self.packet_centers}")
         geometry = (self.grid_min, self.grid_max, self.packet_width, self.probe_point,
@@ -255,13 +265,12 @@ def _timed(group, *args) -> list[CheckRecord]:
     return [replace(r, wall_time=share) for r in records]
 
 
-def _block_transposed(m: sparse.sparray, block: int) -> sparse.coo_array:
+def _block_transposed(m: CSRMatrix, block: int) -> CSRMatrix:
     """`m` with its (block x block) blocks transposed as blocks: block (p, q)
     moves to (q, p), its entries keeping their place within the block."""
-    m = m.tocoo()
-    rows = m.col // block * block + m.row % block
-    cols = m.row // block * block + m.col % block
-    return sparse.coo_array((m.data, (rows, cols)), shape=m.shape)
+    rows = m.indices // block * block + m.rows % block
+    cols = m.rows // block * block + m.indices % block
+    return CSRMatrix.from_triples(rows, cols, m.data, m.shape)
 
 
 def _taylor_expm(matrix: np.ndarray, terms: int = 40) -> np.ndarray:
@@ -280,10 +289,13 @@ def _algebra_checks(seed: int) -> list[CheckRecord]:
     ops = [(mode_operator(reg, m), mode_operator(reg, m, dagger=True)) for m in reg.modes]
     # Block (p, q) of the product is e_p e_q over e = (c_1 .. c_K, c_1^dag .. c_K^dag);
     # adding its block transpose gives every anticommutator {e_p, e_q} at once.
+    # hstack(e) is the adjoint of vstack(e^dag), e^dag = (c_1^dag .. c_K^dag, c_1 .. c_K).
     stack = [c.matrix for c, _ in ops] + [cd.matrix for _, cd in ops]
-    products = sparse.vstack(stack, format="csr") @ sparse.hstack(stack, format="csr")
+    products = vstack(stack) @ vstack(stack[len(ops):] + stack[:len(ops)]).adjoint()
     k_dim = len(ops) * reg.dimension  # {c_i, c_i^dag} = I sits K blocks off the diagonal
-    target = sparse.eye_array(2 * k_dim, k=k_dim) + sparse.eye_array(2 * k_dim, k=-k_dim)
+    diagonal = np.arange(2 * k_dim)
+    target = CSRMatrix.from_triples(diagonal, (diagonal + k_dim) % (2 * k_dim),
+                                    np.ones(2 * k_dim, dtype=complex), products.shape)
     anticommutators = products + _block_transposed(products, reg.dimension) - target
     vac = vacuum_state(reg)
 
@@ -292,8 +304,8 @@ def _algebra_checks(seed: int) -> list[CheckRecord]:
     skew = raw - raw.conj().T
     skew *= 1.0 / max(1.0, np.linalg.norm(skew, 2))
     small_reg = ModeRegistry(model.standard_registry().modes[:4])
-    e = matrix_exponential(FockOperator(small_reg, sparse.csr_array(skew)))
-    dev = operator_distance(e, FockOperator(small_reg, sparse.csr_array(_taylor_expm(skew))))
+    e = matrix_exponential(FockOperator(small_reg, CSRMatrix.from_dense(skew)))
+    dev = operator_distance(e, FockOperator(small_reg, CSRMatrix.from_dense(_taylor_expm(skew))))
     return [
         _record("01-car-suite", "canonical anticommutation relations, all mode pairs",
                 0.0, np.abs(anticommutators.data).max(initial=0.0), 0.0),
@@ -395,13 +407,15 @@ def _section_checks(rc: RunConfig, cfgp: model.SystemConfig, t_un: dhrep.DhTrans
     # one call conjugates G_DH once for both spins' lists
     both = dhrep.first_order_entangled_conjugate(cfgp, t_un, modes["up"] + modes["down"])
     first = {"up": both[:len(modes["up"])], "down": both[len(modes["up"]):]}
+    # conjugated once, for record 40 and the unentangled locality report
+    conjugated = {spin: [dhrep.conjugate(t_un, m) for m in modes[spin]] for spin in modes}
     closed_un, closed_en, dev_un, dev_en = {}, {}, [], []
     for spin in ("up", "down"):
         closed_un[spin] = dhrep.closed_form_modes(cfgp, spin, t_un)
         closed_en[spin] = dhrep.closed_form_modes(cfgp, spin, t_en)
         # ||section(a) - section(b)|| is the norm of the section of a - b
         dev_un.extend(dhrep.section_norms(cfgp, pts, [
-            c - dhrep.conjugate(t_un, m) for c, m in zip(closed_un[spin], modes[spin])]))
+            c - m for c, m in zip(closed_un[spin], conjugated[spin])]))
         dev_en.extend(dhrep.section_norms(cfgp, pts, [
             c - f for c, f in zip(closed_en[spin], first[spin])]))
 
@@ -423,7 +437,7 @@ def _section_checks(rc: RunConfig, cfgp: model.SystemConfig, t_un: dhrep.DhTrans
                     down_expect + s1 * s2 * kmid * complex(psi[0]) * kterm_down)
         dev += [np.linalg.norm(sum(complex(a) * c for a, c in zip(alpha, cols)) - want)
                 for cols, want in zip(columns, expected)]
-    loc = _locality_payload(cfgp, t_un, t_en, rc)
+    loc = _locality_payload(cfgp, t_un, t_en, rc, conjugated)
     outside = {table: [r["distance"] for r in rows if r["outside_support"]]
                for table, rows in loc.items() if table.startswith("aux_")}
     region2_up = next(
@@ -508,7 +522,6 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
     """Run the full invariant and identity suite; records sorted by id.  A
     record's wall_time is its check group's time over the group's record count;
     the setup that builds what several groups read is charged to no record."""
-    import scipy.sparse.linalg  # noqa: F401  (fock's deferred import, paid here in setup)
     dirs = directions(rc)
     u = _unit_vectors(dirs)
     cfg0 = _config(rc)
@@ -516,8 +529,8 @@ def run_verify(rc: RunConfig) -> list[CheckRecord]:
     records = _timed(_algebra_checks, rc.seed) + _timed(_model_checks, rc, cfg0, psi_un, dirs, u)
     # the transforms exist only under s1*s2*s3 = -1
     if next(r for r in records if r.id == "30-sign-constraint").passed:
-        t_uns = {signs: dhrep.build_unentangled_transform(cfg0, signs)
-                 for signs in ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1))}
+        t_uns = dhrep.unentangled_transforms(
+            cfg0, ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1)))
         t_un0 = t_uns[tuple(rc.signs)]
         kmid = rc.kappas[len(rc.kappas) // 2]
         cfgp0 = _config(rc, (rc.probe_point,))
@@ -563,11 +576,14 @@ def run_correlations(rc: RunConfig) -> Table:
 
 
 def _locality_payload(cfg: model.SystemConfig, t_un: dhrep.DhTransform,
-                      t_en: dhrep.DhTransform, rc: RunConfig) -> dict:
+                      t_en: dhrep.DhTransform, rc: RunConfig,
+                      conjugated: dict | None = None) -> dict:
     """Per-point section distances for the auxiliary construction alongside
-    the no-auxiliary contrast: the `dhlab locality` payload."""
+    the no-auxiliary contrast: the `dhlab locality` payload.  `conjugated`
+    holds the section modes conjugated by t_un, when the caller has them."""
     return {
-        "aux_unentangled": dhrep.locality_report(cfg, t_un, tol=rc.tol_exact),
+        "aux_unentangled": dhrep.locality_report(cfg, t_un, tol=rc.tol_exact,
+                                                 conjugated=conjugated),
         "aux_entangled": dhrep.locality_report(cfg, t_en, tol=rc.tol_exact),
         "noaux_contrast": dhrep.noaux_locality_report(rc.separations, rc.packet_width),
     }

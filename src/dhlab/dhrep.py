@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from . import wavepackets as wp
 from .errors import SignConstraintError
@@ -102,11 +101,13 @@ class DhFactorParams:
             raise ValueError("sign must be +1 or -1")
         return cls(g=g, theta=sign * math.pi / (2.0 * g))
 
-    def exponential(self, w: FockOperator) -> FockOperator:
+    def exponential(self, w: FockOperator, square: FockOperator | None = None) -> FockOperator:
         """exp(theta w) for a generator with w^3 = -g^2 w at the pinned angle:
-        I + (s/g) w + w @ w / g^2, free of the cos(fl(theta g)) residue."""
+        I + (s/g) w + w @ w / g^2, free of the cos(fl(theta g)) residue.  A
+        caller that holds w @ w passes it as `square`."""
         g = self.g
-        return identity_operator(w.registry) + (self.sign / g) * w + (1.0 / (g * g)) * (w @ w)
+        square = w @ w if square is None else square
+        return identity_operator(w.registry) + (self.sign / g) * w + (1.0 / (g * g)) * square
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,18 +183,29 @@ def build_unentangled_transform(
     The sign assignment must satisfy s1*s2*s3 = -1, which makes
     V |psi_unentangled> = |0> exactly.
     """
-    if signs is None:
-        signs = cfg.signs
-    if signs[0] * signs[1] * signs[2] != -1:
-        raise SignConstraintError(
-            f"sign assignment {signs} violates s1*s2*s3 = -1"
-        )
-    factors = tuple(DhFactorParams.from_sign(s) for s in signs)
-    v = identity_operator(cfg.registry)
-    for (spin, region, aux), factor in zip(_REMOVAL_SLOTS, factors):
-        w = removal_generator(cfg, spin, region, aux, factor.g)
-        v = factor.exponential(w) @ v
-    return DhTransform(operator=v, factors=factors)
+    signs = tuple(cfg.signs if signs is None else signs)
+    return unentangled_transforms(cfg, (signs,))[signs]
+
+
+def unentangled_transforms(
+    cfg: SystemConfig, sign_choices: Sequence[tuple[int, int, int]]
+) -> dict[tuple[int, int, int], DhTransform]:
+    """build_unentangled_transform for each sign choice.  Every factor is
+    pinned at g = 1 whatever its sign, so each slot's removal generator and
+    its square are built once for all the choices."""
+    for signs in sign_choices:
+        if signs[0] * signs[1] * signs[2] != -1:
+            raise SignConstraintError(f"sign assignment {signs} violates s1*s2*s3 = -1")
+    generators = [removal_generator(cfg, spin, region, aux) for spin, region, aux in _REMOVAL_SLOTS]
+    squares = [w @ w for w in generators]
+    transforms = {}
+    for signs in sign_choices:
+        factors = tuple(DhFactorParams.from_sign(s) for s in signs)
+        v = identity_operator(cfg.registry)
+        for factor, w, square in zip(factors, generators, squares):
+            v = factor.exponential(w, square) @ v
+        transforms[tuple(signs)] = DhTransform(operator=v, factors=factors)
+    return transforms
 
 
 def build_entangled_transform(cfg: SystemConfig, base: DhTransform) -> DhTransform:
@@ -282,13 +294,14 @@ def field_section(cfg: SystemConfig, x: float, modes: Sequence[FockOperator]) ->
 
 def _union_gather(modes: Sequence[FockOperator]) -> np.ndarray:
     """The modes on their union sparsity pattern (keys row * dim + col merged by
-    np.unique) as a dense (nnz x k) block; toarray sums duplicate entries."""
-    mats = [m.matrix.tocoo() for m in modes]
-    keys = np.concatenate([m.row.astype(np.int64) * m.shape[1] + m.col for m in mats])
+    np.unique) as a dense (nnz x k) block; each mode stores a place once."""
+    mats = [m.matrix for m in modes]
+    keys = np.concatenate([m.keys for m in mats])
     union, slots = np.unique(keys, return_inverse=True)
-    cols = np.repeat(np.arange(len(mats)), [m.nnz for m in mats])
-    return sparse.coo_array((np.concatenate([m.data for m in mats]), (slots, cols)),
-                            shape=(union.size, len(mats))).toarray()
+    block = np.zeros((union.size, len(mats)), dtype=complex)
+    block[slots, np.repeat(np.arange(len(mats)), [m.nnz for m in mats])] = np.concatenate(
+        [m.data for m in mats])
+    return block
 
 
 def section_norms(cfg: SystemConfig, points: Sequence[float],
@@ -355,9 +368,12 @@ def locality_report(
     transform: DhTransform,
     points: tuple[float, ...] | None = None,
     tol: float = 1e-10,
+    conjugated: dict[str, list[FockOperator]] | None = None,
 ) -> list[dict]:
     """Distance between conjugated and usual field sections, one row per
-    point and spin (the rows `dhlab locality` prints).
+    point and spin (the rows `dhlab locality` prints).  `conjugated` maps a
+    spin to [conjugate(transform, m) for m in section_modes(cfg, spin)], when
+    the caller has already built them.
 
     A row is flagged `local_ok` unless the point lies outside the supports of
     every wavepacket carrying the corresponding quanta (all relevant packet
@@ -368,7 +384,10 @@ def locality_report(
         mids = tuple(0.5 * (a + b) for a, b in zip(centers, centers[1:]))
         points = centers + mids + cfg.layout.probe_points
     # V u(x) V^dag - u(x) is linear in alpha(x): conjugate each mode once
-    moved = {s: [conjugate(transform, m) - m for m in section_modes(cfg, s)] for s in SPINS}
+    modes = {s: section_modes(cfg, s) for s in SPINS}
+    if conjugated is None:
+        conjugated = {s: [conjugate(transform, m) for m in modes[s]] for s in SPINS}
+    moved = {s: [c - m for c, m in zip(conjugated[s], modes[s])] for s in SPINS}
     dists = {s: section_norms(cfg, points, modes) for s, modes in moved.items()}
     rows = []
     for i, x in enumerate(points):

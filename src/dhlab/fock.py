@@ -14,27 +14,32 @@ With this convention every canonical anticommutation relation
 holds exactly: all matrices are integer-structured, so the identities close
 in floating point with zero error.
 
-Operators are thin immutable wrappers around scipy sparse arrays, states
-around numpy vectors; both are bound to their registry and never mutated after
-construction, so they may be shared freely between threads.  Exponentials are
-actions (Al-Mohy & Higham): on a state, or on the compressed identity columns
-when the operator itself is wanted.
+Operators hold their matrix as compressed sparse rows on numpy arrays
+(CSRMatrix), states a numpy vector; both are bound to their registry and never
+mutated after construction, so they may be shared freely between threads.
+The matrix type has the few operations dhlab needs: products, sums, scalar
+multiples, adjoints and row stacks, and its products and sums add in the
+order scipy's do.  Exponentials are taken of skew-Hermitian operators only,
+one connected component of the sparsity graph at a time, from the
+eigendecomposition (numpy's eigh) of the square of the component's block.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import RegistryError
 
 DEFAULT_MODE_CAP = 12
 # Largest 1-norm fock exponentiates; the largest in use is 2 pi (the kappa cap).
 MAX_EXPONENT_NORM = 1e3
+# Largest |a + a^dag| entry, relative to the 1-norm, of an operator a taken as
+# skew-Hermitian; every exponent in use is skew-Hermitian to the last bit.
+SKEW_TOL = 1e-14
 
 SPIN_UP = "up"
 SPIN_DOWN = "down"
@@ -122,6 +127,199 @@ class ModeRegistry:
             raise RegistryError(f"label {label} not in registry") from None
 
 
+@dataclass(frozen=True, eq=False)
+class CSRMatrix:
+    """A complex matrix as compressed sparse rows, never mutated after
+    construction.  Row i stores data[indptr[i]:indptr[i + 1]] at the columns
+    indices[indptr[i]:indptr[i + 1]], each column once and in increasing
+    order.  Products and sums drop the entries that come out exactly zero."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    size = nnz  # the stored values, as scipy counts a sparse array's size
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """row * width + column of each stored entry, increasing."""
+        return self.rows * self.shape[1] + self.indices
+
+    @cached_property
+    def _ranks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per rank r, the rows that store an r-th entry and its position."""
+        lengths = np.diff(self.indptr)
+        ranks = []
+        for r in range(lengths.max(initial=0)):
+            sel = (lengths > r).nonzero()[0]
+            ranks.append((sel, self.indptr[sel] + r))
+        return ranks
+
+    @classmethod
+    def from_triples(cls, rows, cols, vals, shape) -> "CSRMatrix":
+        """The matrix of entries (rows[k], cols[k], vals[k]).  Entries at one
+        place add up in the order given; exact zeros are dropped."""
+        keys = rows * shape[1] + cols
+        order = np.argsort(keys, kind="stable")
+        return cls._from_keys(keys[order], vals[order], shape)
+
+    @classmethod
+    def _from_keys(cls, keys, vals, shape) -> "CSRMatrix":
+        """from_triples for entries already sorted by key (rows * width + cols)."""
+        if keys.size > 1:
+            new = keys[1:] != keys[:-1]
+            if not new.all():
+                starts = np.concatenate(([0], new.nonzero()[0] + 1))
+                keys, vals = keys[starts], _run_sums(vals, starts)
+        keep = vals != 0
+        if not keep.all():
+            kept = keep.nonzero()[0]
+            keys, vals = keys[kept], vals[kept]
+        rows = keys // shape[1]
+        matrix = cls._from_rows(rows, keys - rows * shape[1], vals, shape)
+        matrix.__dict__["keys"] = keys  # fills the cached_property
+        return matrix
+
+    @classmethod
+    def _from_rows(cls, rows, cols, vals, shape) -> "CSRMatrix":
+        """The matrix of entries sorted by row and, within a row, by column."""
+        counts = np.bincount(rows, minlength=shape[0])
+        matrix = cls(np.concatenate(([0], np.cumsum(counts))), cols, vals, shape)
+        matrix.__dict__["rows"] = rows  # fills the cached_property
+        return matrix
+
+    @classmethod
+    def from_dense(cls, array) -> "CSRMatrix":
+        """The nonzero entries of a 2-D array."""
+        array = np.asarray(array, dtype=complex)
+        rows, cols = np.nonzero(array)
+        return cls.from_triples(rows, cols, array[rows, cols], array.shape)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        out[self.rows, self.indices] = self.data
+        return out
+
+    def adjoint(self) -> "CSRMatrix":
+        """The conjugate transpose.  A stable sort by column keeps each new
+        row's entries in the order of the old rows, so it comes out sorted."""
+        order = np.argsort(self.indices, kind="stable")
+        counts = np.bincount(self.indices, minlength=self.shape[1])
+        return CSRMatrix(np.concatenate(([0], np.cumsum(counts))), self.rows[order],
+                         self.data[order].conj(), self.shape[::-1])
+
+    def __mul__(self, scalar) -> "CSRMatrix":
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
+        return CSRMatrix(self.indptr, self.indices, self.data * scalar, self.shape)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: "CSRMatrix") -> "CSRMatrix":
+        # Both operands are sorted and store a place once, so the stable sort
+        # merges two runs and a place comes at most twice, self's entry first.
+        keys = np.concatenate((self.keys, other.keys))
+        order = np.argsort(keys, kind="stable")
+        keys, vals = keys[order], np.concatenate((self.data, other.data))[order]
+        second = (keys[1:] == keys[:-1]).nonzero()[0] + 1
+        vals[second - 1] += vals[second]
+        keep = vals != 0
+        keep[second] = False
+        kept = keep.nonzero()[0]
+        return CSRMatrix._from_keys(keys[kept], vals[kept], self.shape)
+
+    def __neg__(self) -> "CSRMatrix":
+        return CSRMatrix(self.indptr, self.indices, -self.data, self.shape)
+
+    def __sub__(self, other: "CSRMatrix") -> "CSRMatrix":
+        return self + (-other)  # x + (-y) rounds as x - y does
+
+    def __matmul__(self, other):
+        if isinstance(other, CSRMatrix):
+            return _product(self, other)
+        if isinstance(other, np.ndarray):
+            return _apply(self, other)
+        return NotImplemented
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for complex arrays, each part rounded after its two products, as
+    (ar br - ai bi) + i (ar bi + ai br) in scipy's compiled loops: numpy's
+    vector loops may fuse a multiply-add and round once less.  Where a factor
+    is real, the cross products are exact zeros and numpy's product rounds
+    the same."""
+    if not (a.imag.any() and b.imag.any()):
+        return a * b
+    re = a.real * b.real
+    re -= a.imag * b.imag
+    im = a.real * b.imag
+    im += a.imag * b.real
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _run_sums(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The sum of each run vals[starts[k]:starts[k + 1]], added left to right."""
+    lengths = np.diff(starts, append=vals.size)
+    sums = vals[starts]
+    for r in range(1, lengths.max()):
+        sel = (lengths > r).nonzero()[0]
+        sums[sel] += vals[starts[sel] + r]
+    return sums
+
+
+def _product(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
+    """a @ b.  Row i's terms come in the order of row i of a, each a[i, j]
+    times row j of b, and add up in that order, as in scipy's csr_matmat."""
+    starts = b.indptr[a.indices]
+    lengths = b.indptr[a.indices + 1] - starts
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    picks = np.arange(total) + np.repeat(starts - ends + lengths, lengths)  # b's entries in turn
+    rows, cols = np.repeat(a.rows, lengths), b.indices[picks]
+    vals = _times(np.repeat(a.data, lengths), b.data[picks])
+    shape = (a.shape[0], b.shape[1])
+    if np.diff(a.indptr).max(initial=0) > 1:
+        return CSRMatrix.from_triples(rows, cols, vals, shape)
+    # each row of a has at most one entry, so each row copies one sorted row of b
+    keep = vals != 0
+    if not keep.all():
+        kept = keep.nonzero()[0]
+        rows, cols, vals = rows[kept], cols[kept], vals[kept]
+    return CSRMatrix._from_rows(rows, cols, vals, shape)
+
+
+def _apply(a: CSRMatrix, x: np.ndarray) -> np.ndarray:
+    """a @ x for a vector or a block of columns x.  Each output element adds
+    its terms in row order, from 0, as scipy's csr_matvec(s) does."""
+    if x.ndim == 2:  # column by column: numpy gathers rows of a few values slowly
+        return np.stack([_apply(a, column) for column in x.T], axis=1)
+    out = np.zeros(a.shape[0], dtype=complex)
+    for sel, pos in a._ranks:
+        out[sel] += _times(a.data[pos], x.take(a.indices[pos]))
+    return out
+
+
+def vstack(blocks) -> CSRMatrix:
+    """The matrices stacked row-wise, all of one width."""
+    ends = np.cumsum([b.nnz for b in blocks])
+    indptr = np.concatenate([[0]] + [b.indptr[1:] + end - b.nnz for b, end in zip(blocks, ends)])
+    return CSRMatrix(indptr, np.concatenate([b.indices for b in blocks]),
+                     np.concatenate([b.data for b in blocks]),
+                     (sum(b.shape[0] for b in blocks), blocks[0].shape[1]))
+
+
 def _check_same_registry(a, b):
     if a.registry != b.registry:
         raise RegistryError("operands are bound to different registries")
@@ -129,22 +327,31 @@ def _check_same_registry(a, b):
 
 @dataclass(frozen=True, eq=False)
 class FockOperator:
-    """Complex 2**N x 2**N matrix bound to a mode registry."""
+    """Complex 2**N x 2**N matrix bound to a mode registry.  A matrix that is
+    not a CSRMatrix but has tocsr() (a scipy sparse array, say) is converted."""
 
     registry: ModeRegistry
-    matrix: sparse.sparray
+    matrix: CSRMatrix
 
     def __post_init__(self):
-        if not sparse.issparse(self.matrix):
-            raise TypeError(f"operator matrix must be scipy-sparse, got {type(self.matrix)}")
+        matrix = self.matrix
+        if not isinstance(matrix, CSRMatrix):
+            if not hasattr(matrix, "tocsr"):
+                raise TypeError(f"operator matrix must be sparse, got {type(matrix)}")
+            csr = matrix.tocsr()
+            rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+            matrix = CSRMatrix.from_triples(rows, np.asarray(csr.indices, dtype=np.int64),
+                                            np.asarray(csr.data, dtype=complex),
+                                            tuple(csr.shape))
+            object.__setattr__(self, "matrix", matrix)
         dim = self.registry.dimension
-        if self.matrix.shape != (dim, dim):
+        if matrix.shape != (dim, dim):
             raise RegistryError(
-                f"matrix shape {self.matrix.shape} does not match registry dimension {dim}"
+                f"matrix shape {matrix.shape} does not match registry dimension {dim}"
             )
 
     def dagger(self) -> "FockOperator":
-        return FockOperator(self.registry, sparse.csr_array(self.matrix.conj().T))
+        return FockOperator(self.registry, self.matrix.adjoint())
 
     def norm(self) -> float:
         """Frobenius norm of the matrix."""
@@ -246,7 +453,7 @@ class FockState:
 
 
 @cache
-def _annihilator_matrix(nmodes: int, position: int) -> sparse.csr_array:
+def _annihilator_matrix(nmodes: int, position: int) -> CSRMatrix:
     """Jordan-Wigner annihilator for the mode at `position`, as a sparse matrix.
 
     Depends only on the position within the registry order, so one cache
@@ -257,16 +464,13 @@ def _annihilator_matrix(nmodes: int, position: int) -> sparse.csr_array:
     occupied = n[(n >> position) & 1 == 1]
     parity = np.bitwise_count(occupied & ((1 << position) - 1)).astype(np.int64) & 1
     data = (1.0 - 2.0 * parity).astype(complex)
-    rows = occupied ^ (1 << position)
-    mat = sparse.csr_array((data, (rows, occupied)), shape=(dim, dim))
-    mat.eliminate_zeros()
-    return mat
+    return CSRMatrix.from_triples(occupied ^ (1 << position), occupied, data, (dim, dim))
 
 
 @cache
-def _creator_matrix(nmodes: int, position: int) -> sparse.csr_array:
+def _creator_matrix(nmodes: int, position: int) -> CSRMatrix:
     """Conjugate transpose of `_annihilator_matrix`, cached beside it."""
-    return sparse.csr_array(_annihilator_matrix(nmodes, position).conj().T)
+    return _annihilator_matrix(nmodes, position).adjoint()
 
 
 def mode_operator(registry: ModeRegistry, label: ModeLabel, dagger: bool = False) -> FockOperator:
@@ -281,14 +485,16 @@ def mode_operator(registry: ModeRegistry, label: ModeLabel, dagger: bool = False
 
 
 def identity_operator(registry: ModeRegistry) -> FockOperator:
-    return FockOperator(
-        registry, sparse.eye_array(registry.dimension, dtype=complex, format="csr")
-    )
+    dim = registry.dimension
+    return FockOperator(registry, CSRMatrix(np.arange(dim + 1), np.arange(dim),
+                                            np.ones(dim, dtype=complex), (dim, dim)))
 
 
 def zero_operator(registry: ModeRegistry) -> FockOperator:
     dim = registry.dimension
-    return FockOperator(registry, sparse.csr_array((dim, dim), dtype=complex))
+    return FockOperator(registry, CSRMatrix(np.zeros(dim + 1, dtype=np.int64),
+                                            np.zeros(0, dtype=np.int64),
+                                            np.zeros(0, dtype=complex), (dim, dim)))
 
 
 def vacuum_state(registry: ModeRegistry) -> FockState:
@@ -306,59 +512,87 @@ def anticommutator(a: FockOperator, b: FockOperator) -> FockOperator:
     return a @ b + b @ a
 
 
-def _exponential_action(a: FockOperator, block: np.ndarray) -> np.ndarray:
-    """exp(a) @ block by Al-Mohy & Higham's action algorithm (expm_multiply);
-    exp(a) itself is never formed.  The step count grows with ||a||_1, so an
-    operator whose 1-norm is not finite or exceeds MAX_EXPONENT_NORM is
-    refused with ValueError instead of running for minutes."""
+def _components(m: CSRMatrix) -> np.ndarray:
+    """Each index's connected component in the sparsity graph of m, its edges
+    taken both ways, named by the component's smallest index.  Label
+    propagation: every index takes the smallest label among itself and its
+    neighbours, then its label's label, until no label changes."""
+    nonzero = m.data != 0
+    rows, cols = m.rows[nonzero], m.indices[nonzero]
+    labels = np.arange(m.shape[0])
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        np.minimum.at(new, cols, labels[rows])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def _component_exponentials(a: FockOperator) -> list[tuple[np.ndarray, np.ndarray]]:
+    """exp(a) as (members, blocks) per component size s: members (k x s) holds
+    k components' indices, ascending, and blocks (k x s x s) their blocks of
+    exp(a), which is zero between components.  The k blocks of a component
+    size go through one batched eigh.  An operator whose 1-norm is not finite
+    or exceeds MAX_EXPONENT_NORM, or that is not skew-Hermitian to SKEW_TOL,
+    is refused with ValueError."""
+    m = a.matrix
     with np.errstate(over="ignore"):  # a huge norm overflows to inf: refused below
-        norm = abs(a.matrix).sum(axis=0).max()
+        norm = np.bincount(m.indices, weights=np.abs(m.data), minlength=m.shape[1]).max()
     if not norm <= MAX_EXPONENT_NORM:  # NaN fails too
         raise ValueError(f"operator 1-norm {norm} is not finite or exceeds {MAX_EXPONENT_NORM:g}")
-    # Deferred: `import dhlab.cli` and `dhlab locality` never exponentiate.
-    from scipy.sparse.linalg import expm_multiply
-    # On wide blocks expm_multiply picks its step count through scipy's
-    # randomized onenormest, which draws from numpy's global RandomState.
-    state = np.random.get_state()
-    try:
-        return expm_multiply(a.matrix, block)
-    finally:
-        np.random.set_state(state)
+    skew = np.abs((m + m.adjoint()).data).max(initial=0.0)
+    if not skew <= SKEW_TOL * norm:
+        raise ValueError(f"operator is not skew-Hermitian: max |a + a^dag| = {skew}")
+    labels = _components(m)
+    order = np.argsort(labels, kind="stable")  # components in turn, each in index order
+    size = np.bincount(labels)[labels]
+    slot = np.empty_like(labels)  # an index's place within its component
+    parts = []
+    for s in np.unique(size).tolist():
+        members = order[size[order] == s].reshape(-1, s)
+        slot[members] = np.arange(s)
+        comp = np.empty_like(labels)
+        comp[members] = np.arange(len(members))[:, None]
+        inside = size[m.rows] == s
+        rows, cols = m.rows[inside], m.indices[inside]
+        blocks = np.zeros((len(members), s, s), dtype=complex)
+        blocks[comp[rows], slot[rows], slot[cols]] = m.data[inside]
+        # exp(a) = cos(h) - i sin(h) for the Hermitian h = i a.  Both parts are
+        # even in h, so functions of h^2 = -a^2 = q diag(mu) q^dag: cos(h) is
+        # q cos(w) q^dag and -i sin(h) is a q (sin(w) / w) q^dag, w = sqrt(mu).
+        # On a rotation block this rounds as the closed forms cos and sin do.
+        mu, q = np.linalg.eigh(-(blocks @ blocks))
+        w = np.sqrt(np.maximum(mu, 0.0))  # rounding may take a zero mu below 0
+        sinc = np.divide(np.sin(w), w, out=np.ones_like(w), where=w > 0)
+        qdag = q.conj().transpose(0, 2, 1)
+        parts.append((members, (q * np.cos(w)[:, None, :]) @ qdag
+                      + blocks @ ((q * sinc[:, None, :]) @ qdag)))
+    return parts
 
 
 def exponential_action(a: FockOperator, state: FockState) -> FockState:
-    """exp(a)|state>, without forming exp(a)."""
+    """exp(a)|state> for skew-Hermitian a, one component block at a time."""
     _check_same_registry(a, state)
-    return FockState(a.registry, _exponential_action(a, state.amplitudes))
+    x = state.amplitudes
+    out = np.empty_like(x)
+    for members, blocks in _component_exponentials(a):
+        out[members] = (blocks @ x[members][:, :, None])[:, :, 0]
+    return FockState(a.registry, out)
 
 
 def matrix_exponential(a: FockOperator) -> FockOperator:
-    """exp(a) as its action on compressed identity columns, stored sparse.
-
-    Basis vectors in different weakly connected components of a's sparsity
-    graph never share a row of exp(a), so one probe column serves the t-th
-    index of every component (Curtis, Powell & Reid's column compression):
-    the probe is as wide as the largest component, not the dimension.  The
-    result equals the full identity's action to expm_multiply's tolerance
-    (its step choice depends on the probe's width, so the last bits may
-    differ).  Unitary for skew-Hermitian a; the suite holds it to 1e-12
-    against a Taylor oracle."""
-    # Deferred, as expm_multiply is: `import dhlab.cli` and `dhlab locality` never need it.
-    from scipy.sparse.csgraph import connected_components
-
-    _, labels = connected_components(a.matrix != 0, directed=True, connection="weak")
-    order = np.argsort(labels, kind="stable")  # components in turn, each in index order
-    counts = np.bincount(labels)
-    starts = np.cumsum(counts) - counts
-    slot = np.empty(labels.size, dtype=np.int64)
-    slot[order] = np.arange(labels.size) - np.repeat(starts, counts)
-    probe = np.zeros((labels.size, counts.max()), dtype=complex)
-    probe[np.arange(labels.size), slot] = 1.0
-    x = _exponential_action(a, probe)
-    # Entry (i, j) of exp(a) is x[i, slot[j]] within a component, 0 across;
-    # csr_array drops exact zeros, as it did for the full identity's action.
-    return FockOperator(a.registry,
-                        sparse.csr_array(np.where(labels[:, None] == labels, x[:, slot], 0)))
+    """exp(a) for skew-Hermitian a, stored sparse: the blocks of the
+    components of a's sparsity graph, exact zeros dropped.  Unitary; the
+    suite holds it to 1e-12 against a Taylor oracle."""
+    parts = _component_exponentials(a)
+    rows = [np.broadcast_to(members[:, :, None], blocks.shape).ravel() for members, blocks in parts]
+    cols = [np.broadcast_to(members[:, None, :], blocks.shape).ravel() for members, blocks in parts]
+    vals = [blocks.ravel() for _, blocks in parts]
+    matrix = CSRMatrix.from_triples(np.concatenate(rows), np.concatenate(cols),
+                                    np.concatenate(vals), a.matrix.shape)
+    return FockOperator(a.registry, matrix)
 
 
 def expectation(state: FockState, op: FockOperator) -> complex:

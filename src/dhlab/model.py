@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import wavepackets as wp
 from .errors import DuplicateOccupationError, LayoutError, PerturbativeRangeWarning
@@ -27,6 +26,7 @@ from .fock import (
     SPIN_UP,
     SPINS,
     AuxiliaryMode,
+    CSRMatrix,
     FockOperator,
     FockState,
     ModeRegistry,
@@ -36,6 +36,7 @@ from .fock import (
     exponential_action,
     mode_operator,
     vacuum_state,
+    vstack,
 )
 
 KAPPA_GUARD = 0.2
@@ -247,10 +248,9 @@ def _region_spins(registry: ModeRegistry, region: int) -> tuple[FockOperator, ..
 
 
 @functools.cache
-def _spin_stack(registry: ModeRegistry) -> sparse.csr_array:
+def _spin_stack(registry: ModeRegistry) -> CSRMatrix:
     """The (Sx, Sy, Sz) of regions 1, 2, 3 stacked row-wise: (9 dim x dim)."""
-    return sparse.vstack([s.matrix for r in (1, 2, 3) for s in _region_spins(registry, r)],
-                         format="csr")
+    return vstack([s.matrix for r in (1, 2, 3) for s in _region_spins(registry, r)])
 
 
 def spin_stacks(cfg: SystemConfig, ket: FockState) -> list[np.ndarray]:

@@ -95,9 +95,8 @@ def evolve_qubits(state: np.ndarray, kappa: float, order: str = "exact") -> np.n
         raise ValueError("evolve_qubits expects a normalized state")
     g = build_h1q(kappa)
     if order == "exact":
-        # Deferred: `import dhlab.cli` and `dhlab locality` never exponentiate.
-        from scipy.linalg import expm
-        return expm(-1j * g) @ state
+        w, q = np.linalg.eigh(g)  # G = q diag(w) q^dag, so exp(-iG) = q diag(exp(-iw)) q^dag
+        return q @ (np.exp(-1j * w) * (q.conj().T @ state))
     if order == "second":
         first = -1j * (g @ state)
         second = -1j * (g @ first)

@@ -10,8 +10,8 @@ The table covers each check group of `run_verify`:
 - `20` reads each region's localized spin operator on the unentangled state,
   and `21` the Gram matrix of the basis kets;
 - `31`, `33` and `34` read the closed-form factor exponential that `V_un` is
-  built from; `33` compares it with `matrix_exponential`, which probes
-  compressed columns;
+  built from; `33` compares it with `matrix_exponential`, which takes one
+  block per connected component of the generator's sparsity graph;
 - `22` and `35`-`38` read the cached exchange operator and the stacked
   spin operator;
 - `40`-`42` and `50`-`52` read field sections through the union gather of
@@ -57,12 +57,10 @@ Three record families have no mutant, for these reasons:
 
 import numpy as np
 import pytest
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from dhlab import checks, dhrep, fock, model, qubits
 from dhlab.checks import RunConfig, run_verify
-from dhlab.fock import FockOperator, identity_operator
+from dhlab.fock import CSRMatrix, FockOperator, identity_operator
 
 
 def _annihilator_without_string(registry, label, dagger=False):
@@ -70,20 +68,21 @@ def _annihilator_without_string(registry, label, dagger=False):
     op = fock.mode_operator(registry, label, dagger)
     if label != registry.modes[-1]:
         return op
-    return FockOperator(registry, abs(op.matrix))
+    m = op.matrix
+    return FockOperator(registry, CSRMatrix(m.indptr, m.indices, np.abs(m.data) + 0j, m.shape))
 
 
 def _exponential_without_one_block(a):
     # exp(a) with the block of the component of a's first stored entry zeroed
     e = fock.matrix_exponential(a).matrix.toarray()
-    _, labels = connected_components(a.matrix != 0, connection="weak")
-    dropped = labels == labels[a.matrix.nonzero()[0][0]]
+    labels = fock._components(a.matrix)
+    dropped = labels == labels[a.matrix.rows[0]]
     e[np.ix_(dropped, dropped)] = 0.0
-    return FockOperator(a.registry, sparse.csr_array(e))
+    return FockOperator(a.registry, CSRMatrix.from_dense(e))
 
 
 # the originals the mutants below wrap, bound before any patch
-EXCHANGE, SPIN_STACK = model._exchange_operator, model._spin_stack
+EXCHANGE = model._exchange_operator
 GATHER, VACUUM_ACTION = dhrep._union_gather, dhrep.vacuum_action
 LOCALIZED_SPIN, EVOLVE_QUBITS = model.localized_spin_operator, qubits.evolve_qubits
 QUBIT_GRID, SECTION_COEFFICIENTS = qubits.correlation_closed_grid, dhrep.section_coefficients
@@ -98,7 +97,7 @@ def _localized_spin_negated(cfg, region, direction):
     return -LOCALIZED_SPIN(cfg, region, direction)
 
 
-def _factor_exponential_sign_flipped(self, w):
+def _factor_exponential_sign_flipped(self, w, square=None):
     # I - (s/g) w + w @ w / g^2 is exp(-theta w), the inverse factor, still unitary
     g = self.g
     return identity_operator(w.registry) + (-self.sign / g) * w + (1.0 / (g * g)) * (w @ w)
@@ -137,8 +136,8 @@ def _coefficients_nan_at_probe(cfg, x):
     return alpha * np.nan if x == cfg.layout.probe_points[-1] else alpha
 
 
-def _last_outside_row_nan(cfg, transform, points=None, tol=1e-10):
-    rows = LOCALITY(cfg, transform, points, tol)
+def _last_outside_row_nan(cfg, transform, points=None, tol=1e-10, conjugated=None):
+    rows = LOCALITY(cfg, transform, points, tol, conjugated)
     outside = [r for r in rows if r["outside_support"]]
     outside[-1]["distance"] = np.nan
     return rows
@@ -166,8 +165,7 @@ def _exchange_negated(registry):
 
 def _spin_stack_regions_swapped(registry):
     # the rows of regions 1 and 2 trade places
-    stack, rows = SPIN_STACK(registry), 3 * registry.dimension
-    return sparse.vstack([stack[rows:2 * rows], stack[:rows], stack[2 * rows:]], format="csr")
+    return fock.vstack([s.matrix for r in (2, 1, 3) for s in model._region_spins(registry, r)])
 
 
 def _gather_without_region2_column(modes):

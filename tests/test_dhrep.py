@@ -131,8 +131,10 @@ def test_entangled_transform_sparsity(t_en05, t_en_probe):
 
 def test_nan_transform_fails_unitarity_gate(cfg0, t_un0):
     # a NaN deviation compares False against the tolerance; it must still fail
-    matrix = t_un0.operator.matrix.copy()
-    matrix.data[0] = np.nan
+    m = t_un0.operator.matrix
+    data = m.data.copy()
+    data[0] = np.nan
+    matrix = fock.CSRMatrix(m.indptr, m.indices, data, m.shape)
     with pytest.raises(ValueError):
         dhrep.DhTransform(operator=fock.FockOperator(cfg0.registry, matrix),
                           factors=t_un0.factors)

@@ -99,7 +99,7 @@ def test_creator_is_the_cached_conjugate_transpose(registry):
         c = mode_operator(registry, label).matrix
         cdag = mode_operator(registry, label, dagger=True).matrix
         assert cdag.shape == c.shape and cdag.nnz == c.nnz
-        assert abs(cdag - sparse.csr_array(c.conj().T)).max() == 0.0
+        assert np.array_equal(cdag.toarray(), c.toarray().conj().T)
         assert mode_operator(registry, label, dagger=True).matrix is cdag
 
 
@@ -195,7 +195,20 @@ def _check_03_skew(seed=0):
     return skew * (1.0 / max(1.0, np.linalg.norm(skew, 2)))
 
 
+def _skew(block):
+    return block - block.conj().T
+
+
 COMPRESSED_CASES = {
+    "unequal-skew-blocks": lambda: _on_shuffled_indices(
+        [_skew(_random_block(size, size)) for size in (5, 3, 2, 2, 1)], seed=11),
+    "isolated-imaginary-diagonal": lambda: np.diag([0.7j, 0, -1.2j, 0, 0, 0.3j, 0, 0,
+                                                    0, 0, 0, -0.9j, 0, 0, 0, 0]),
+    "check-03-dense-skew": _check_03_skew,
+}
+
+# inputs that are not skew-Hermitian, which no caller exponentiates
+NON_SKEW_CASES = {
     "unequal-blocks": lambda: _on_shuffled_indices(
         [_random_block(size, size) for size in (5, 3, 2, 2, 1)], seed=11),
     "isolated-diagonal": lambda: np.diag([0.7, 0, -1.2j, 0, 0, 0.3 + 0.4j, 0, 0,
@@ -204,9 +217,8 @@ COMPRESSED_CASES = {
     "one-way-chains": lambda: _on_shuffled_indices(
         [np.diag([0.8, -0.5j, 1.1, 0.6], k=1), np.diag([0.3 + 0.2j, -0.7], k=1)], seed=12),
     "nonzero-trace": lambda: _on_shuffled_indices(
-        [_random_block(size, 20 + size) for size in (6, 4, 1)], seed=13)
+        [_skew(_random_block(size, 20 + size)) for size in (6, 4, 1)], seed=13)
         + (0.25 - 0.4j) * np.eye(16),
-    "check-03-dense-skew": _check_03_skew,
 }
 
 
@@ -215,13 +227,19 @@ def test_compressed_exponential_against_dense_expm(case):
     # Test-only oracle: scipy's dense expm of the whole matrix.
     dense = COMPRESSED_CASES[case]()
     reg = ModeRegistry(tuple(ProbeMode(i + 1) for i in range(4)))
-    before = np.random.get_state()
     e = matrix_exponential(FockOperator(reg, sparse.csr_array(dense)))
-    after = np.random.get_state()
-    assert before[0] == after[0] and np.array_equal(before[1], after[1])
-    assert before[2:] == after[2:]
     assert np.abs(e.matrix.toarray() - scipy.linalg.expm(dense)).max() <= 1e-13
     assert not np.any(e.matrix.data == 0)  # exact zeros are dropped
+
+
+@pytest.mark.parametrize("case", sorted(NON_SKEW_CASES))
+def test_exponential_refuses_non_skew_input(case):
+    reg = ModeRegistry(tuple(ProbeMode(i + 1) for i in range(4)))
+    a = FockOperator(reg, fock.CSRMatrix.from_dense(NON_SKEW_CASES[case]()))
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        matrix_exponential(a)
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        exponential_action(a, vacuum_state(reg))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -260,8 +278,8 @@ def test_expm_rejects_bad_input(registry):
 
 @pytest.mark.parametrize("scale", [1e308, 1e6])
 def test_exponential_rejects_a_huge_norm_quickly(scale):
-    # expm_multiply picks its step count from the 1-norm: 1e6 * G would run
-    # for minutes, 1e308 * G overflows; both must fail at once, and loudly
+    # no exponent in use comes near these norms, and 1e308 * G overflows;
+    # both must fail at once, and loudly
     g = -1j * entangling_generator(standard_config(kappa=1.0))
     psi = vacuum_state(g.registry)
     for run in (lambda: exponential_action(scale * g, psi),
@@ -324,3 +342,59 @@ def test_state_vector_algebra(registry):
         (vac - vac).normalized()
     with pytest.raises(ValueError):
         FockState(registry, np.full(registry.dimension, np.inf, dtype=complex))
+
+
+def _scipy(m):
+    return sparse.csr_array((m.data, m.indices, m.indptr), shape=m.shape)
+
+
+def _assert_bit_identical(mine, oracle):
+    # scipy's products leave each row's columns unsorted; sorting moves no value
+    oracle = sparse.csr_array(oracle)
+    oracle.sort_indices()
+    assert np.array_equal(mine.indptr, oracle.indptr)
+    assert np.array_equal(mine.indices, oracle.indices)
+    assert np.array_equal(mine.data, oracle.data)
+
+
+@pytest.fixture(scope="module")
+def real_operators(cfg_probe, t_en_probe):
+    """dim-2048 operators dhlab builds: V_en, its adjoint, the exchange
+    operator, and the closed-form images of both spins' section modes with
+    each region's spin along a direction whose entries are complex."""
+    modes = [m.matrix for spin in fock.SPINS
+             for m in dhrep.closed_form_modes(cfg_probe, spin, t_en_probe)]
+    modes += [model.localized_spin_operator(cfg_probe, r, model.SpinDirection(0.7, 1.3)).matrix
+              for r in (1, 2, 3)]
+    v = t_en_probe.operator.matrix
+    return v, t_en_probe.adjoint.matrix, model._exchange_operator(cfg_probe.registry).matrix, modes
+
+
+def test_numpy_product_is_scipys_bit_for_bit(real_operators):
+    v, vdag, exchange, modes = real_operators
+    pairs = [(v, vdag), (vdag, v), (exchange, v), (v, exchange), (exchange, exchange)]
+    pairs += [(v, m) for m in modes] + [(m, vdag) for m in modes] + [(m, m.adjoint()) for m in modes]
+    pairs += [(v @ m, vdag) for m in modes] + list(zip(modes, modes[1:])) + [(modes[-1], modes[-2])]
+    for a, b in pairs:
+        _assert_bit_identical(a @ b, _scipy(a) @ _scipy(b))
+
+
+def test_numpy_sum_and_adjoint_are_scipys_bit_for_bit(real_operators):
+    v, vdag, exchange, modes = real_operators
+    pairs = [(v, vdag), (exchange, v), (v, v)] + list(zip(modes, modes[1:]))
+    pairs += [(v @ m @ vdag, m) for m in modes]
+    for a, b in pairs:
+        _assert_bit_identical(a + b, _scipy(a) + _scipy(b))
+        _assert_bit_identical(a - b, _scipy(a) - _scipy(b))
+        _assert_bit_identical((0.3 - 1.7j) * a, (0.3 - 1.7j) * _scipy(a))
+    for a in (v, vdag, exchange, *modes):
+        _assert_bit_identical(a.adjoint(), _scipy(a).conj().T)
+
+
+def test_numpy_action_is_scipys_bit_for_bit(real_operators):
+    v, _, exchange, modes = real_operators
+    rng = np.random.default_rng(3)
+    block = rng.standard_normal((v.shape[0], 3)) + 1j * rng.standard_normal((v.shape[0], 3))
+    for a in (v, exchange, modes[0], v @ modes[1], modes[-1], v @ modes[-1]):
+        assert np.array_equal(a @ block[:, 0], _scipy(a) @ block[:, 0])
+        assert np.array_equal(a @ block, _scipy(a) @ block)
