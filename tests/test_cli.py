@@ -285,6 +285,31 @@ def test_verify_wall_times_share_each_group_time():
     assert all(len(times) == 1 for times in shares.values()), shares
 
 
+def test_verify_charges_the_kernel_import_to_no_record():
+    # the exponential kernel is numpy.linalg's eigh, imported with numpy before
+    # run_verify starts; its first import is slowed by 0.5 s, and neither record
+    # 03, the first exponential, nor any other record carries it
+    code = ("import sys, time\n"
+            "class Delay:\n"
+            "    slept = False\n"
+            "    def find_spec(self, name, path, target=None):\n"
+            "        if name == 'numpy.linalg' and not Delay.slept:\n"
+            "            Delay.slept = True\n"
+            "            time.sleep(0.5)\n"
+            "        return None\n"
+            "sys.meta_path.insert(0, Delay())\n"
+            "from dhlab.checks import RunConfig, run_verify\n"
+            "assert Delay.slept and 'numpy.linalg' in sys.modules\n"
+            "records = run_verify(RunConfig(kappas=(0.05,)))\n"
+            "print(next(r.wall_time for r in records if r.id == '03-expm-taylor-oracle'),\n"
+            "      sum(r.wall_time for r in records))")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    oracle, total = (float(v) for v in proc.stdout.split())
+    assert oracle < 0.5
+    assert total < 0.5
+
+
 def test_qubit_rows_match_direct_evaluators():
     axes = {"x1": SpinDirection.x1(), "x2": SpinDirection.x2(), "x3": SpinDirection.x3()}
     for row in run_qubit(RunConfig(kappas=(0.1,))):
@@ -590,6 +615,22 @@ def test_oversized_grid_exits_two_under_memory_cap(command, case):
     proc = run_cli_capped([command], OVERSIZED[case])
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("configuration error: ") and proc.stderr.count("\n") == 1
+
+
+def test_locality_never_loads_the_exponential_kernel(tmp_path):
+    # `dhlab locality` makes no call to the exponential kernel (numpy's eigh,
+    # which fock.matrix_exponential and exponential_action run) and loads none
+    # of scipy.sparse.linalg, scipy.sparse.csgraph or scipy.linalg
+    code = ("import sys, numpy as np\n"
+            "eigh, calls = np.linalg.eigh, []\n"
+            "np.linalg.eigh = lambda *a, **k: calls.append(1) or eigh(*a, **k)\n"
+            "import dhlab.cli\n"
+            "assert dhlab.cli.main(['locality', '--out', sys.argv[1]]) == 0\n"
+            "print(len(calls), [m in sys.modules for m in\n"
+            "       ('scipy.sparse.linalg', 'scipy.sparse.csgraph', 'scipy.linalg')])")
+    proc = run_python(["-c", code, str(tmp_path / "o.json")])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "0 [False, False, False]"
 
 
 def test_no_command_loads_scipy(tmp_path):
