@@ -4,8 +4,9 @@ Each case applies one monkeypatch mutant and runs `run_verify` on the
 default RunConfig; every record family the case names must then fail.
 The table covers each check group of `run_verify`:
 
-- `01-car-suite` reads every anticommutator from one stacked product, and
-  `02` each annihilator on the vacuum;
+- `01-car-suite` reads the anticommutators one block row at a time, each
+  partner block moved into the row by `checks._side_by_side`, and `02` each
+  annihilator on the vacuum;
 - `03` and `04` read the generic exponential of a random skew matrix;
 - `20` reads each region's localized spin operator on the unentangled state,
   and `21` the Gram matrix of the basis kets;
@@ -70,6 +71,18 @@ def _annihilator_without_string(registry, label, dagger=False):
         return op
     m = op.matrix
     return FockOperator(registry, CSRMatrix(m.indptr, m.indices, np.abs(m.data) + 0j, m.shape))
+
+
+def _creator_negated_for_last_mode(registry, label, dagger=False):
+    # the last mode's (the probe's) creator negated: {c, -c^dag} = -I, not I
+    op = fock.mode_operator(registry, label, dagger)
+    return -op if dagger and label == registry.modes[-1] else op
+
+
+def _partners_without_block_offset(m, block):
+    # every partner block e_q e_p lands on block 0 of the row, not on block q
+    return CSRMatrix.from_triples(m.rows % block, m.indices, m.data,
+                                  (block, m.shape[0] // block * m.shape[1]))
 
 
 def _exponential_without_one_block(a):
@@ -210,8 +223,9 @@ def _exact_qubit_evolution_at_larger_kappa(state, kappa, order="exact"):
 MUTANTS = {
     "jordan-wigner-string-dropped": (("01-",), checks, "mode_operator",
                                      _annihilator_without_string),
-    "partner-not-block-transposed": (("01-",), checks, "_block_transposed",
-                                     lambda m, block: m),
+    "partner-not-block-transposed": (("01-",), checks, "_side_by_side",
+                                     _partners_without_block_offset),
+    "last-creator-negated": (("01-",), checks, "mode_operator", _creator_negated_for_last_mode),
     "component-block-dropped": (("33-",), checks, "matrix_exponential",
                                 _exponential_without_one_block),
     "vacuum-with-one-quantum": (("02-",), checks, "vacuum_state", _vacuum_with_one_quantum),
