@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,32 +44,28 @@ class CheckRecord:
     passed: bool
     wall_time: float
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "paper_ref": self.paper_ref,
-            "expected": self.expected,
-            "actual": self.actual,
-            "abs_error": self.abs_error,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "wall_time": self.wall_time,
-        }
-
 
 @dataclass(frozen=True)
 class Table:
     """A table as its columns, each a float64 array or a list, all of one
-    length; the JSON emitter encodes it column by column, building no row."""
+    length; the CLI encodes it column by column, as JSON or CSV, building no
+    row."""
     columns: dict[str, np.ndarray | list]
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))
 
     def rows(self) -> list[dict]:
-        """The table as one dict per row, its array values as Python floats."""
+        """The table as one dict per row, its array values as Python floats: the
+        tests' oracle, which no command calls."""
         values = [c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns.values()]
         return [dict(zip(self.columns, row)) for row in zip(*values)]
+
+
+def record_table(records: list[CheckRecord]) -> Table:
+    """The records as one Table, a column per field; `passed` is named `pass`."""
+    return Table({"pass" if f.name == "passed" else f.name: [getattr(r, f.name) for r in records]
+                  for f in fields(CheckRecord)})
 
 
 # exp(-iG) is periodic in kappa (G^3 = kappa^2 G), so larger values add no physics
@@ -580,9 +576,9 @@ def run_correlations(rc: RunConfig) -> Table:
 
 def _locality_payload(cfg: model.SystemConfig, t_un: dhrep.DhTransform,
                       t_en: dhrep.DhTransform, rc: RunConfig,
-                      conjugated: dict | None = None) -> dict:
+                      conjugated: dict | None = None) -> dict[str, list[dict]]:
     """Per-point section distances for the auxiliary construction alongside
-    the no-auxiliary contrast: the `dhlab locality` payload.  `conjugated`
+    the no-auxiliary contrast, as the rows of each report.  `conjugated`
     holds the section modes conjugated by t_un, when the caller has them."""
     return {
         "aux_unentangled": dhrep.locality_report(cfg, t_un, tol=rc.tol_exact,
@@ -592,46 +588,43 @@ def _locality_payload(cfg: model.SystemConfig, t_un: dhrep.DhTransform,
     }
 
 
-def run_locality(rc: RunConfig) -> dict:
-    """The locality payload for the probe geometry at the largest kappa."""
+def run_locality(rc: RunConfig) -> dict[str, Table]:
+    """The locality payload for the probe geometry at the largest kappa: each
+    report as a Table."""
     cfg0 = _config(rc, (rc.probe_point,))
     t_un = dhrep.build_unentangled_transform(cfg0)
     cfg, t_en = _entangled(cfg0, t_un, max(rc.kappas))
-    return _locality_payload(cfg, t_un, t_en, rc)
+    return {name: Table({k: [row[k] for row in rows] for k in rows[0]})
+            for name, rows in _locality_payload(cfg, t_un, t_en, rc).items()}
 
 
-def run_qubit(rc: RunConfig) -> list[dict]:
-    """Exact vs second-order qubit expectations/correlations over the kappa list."""
-    probe_dirs = [("x3", SpinDirection.x3()), ("x1", SpinDirection.x1()),
-                  ("x2", SpinDirection.x2())]
-    dirs = [d for _, d in probe_dirs]
+def run_qubit(rc: RunConfig) -> Table:
+    """Exact vs second-order qubit expectations/correlations over the kappa
+    list: per kappa, the expectation rows over product((1, 2, 3), directions),
+    then the correlation rows over product(PAIRS, directions, directions)."""
+    names = ("x3", "x1", "x2")
+    dirs = [SpinDirection.x3(), SpinDirection.x1(), SpinDirection.x2()]
     u = _unit_vectors(dirs)
-    rows = []
-    for kappa in _with_zero(rc.kappas):
+    kappas = _with_zero(rc.kappas)
+    items = ([f"expectation_q{q}_{a}" for q, a in itertools.product((1, 2, 3), names)]
+             + [f"correlation_q{qa}{qb}_{a}_{b}"
+                for (qa, qb), a, b in itertools.product(PAIRS, names, names)])
+    exact, second, closed = [], [], []
+    for kappa in kappas:
         (exp_exact, corr_exact), (exp_second, corr_second) = (
             _sweep(qubits.pauli_moments(s), u) for s in _qubit_states(kappa)[1:])
-        for (q, (name, d)), exact, second in zip(
-                itertools.product((1, 2, 3), probe_dirs),
-                exp_exact.T.ravel().tolist(), exp_second.T.ravel().tolist()):
-            rows.append({
-                "kappa": kappa,
-                "item": f"expectation_q{q}_{name}",
-                "exact": exact,
-                "second_order": second,
-                "closed_form": qubits.expectation_closed_form(q, d, kappa),
-            })
-        for ((qa, qb), (name_a, _), (name_b, _)), exact, second, closed in zip(
-                itertools.product(PAIRS, probe_dirs, probe_dirs),
-                corr_exact.ravel().tolist(), corr_second.ravel().tolist(),
-                qubits.correlation_closed_grid(dirs, dirs, kappa).ravel().tolist()):
-            rows.append({
-                "kappa": kappa,
-                "item": f"correlation_q{qa}{qb}_{name_a}_{name_b}",
-                "exact": exact,
-                "second_order": second,
-                "closed_form": closed,
-            })
-    for row in rows:
-        row["dev_exact_closed"] = abs(row["exact"] - row["closed_form"])
-        row["dev_second_closed"] = abs(row["second_order"] - row["closed_form"])
-    return rows
+        exact += [exp_exact.T.ravel(), corr_exact.ravel()]
+        second += [exp_second.T.ravel(), corr_second.ravel()]
+        closed += [[qubits.expectation_closed_form(q, d, kappa)
+                    for q, d in itertools.product((1, 2, 3), dirs)],
+                   qubits.correlation_closed_grid(dirs, dirs, kappa).ravel()]
+    exact, second, closed = (np.concatenate(c) for c in (exact, second, closed))
+    return Table({
+        "kappa": np.repeat(kappas, len(items)),
+        "item": items * len(kappas),
+        "exact": exact,
+        "second_order": second,
+        "closed_form": closed,
+        "dev_exact_closed": np.abs(exact - closed),
+        "dev_second_closed": np.abs(second - closed),
+    })

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import errno
 import functools
-import io
 import itertools
 import json
 import os
@@ -29,7 +27,9 @@ import sys
 
 import numpy as np
 
-from .checks import RunConfig, Table, run_correlations, run_locality, run_qubit, run_verify
+from .checks import (
+    RunConfig, Table, record_table, run_correlations, run_locality, run_qubit, run_verify,
+)
 from .errors import ConfigError, LayoutError, SignConstraintError
 
 
@@ -154,27 +154,6 @@ def _check_out_path(path: str) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
-    """The csv.DictWriter text of `rows` over every key in first-seen order
-    (the locality tables differ in columns), a missing key written as ""."""
-    if not rows:
-        return ""
-    fields = list(dict.fromkeys(k for row in rows for k in row))
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(fields)
-    writer.writerows([_csv_cell(row.get(k, "")) for k in fields] for row in rows)
-    return buf.getvalue()
-
-
-def _csv_cell(value):
-    if isinstance(value, (list, tuple)):
-        return ";".join(repr(v) for v in value)
-    if isinstance(value, float):  # np.float64 too, whose repr is not a number
-        return repr(float(value))
-    return value
-
-
 @functools.cache
 def _encoder(depth: int):
     """Encode and item indent for an all-scalar container at `depth`: the item
@@ -187,23 +166,24 @@ def _encoder(depth: int):
 # table of 40 directions encoded as one piece raised a call's peak RSS from
 # 79 to 98 MB
 _TABLE_CHUNK = 1024
+# the JSON encoder's texts of the non-finite floats -> their CSV texts
+_CSV_NONFINITE = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
 
 def _json_pieces(value, depth: int = 0):
-    """Yield `json.dumps(value, indent=2)` in pieces, for a Table and for plain
-    lists, tuples and str-keyed dicts.  Each innermost container is one
-    C-encoder call, and a table (a Table, or two or more dicts of one str key
-    tuple) is encoded column by column, one piece per _TABLE_CHUNK rows."""
+    """Yield `json.dumps(value, indent=2)` in pieces (of `value.rows()` for a
+    Table), for a Table and for plain lists, tuples and str-keyed dicts.  Each
+    innermost container is one C-encoder call, and a Table is encoded by
+    _table_pieces."""
     if isinstance(value, Table):
-        yield from _table_pieces(value, depth)
+        yield from _table_pieces(value, "json", depth)
         return
     encode, pad = _encoder(depth)
     if not isinstance(value, (list, tuple, dict)) or not value:
         yield encode(value)
         return
     items = value.values() if isinstance(value, dict) else value
-    types = {*map(type, items)}
-    if types.isdisjoint((list, tuple, dict)):
+    if {*map(type, items)}.isdisjoint((list, tuple, dict, Table)):
         text = encode(value)  # encoded strings hold no raw newline, so only separators break lines
         yield text[0] + pad + text[1:-1] + pad[:-2] + text[-1]
     elif isinstance(value, dict):
@@ -214,8 +194,6 @@ def _json_pieces(value, depth: int = 0):
             yield from _json_pieces(v, depth + 1)
             sep = "," + pad
         yield pad[:-2] + "}"
-    elif types == {dict} and (keys := _table_keys(value)):
-        yield from _table_pieces(Table({k: [row[k] for row in value] for k in keys}), depth)
     else:
         sep = "[" + pad
         for item in value:
@@ -226,30 +204,36 @@ def _json_pieces(value, depth: int = 0):
 
 
 def _json_text(value, depth: int = 0) -> str:
-    """`json.dumps(value, indent=2)` (of `value.rows()` for a Table) for a
-    Table and for plain lists, tuples and str-keyed dicts."""
+    """`json.dumps(value, indent=2)`, a Table in it written as the dumps text
+    of its rows, for plain lists, tuples and str-keyed dicts; the JSON half
+    of the one encoder, whose CSV half is `_table_pieces(table, "csv")`."""
     return "".join(_json_pieces(value, depth))
 
 
-def _table_keys(rows) -> tuple[str, ...] | None:
-    """The key tuple that two or more dicts share, if it is non-empty and all str."""
-    keys = tuple(rows[0])
-    if (len(rows) > 1 and keys and {*map(type, keys)} == {str}
-            and all(map(keys.__eq__, map(tuple, rows)))):
-        return keys
-    return None
-
-
-def _table_pieces(table: Table, depth: int):
-    """`table.rows()` as JSON text in pieces of _TABLE_CHUNK rows, with no row
-    built.  Every float is encoded once per distinct bit pattern in the
-    table; each piece is one join over slots that run key literal, value
-    text, ..., row closer, the value slots filled a column at a time."""
-    n = len(table)
-    if not n:
-        yield "[]"
-        return
+def _table_pieces(table: Table, fmt: str, depth: int = 0):
+    """`table.rows()` in pieces of _TABLE_CHUNK rows, with no row built: as the
+    `json.dumps(indent=2)` text at `depth`, or as CSV, a header row and the
+    rows as `csv.writer` writes them, each cell the text of _csv_field.  Every
+    float is encoded once per distinct bit pattern in the table; each piece
+    is one join over slots that run key literal (in CSV a comma), value text,
+    ..., row end, the value slots filled a column at a time."""
+    n, csv = len(table), fmt == "csv"
     (encode, pad), row_pad = _encoder(depth), _encoder(depth + 1)[1]
+    if csv:
+        # csv.writer quotes a row that is one empty cell
+        cell = functools.partial(_csv_field, empty='""' if len(table.columns) == 1 else "")
+        keys = ["," if i else "" for i in range(len(table.columns))]
+        row_end = last_end = "\r\n"
+        sep = ",".join(map(cell, table.columns)) + row_end  # the header, in the first piece
+    else:
+        cell = functools.partial(_json_text, depth=depth + 2)
+        key = json.encoder.encode_basestring_ascii
+        keys = [("," if i else "{") + row_pad + key(k) + ": " for i, k in enumerate(table.columns)]
+        row_end, last_end = row_pad[:-2] + "}," + pad, row_pad[:-2] + "}" + pad[:-2] + "]"
+        sep = "[" + pad
+    if not n:
+        yield sep if csv else "[]"
+        return
     columns = [np.array(c) if isinstance(c, list) and {*map(type, c)} == {float} else c
                for c in table.columns.values()]
     floats = [i for i, c in enumerate(columns) if isinstance(c, np.ndarray)]
@@ -259,17 +243,16 @@ def _table_pieces(table: Table, depth: int):
         bits, inverse = np.unique(np.concatenate([columns[i] for i in floats]).view(np.int64),
                                   return_inverse=True)
         text = encode(bits.view(np.float64).tolist())  # a float's text holds no comma
-        texts = np.array(text[1:-1].split("," + pad), dtype=object)
+        texts = text[1:-1].split("," + pad)
+        if csv:
+            texts = [_CSV_NONFINITE.get(t, t) for t in texts]
+        texts = np.array(texts, dtype=object)
         for i, index in zip(floats, inverse.reshape(len(floats), n)):
             columns[i] = index  # each float column as its values' indices into `texts`
-    key = json.encoder.encode_basestring_ascii
     width = 2 * len(columns) + 1
-    slots = [None] * width
-    for i, k in enumerate(table.columns):
-        slots[2 * i] = ("," if i else "{") + row_pad + key(k) + ": "
-    slots[-1] = row_pad[:-2] + "}," + pad
+    slots = [row_end] * width
+    slots[:-1:2] = keys
     slots *= min(n, _TABLE_CHUNK)
-    sep = "[" + pad
     for start in range(0, n, _TABLE_CHUNK):
         stop = min(start + _TABLE_CHUNK, n)
         del slots[(stop - start) * width:]  # the last piece may be shorter
@@ -277,41 +260,64 @@ def _table_pieces(table: Table, depth: int):
             if isinstance(column, np.ndarray):
                 slots[2 * i + 1::width] = texts[column[start:stop]].tolist()
             else:
-                slots[2 * i + 1::width] = _column_texts(column[start:stop], depth + 2)
+                slots[2 * i + 1::width] = _column_texts(column[start:stop], cell)
         if stop == n:
-            slots[-1] = row_pad[:-2] + "}" + pad[:-2] + "]"
+            slots[-1] = last_end
         yield sep + "".join(slots)
         sep = ""
 
 
-def _column_texts(values: list, depth: int) -> list[str]:
-    """The JSON text of each value, each distinct object encoded once: shared by
+def _column_texts(values: list, text) -> list[str]:
+    """`text` of each value, each distinct object encoded once: shared by
     identity, not equality, since -0.0 == 0.0 and NaN != NaN."""
     by_id = dict(zip(map(id, values), values))
-    distinct = list(by_id.values())
-    if {*map(type, distinct)} == {str}:
-        texts = list(map(json.encoder.encode_basestring_ascii, distinct))
-    else:
-        texts = [_json_text(v, depth) for v in distinct]
-    if len(distinct) == len(values):
+    texts = list(map(text, by_id.values()))
+    if len(by_id) == len(values):
         return texts
     by_id = dict(zip(by_id, texts))
     return list(map(by_id.__getitem__, map(id, values)))
+
+
+def _csv_field(value, empty: str = "") -> str:
+    """The CSV text of a cell, quoted as `csv.writer` quotes it: where it holds
+    a comma, a quote or a line break, with its quotes doubled."""
+    text = _csv_text(value)
+    if any(map(text.__contains__, ',"\r\n')):
+        return '"' + text.replace('"', '""') + '"'
+    return text or empty
+
+
+def _csv_text(value) -> str:
+    """A cell's unquoted CSV text: a float's JSON text, but `nan`, `inf` and
+    `-inf` where it is not finite; `str(v)` for a str, int or bool; empty for
+    None; a list's or tuple's item texts joined by `;`.  Any other value
+    raises TypeError, as it does in the JSON encoder."""
+    if isinstance(value, float):  # np.float64 too, whose repr is not a number
+        return repr(float(value))
+    if isinstance(value, (list, tuple)):
+        return ";".join(map(_csv_text, value))
+    if value is None:
+        return ""
+    if isinstance(value, (str, int)):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not CSV serializable")
+
+
+def _stacked(tables: dict[str, Table]) -> Table:
+    """The tables one under another, over the union of their columns behind a
+    leading `table` column that names each row's table.  A cell is None,
+    written empty, where its table lacks the column."""
+    names = dict.fromkeys(k for t in tables.values() for k in t.columns)
+    return Table({"table": [name for name, t in tables.items() for _ in range(len(t))],
+                  **{k: [v for t in tables.values() for v in t.columns.get(k, [None] * len(t))]
+                     for k in names}})
 
 
 def _emit(payload, rc: RunConfig) -> None:
     """Write the payload as it is encoded.  The first piece is made before the
     file is opened, so a payload that fails at once leaves the file alone."""
     if rc.out_format == "csv":
-        if isinstance(payload, dict):
-            rows = []
-            for section, content in payload.items():
-                for row in content:
-                    rows.append({"table": section, **row})
-            text = _rows_to_csv(rows)
-        else:
-            text = _rows_to_csv(payload.rows() if isinstance(payload, Table) else payload)
-        pieces = iter([text])
+        pieces = _table_pieces(_stacked(payload) if isinstance(payload, dict) else payload, "csv")
     else:
         pieces = _json_pieces(payload)
     pieces = itertools.chain([next(pieces)], pieces)  # before open() truncates the file
@@ -370,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             records = run_verify(rc)
-            payload = [r.to_dict() for r in records]
+            payload = record_table(records)
         else:
             records = []
             payload = {"correlations": run_correlations, "locality": run_locality,

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -339,7 +340,7 @@ def test_verify_charges_the_kernel_import_to_no_record():
 
 def test_qubit_rows_match_direct_evaluators():
     axes = {"x1": SpinDirection.x1(), "x2": SpinDirection.x2(), "x3": SpinDirection.x3()}
-    for row in run_qubit(RunConfig(kappas=(0.1,))):
+    for row in run_qubit(RunConfig(kappas=(0.1,))).rows():
         psi0 = qubits.unentangled_state()
         kind, *names = row["item"].split("_")
         for col, order in (("exact", "exact"), ("second_order", "second")):
@@ -399,25 +400,69 @@ def test_locality_csv_holds_every_table(tmp_path):
     assert [float(r["separation"]) for r in noaux] == [10.0, 20.0, 40.0]
 
 
-def _dict_writer_csv(rows):
-    """The csv.DictWriter text that cli._rows_to_csv must reproduce byte for byte."""
+def _oracle_cell(value):
+    """A cell as the CSV oracle spells it before csv.writer quotes it: a
+    finite float as its JSON text, a non-finite one as nan, inf or -inf, a
+    str, int or bool as str() does, None as empty, and a list or tuple as its
+    items' texts joined by ';'.  A dict or any other object has no CSV text."""
+    if isinstance(value, float):
+        return json.dumps(float(value)) if math.isfinite(value) else str(float(value))
+    if isinstance(value, (list, tuple)):
+        return ";".join(map(_oracle_cell, value))
+    if value is None:
+        return ""
+    if isinstance(value, (str, int)):
+        return str(value)
+    raise TypeError(f"no CSV text for {type(value).__name__}")
+
+
+def _csv_oracle(rows, fields):
+    """csv.DictWriter's text of `rows` over `fields`, a cell a row lacks
+    written empty, each cell spelt by _oracle_cell."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(dict.fromkeys(k for row in rows for k in row)))
+    writer = csv.DictWriter(buf, fieldnames=list(fields))
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: cli._csv_cell(v) for k, v in row.items()})
+    writer.writerows({k: _oracle_cell(v) for k, v in row.items()} for row in rows)
     return buf.getvalue()
 
 
-def test_rows_to_csv_is_the_dict_writer_text():
+def _table_csv_oracle(payload):
+    """The oracle's CSV text of a Table, or of a dict of Tables one under
+    another behind a leading `table` column."""
+    if isinstance(payload, Table):
+        return _csv_oracle(payload.rows(), payload.columns)
+    rows = [{"table": name, **row} for name, table in payload.items() for row in table.rows()]
+    return _csv_oracle(rows, dict.fromkeys(k for row in rows for k in row))
+
+
+def _cli_csv(payload):
+    """The CSV text the CLI writes for a runner's payload."""
+    table = cli._stacked(payload) if isinstance(payload, dict) else payload
+    return "".join(cli._table_pieces(table, "csv"))
+
+
+# a cell of every kind a CSV writer must spell or quote
+ODD = {
+    "floats": Table({
+        "x": np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1]),
+        "f": [-0.0, math.nan, -math.inf, 1e300, None, 0.5],
+        "s": ["x,\"y\"\n", "\r", "", "plain", "caf\u00e9", "a\r\nb"],
+        "b": [True, False, True, None, False, True],
+        "l": [[np.float64(0.1), 2], (None,), [], ["a,b", math.nan], [True, -0.0], ("\"",)],
+    }),
+    "short": Table({"x": [0.25], "only_here": ["q\"q"], "n": [None]}),
+}
+
+
+def test_csv_text_is_the_csv_writer_text():
     rc = RunConfig(kappas=(0.05,), n_theta=2, n_phi=2)
-    locality = [{"table": table, **row}
-                for table, content in run_locality(rc).items() for row in content]
-    assert len({frozenset(row) for row in locality}) > 1  # mixed columns
-    odd = [{"a": np.float64(-0.0), "b": "x,\"y\"\n", "c": [np.float64(0.1), 2]},
-           {"c": (None,), "d": None, "a": math.nan}, {"b": True, "d": np.float32(0.5)}]
-    for rows in (run_correlations(rc).rows(), locality, run_qubit(rc), odd):
-        assert cli._rows_to_csv(rows) == _dict_writer_csv(rows)
+    locality = run_locality(rc)
+    assert len({tuple(table.columns) for table in locality.values()}) > 1  # mixed columns
+    records = checks.record_table(run_verify(RunConfig(kappas=(0.05,), signs=(1, 1, 1))))
+    for payload in (run_correlations(rc), locality, run_qubit(rc), records, *ODD.values(), ODD):
+        assert _cli_csv(payload) == _table_csv_oracle(payload)
+    text = _cli_csv(ODD["floats"])  # list items are spelt, never repr'd
+    assert "np.float64" not in text and ",True,0.1;2\r\n" in text
 
 
 def test_csv_output(tmp_path):
@@ -563,10 +608,11 @@ def test_direction_cap_keeps_the_default_and_benchmark_counts():
 
 @pytest.mark.filterwarnings("ignore::dhlab.errors.PerturbativeRangeWarning")  # kappa = 1
 def test_int_kappas_are_floats_in_every_table():
-    # the correlation table's kappa column is float64; the qubit rows agree
+    # both tables' kappa columns are float64 and hold the same kappas
     rc = RunConfig(kappas=(1, 0), n_theta=2, n_phi=2)
     assert all(type(k) is float for k in rc.kappas)
-    assert {row["kappa"] for row in run_qubit(rc)} == set(run_correlations(rc).columns["kappa"])
+    qubit, correlations = (run(rc).columns["kappa"] for run in (run_qubit, run_correlations))
+    assert qubit.dtype == correlations.dtype == np.float64 and set(qubit) == set(correlations)
 
 
 def test_negative_zero_kappa_is_kappa_zero(tmp_path, capsys):
@@ -814,27 +860,66 @@ def test_table_text_is_the_dumps_text_of_its_rows(table):
         cli._encoder.cache_clear()
 
 
-def test_correlations_json_builds_no_row(tmp_path, monkeypatch):
-    # the table is encoded from its columns: no row dict is ever built
-    expected = json.dumps(run_correlations(RunConfig(kappas=(0.05,))).rows(), indent=2)
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(table=column_tables())
+@example(table=Table({"": ["", "a", ""]}))  # csv.writer quotes a row that is one empty cell
+@example(table=Table({"x": [None, [], "", ()]}))
+@example(table=Table({"x": np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf] * 400),
+                      "s": [",", "\"", "\r", "\n"] * 600, "f": [0.1, -0.0] * 1200}))
+@example(table=Table({"d": [{"a": 1}], "x": [1.0]}))  # a dict cell has no CSV text
+def test_table_csv_is_the_csv_writer_text_of_its_rows(table):
+    try:
+        expected = _table_csv_oracle(table)
+    except TypeError:
+        with pytest.raises(TypeError):
+            _cli_csv(table)
+        return
+    _assert_same_text(_cli_csv(table), expected)
+
+
+def test_no_command_builds_a_row(tmp_path, monkeypatch):
+    # every table is encoded from its columns, in JSON and in CSV: no row
+    # dict is ever built; verify's texts are compared apart from wall_time
+    rc = RunConfig(kappas=(0.05,))
+    payloads = {"correlations": run_correlations(rc), "locality": run_locality(rc),
+                "qubit": run_qubit(rc)}
+    rows = {command: ({name: table.rows() for name, table in payload.items()}
+                      if isinstance(payload, dict) else payload.rows())
+            for command, payload in payloads.items()}
+    rows["verify"] = [{"id": r.id, "paper_ref": r.paper_ref, "expected": r.expected,
+                       "actual": r.actual, "abs_error": r.abs_error, "tolerance": r.tolerance,
+                       "pass": r.passed, "wall_time": r.wall_time} for r in run_verify(rc)]
+    expected = {(command, "json"): json.dumps(value, indent=2) for command, value in rows.items()}
+    expected.update({(command, "csv"): _table_csv_oracle(payload)
+                     for command, payload in payloads.items()})
+    expected["verify", "csv"] = _csv_oracle(rows["verify"], rows["verify"][0])
+    wall_time = {"json": (r'"wall_time": [^\n]*', '"wall_time": T'),
+                 "csv": (r',[^,\r\n]*\r\n', ',T\r\n')}  # the last column
 
     def no_rows(self):
         raise AssertionError("Table.rows called")
     monkeypatch.setattr(checks.Table, "rows", no_rows)
-    out = tmp_path / "o.json"
-    assert cli.main(["correlations", *FAST_FLAGS, "--out", str(out)]) == 0
-    _assert_same_text(out.read_text(), expected)
+    for (command, fmt), text in expected.items():
+        out = tmp_path / f"{command}.{fmt}"
+        assert cli.main([command, *FAST_FLAGS, "--format", fmt, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            written = fh.read()
+        if command == "verify":
+            (written, n), (text, m) = (re.subn(*wall_time[fmt], t) for t in (written, text))
+            assert n == m >= len(rows["verify"])
+        _assert_same_text(written, text)
 
 
 def test_unencodable_payload_leaves_an_existing_out_file_alone(tmp_path, monkeypatch):
-    # the first piece is made before the file is opened
+    # the first piece, with the CSV header, is made before the file is opened
     out = tmp_path / "o.json"
     out.write_text("kept")
     monkeypatch.setattr(cli, "run_correlations",
-                        lambda rc: [{"a": 1.0, "b": object()}, {"a": 2.0, "b": 1}])
-    with pytest.raises(TypeError):
-        cli.main(["correlations", "--out", str(out)])
-    assert out.read_text() == "kept"
+                        lambda rc: Table({"a": np.array([1.0, 2.0]), "b": [object(), 1]}))
+    for fmt in ("json", "csv"):
+        with pytest.raises(TypeError):
+            cli.main(["correlations", "--format", fmt, "--out", str(out)])
+        assert out.read_text() == "kept"
 
 
 def test_encoder_cache_is_a_functools_cache_of_the_cli():
