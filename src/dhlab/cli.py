@@ -154,14 +154,6 @@ def _check_out_path(path: str) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
-@functools.cache
-def _encoder(depth: int):
-    """Encode and item indent for an all-scalar container at `depth`: the item
-    separator carries the newline, so only the brackets need padding."""
-    pad = "\n" + "  " * (depth + 1)
-    return json.JSONEncoder(separators=("," + pad, ": ")).encode, pad
-
-
 # rows per piece of a table: it bounds the text held at once; the 19,200-row
 # table of 40 directions encoded as one piece raised a call's peak RSS from
 # 79 to 98 MB
@@ -170,55 +162,36 @@ _TABLE_CHUNK = 1024
 _CSV_NONFINITE = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
 
-def _json_pieces(value, depth: int = 0):
-    """Yield `json.dumps(value, indent=2)` in pieces (of `value.rows()` for a
-    Table), for a Table and for plain lists, tuples and str-keyed dicts.  Each
-    innermost container is one C-encoder call, and a Table is encoded by
-    _table_pieces."""
-    if isinstance(value, Table):
-        yield from _table_pieces(value, "json", depth)
+def _json_pieces(payload):
+    """Yield `json.dumps(payload, indent=2)` in pieces, a Table written as the
+    dumps text of its rows, for what a runner returns: a Table, or a dict of
+    Tables (`locality`'s three reports)."""
+    if isinstance(payload, Table):
+        yield from _table_pieces(payload, "json")
         return
-    encode, pad = _encoder(depth)
-    if not isinstance(value, (list, tuple, dict)) or not value:
-        yield encode(value)
-        return
-    items = value.values() if isinstance(value, dict) else value
-    if {*map(type, items)}.isdisjoint((list, tuple, dict, Table)):
-        text = encode(value)  # encoded strings hold no raw newline, so only separators break lines
-        yield text[0] + pad + text[1:-1] + pad[:-2] + text[-1]
-    elif isinstance(value, dict):
-        key = json.encoder.encode_basestring_ascii  # raises on a non-str key
-        sep = "{" + pad
-        for k, v in value.items():
-            yield f"{sep}{key(k)}: "
-            yield from _json_pieces(v, depth + 1)
-            sep = "," + pad
-        yield pad[:-2] + "}"
-    else:
-        sep = "[" + pad
-        for item in value:
-            yield sep
-            yield from _json_pieces(item, depth + 1)
-            sep = "," + pad
-        yield pad[:-2] + "]"
+    sep = "{"
+    for name, table in payload.items():
+        yield f"{sep}\n  {json.encoder.encode_basestring_ascii(name)}: "
+        yield from _table_pieces(table, "json", 1)
+        sep = ","
+    yield "\n}"
 
 
-def _json_text(value, depth: int = 0) -> str:
-    """`json.dumps(value, indent=2)`, a Table in it written as the dumps text
-    of its rows, for plain lists, tuples and str-keyed dicts; the JSON half
-    of the one encoder, whose CSV half is `_table_pieces(table, "csv")`."""
-    return "".join(_json_pieces(value, depth))
+def _json_text(value, depth: int) -> str:
+    """`json.dumps(value, indent=2)` as it reads nested `depth` levels deep: an
+    encoded string holds no raw newline, so every line break is the indent's."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def _table_pieces(table: Table, fmt: str, depth: int = 0):
     """`table.rows()` in pieces of _TABLE_CHUNK rows, with no row built: as the
-    `json.dumps(indent=2)` text at `depth`, or as CSV, a header row and the
-    rows as `csv.writer` writes them, each cell the text of _csv_field.  Every
-    float is encoded once per distinct bit pattern in the table; each piece
-    is one join over slots that run key literal (in CSV a comma), value text,
-    ..., row end, the value slots filled a column at a time."""
+    `json.dumps(indent=2)` text at `depth`, each cell its _json_text, or as
+    CSV, a header row and the rows as `csv.writer` writes them, each cell the
+    text of _csv_field.  Every float is encoded once per distinct bit pattern
+    in the table; each piece is one join over slots that run key literal (in
+    CSV a comma), value text, ..., row end, the value slots filled a column at
+    a time."""
     n, csv = len(table), fmt == "csv"
-    (encode, pad), row_pad = _encoder(depth), _encoder(depth + 1)[1]
     if csv:
         # csv.writer quotes a row that is one empty cell
         cell = functools.partial(_csv_field, empty='""' if len(table.columns) == 1 else "")
@@ -228,9 +201,11 @@ def _table_pieces(table: Table, fmt: str, depth: int = 0):
     else:
         cell = functools.partial(_json_text, depth=depth + 2)
         key = json.encoder.encode_basestring_ascii
-        keys = [("," if i else "{") + row_pad + key(k) + ": " for i, k in enumerate(table.columns)]
-        row_end, last_end = row_pad[:-2] + "}," + pad, row_pad[:-2] + "}" + pad[:-2] + "]"
-        sep = "[" + pad
+        row = "\n" + "  " * (depth + 1)  # a row's indent; its keys' is two more
+        keys = [("," if i else "{") + row + "  " + key(k) + ": "
+                for i, k in enumerate(table.columns)]
+        row_end, last_end = row + "}," + row, row + "}\n" + "  " * depth + "]"
+        sep = "[" + row
     if not n:
         yield sep if csv else "[]"
         return
@@ -240,10 +215,10 @@ def _table_pieces(table: Table, fmt: str, depth: int = 0):
     if floats:
         # One text per distinct bit pattern: equal bits give equal text, and
         # -0.0 and 0.0, or two NaN payloads, differ in bits, so are never merged.
+        # A float's text holds no comma, so one dumps of them splits into theirs.
         bits, inverse = np.unique(np.concatenate([columns[i] for i in floats]).view(np.int64),
                                   return_inverse=True)
-        text = encode(bits.view(np.float64).tolist())  # a float's text holds no comma
-        texts = text[1:-1].split("," + pad)
+        texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
         if csv:
             texts = [_CSV_NONFINITE.get(t, t) for t in texts]
         texts = np.array(texts, dtype=object)

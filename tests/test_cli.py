@@ -1,6 +1,7 @@
 """Runner contract: exit codes, config handling, report schemas, determinism."""
 
 import ast
+import contextlib
 import csv
 import io
 import json
@@ -690,6 +691,61 @@ def test_oversized_grid_exits_two_under_memory_cap(command, case):
     assert proc.stderr.startswith("configuration error: ") and proc.stderr.count("\n") == 1
 
 
+# INI fuzzer values: floats with subnormals, +-1e308, non-finite values and
+# -0; ints that stay small, so no draw asks for a large grid or sweep (those
+# run under the memory cap above); comma lists of both; and junk that no
+# parser takes or that means something else (an empty value, a lone comma)
+FUZZ_FLOATS = st.sampled_from(["2", "0.5", "-20", "32", "0.13", "1", "0", "1e-12", "-0", "1e-320",
+                               "5e-324", "1e308", "-1e308", "nan", "inf", "-inf"])
+FUZZ_INTS = st.sampled_from(["1", "2", "3", "4", "6", "0", "-1"])
+FUZZ_JUNK = st.sampled_from(["", ",", "x", "0x10", "1_0", "1e-320", "-1e308"])
+FUZZ_TYPED = {
+    int: FUZZ_INTS,
+    float: FUZZ_FLOATS,
+    str: st.sampled_from(["random", "grid", "x"]),
+    cli._parse_floats: st.lists(FUZZ_FLOATS | FUZZ_INTS, min_size=1, max_size=4).map(",".join),
+    cli._parse_signs: st.lists(st.sampled_from(["1", "-1", "+1", "0", "2"]),
+                               min_size=1, max_size=4).map(",".join),
+}
+FUZZ_ENTRIES = st.sampled_from(
+    [(section, key) for section, keys in cli._SCHEMA.items() if section != "output"
+     for key in keys]
+).flatmap(lambda entry: st.tuples(
+    st.just(entry), FUZZ_TYPED[cli._SCHEMA[entry[0]][entry[1]][1]] | FUZZ_JUNK))
+
+
+@pytest.mark.filterwarnings("ignore::dhlab.errors.PerturbativeRangeWarning")  # kappa >= 1
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["verify", "correlations", "locality", "qubit"]),
+       fmt=st.sampled_from(["json", "csv"]),
+       entries=st.lists(FUZZ_ENTRIES, min_size=1, max_size=3, unique_by=lambda e: e[0]))
+def test_fuzzed_config_exits_cleanly(tmp_path_factory, command, fmt, entries):
+    # on any config, main returns 0, 1 or 2 and nothing escapes it; exit 2
+    # says why in one line, and exit 1 is verify's FAIL lines
+    sections = {"run": {"kappa": "0.05"}}  # a drawn kappa replaces it
+    for (section, key), value in entries:
+        sections.setdefault(section, {})[key] = value
+    text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in sections.items())
+    ini = tmp_path_factory.getbasetemp() / "fuzz.ini"
+    ini.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([command, "--config", str(ini), "--format", fmt])
+        except Exception as exc:  # SystemExit is no Exception, and passes
+            raise AssertionError(f"{type(exc).__name__} escaped {command} on\n{text}") from exc
+    lines = err.getvalue().splitlines(keepends=True)
+    assert code in (0, 1, 2), text
+    if code == 0:
+        assert not lines, text
+    elif code == 1:
+        assert command == "verify" and lines, text
+        assert all(line.startswith("FAIL ") for line in lines), text
+    else:
+        assert len(lines) == 1 and lines[0].endswith("\n"), text
+
+
 def test_locality_never_loads_the_exponential_kernel(tmp_path):
     # `dhlab locality` makes no call to the exponential kernel (numpy's eigh,
     # which fock.matrix_exponential and exponential_action run) and loads none
@@ -773,33 +829,51 @@ SHARED = 0.1  # one float object in several rows: encoded once
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(value=json_values | json_tables)
-@example(value=[[], {}, (), [[]], {"": {}}])
-@example(value=[math.nan, math.inf, -math.inf, -0.0, np.float64(-0.0), np.float64(0.1)])
-@example(value={"quote\"": "a\nb\"c\\", "caf\u00e9": ["\u2603", "tab\t", "\n"], "t": (True, None)})
-@example(value=[{"a": 1.5, "b": "x"}, {"a": [1, 2], "b": {"c": (3,)}}])
+@given(value=json_values | json_tables, depth=st.integers(1, 3))
+@example(value=[[], {}, (), [[]], {"": {}}], depth=1)
+@example(value=[math.nan, math.inf, -math.inf, -0.0, np.float64(-0.0), np.float64(0.1)], depth=2)
+@example(value={"quote\"": "a\nb\"c\\", "caf\u00e9": ["\u2603", "tab\t", "\n"], "t": (True, None)},
+         depth=3)
+@example(value=[{"a": 1.5, "b": "x"}, {"a": [1, 2], "b": {"c": (3,)}}], depth=1)
 @example(value=[{"x": -0.0, "y": np.float64(-0.0)}, {"x": 0.0, "y": np.float64(0.0)},
-                {"x": math.nan, "y": np.float64(math.inf)}, {"x": math.inf, "y": -math.inf}])
-@example(value=[{"b": True, "n": None, "i": 3}, {"b": False, "n": None, "i": -(2**70)}])
-@example(value=[{"50%": 1.0, "caf\u00e9 %s": "\u2603"}, {"50%": -2.5, "caf\u00e9 %s": "%d"}])
-@example(value=[{"k": SHARED, "v": SHARED}, {"k": SHARED, "v": -0.0}, {"k": SHARED, "v": 0.0}])
-@example(value=[{"only": 1.0}])
-@example(value=[{}, {}, {}])
-@example(value=[{1: 0.5, None: "x"}, {1: -0.0, None: "y"}])  # keys json.dumps converts
-@example(value=[{"i": float(i), "s": "ab"[i % 2]} for i in range(2 * cli._TABLE_CHUNK + 1)])
-def test_json_text_equals_indent_two_dumps(value):
-    cli._encoder.cache_clear()
-    _assert_same_text(cli._json_text(value), json.dumps(value, indent=2))
+                {"x": math.nan, "y": np.float64(math.inf)}, {"x": math.inf, "y": -math.inf}],
+         depth=2)
+@example(value=[{"b": True, "n": None, "i": 3}, {"b": False, "n": None, "i": -(2**70)}], depth=3)
+@example(value=[{"50%": 1.0, "caf\u00e9 %s": "\u2603"}, {"50%": -2.5, "caf\u00e9 %s": "%d"}],
+         depth=1)
+@example(value=[{"k": SHARED, "v": SHARED}, {"k": SHARED, "v": -0.0}, {"k": SHARED, "v": 0.0}],
+         depth=2)
+@example(value=[{"only": 1.0}], depth=3)
+@example(value=[{}, {}, {}], depth=1)
+@example(value=[{1: 0.5, None: "x"}, {1: -0.0, None: "y"}], depth=2)  # keys json.dumps converts
+@example(value=[{"i": float(i), "s": "ab"[i % 2]} for i in range(2 * cli._TABLE_CHUNK + 1)],
+         depth=3)
+def test_json_text_equals_indent_two_dumps(value, depth):
+    # a value nested `depth` one-item lists deep is dumped as the lists' own
+    # brackets and indents around the value's text at `depth`
+    nested = value
+    for _ in range(depth):
+        nested = [nested]
+    text = json.dumps(nested, indent=2)
+    head = "".join("[\n" + "  " * (d + 1) for d in range(depth))
+    tail = "".join("\n" + "  " * d + "]" for d in reversed(range(depth)))
+    assert text.startswith(head) and text.endswith(tail)
+    _assert_same_text(cli._json_text(value, depth), text[len(head):len(text) - len(tail)])
 
 
 def test_json_text_is_the_same_without_the_c_encoder(monkeypatch):
-    value = {"rows": [{"a": -0.0, "b": "caf\u00e9\n"}, {"c": [math.nan, None]}], "e": [],
-             "table": [{"x": SHARED, "y": "caf\u00e9", "%": None}, {"x": -0.0, "y": "", "%": 1},
-                       {"x": SHARED, "y": "\n", "%": [math.inf]}]}
-    expected = json.dumps(value, indent=2)
+    # a whole payload, a dict of tables, written by the pure-Python encoder
+    payload = {
+        "values": Table({"x": np.array([-0.0, math.nan, math.inf, -math.inf, SHARED]),
+                         "f": [SHARED, -0.0, SHARED, 1e308, 5e-324],
+                         "s": ["caf\u00e9\n", "", "caf\u00e9\n", "\u2603", "%s"],
+                         "l": [[math.nan, None], [], [SHARED, "caf\u00e9\n"], [[1.5]], [-0.0]]}),
+        "empty": Table({"x": np.array([])}),
+        "one": Table({"\u00e9": [True], "n": [None]}),
+    }
+    expected = json.dumps({name: t.rows() for name, t in payload.items()}, indent=2)
     monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    cli._encoder.cache_clear()
-    assert cli._json_text(value) == expected
+    assert "".join(cli._json_pieces(payload)) == expected
 
 
 def test_streamed_correlations_are_the_dumps_text(tmp_path, capsysbinary):
@@ -853,11 +927,9 @@ def test_table_text_is_the_dumps_text_of_its_rows(table):
     try:
         for encoder in (c_make_encoder, None):
             json.encoder.c_make_encoder = encoder
-            cli._encoder.cache_clear()
-            _assert_same_text(cli._json_text(table), expected)
+            _assert_same_text("".join(cli._json_pieces(table)), expected)
     finally:
         json.encoder.c_make_encoder = c_make_encoder
-        cli._encoder.cache_clear()
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -920,11 +992,6 @@ def test_unencodable_payload_leaves_an_existing_out_file_alone(tmp_path, monkeyp
         with pytest.raises(TypeError):
             cli.main(["correlations", "--format", fmt, "--out", str(out)])
         assert out.read_text() == "kept"
-
-
-def test_encoder_cache_is_a_functools_cache_of_the_cli():
-    # emptying dhlab's functools caches reaches the per-depth encoders too
-    assert cli._encoder.__module__ == "dhlab.cli" and callable(cli._encoder.cache_clear)
 
 
 @pytest.mark.parametrize("command", ["verify", "correlations", "locality", "qubit"])

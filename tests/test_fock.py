@@ -111,9 +111,8 @@ def test_caches_are_module_level_functools_caches():
              for name, value in vars(m).items()
              if callable(getattr(value, "cache_clear", None))
              and getattr(value, "__module__", None) == m.__name__}
-    assert found == {"dhlab.cli._encoder", "dhlab.fock._annihilator_matrix",
-                     "dhlab.fock._creator_matrix", "dhlab.model._spin_stack",
-                     "dhlab.model._exchange_operator"}
+    assert found == {"dhlab.fock._annihilator_matrix", "dhlab.fock._creator_matrix",
+                     "dhlab.model._spin_stack", "dhlab.model._exchange_operator"}
     reg = standard_registry()
     model._spin_stack(reg)
     assert model._spin_stack.cache_info().currsize >= 1
