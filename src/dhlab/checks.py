@@ -79,6 +79,11 @@ MIN_KAPPA = (4.0 * np.finfo(float).eps) ** (1.0 / 3.0)
 # (kappas + 1) * 3 * n^2 rows of about 490 B: 100 directions at the default
 # kappas give a 59 MB file, from a call whose peak RSS is about 148 MB
 MAX_DIRECTIONS = 100
+# `locality`'s probe packet, s widths from its packet, keeps a residual of about
+# |s| / 2 when orthogonalized against it (overlap exp(-s^2 / 8)), and one at or
+# below wp.SPAN_RESIDUAL_TOL is refused; below this floor it is at most half
+# that, so no separation under it can run (the measured edge is 2e-8)
+MIN_SEPARATION = wp.SPAN_RESIDUAL_TOL
 
 
 @dataclass
@@ -158,6 +163,11 @@ class RunConfig:
                                   f"spacing {spacing!r}, so the grid cannot resolve a packet")
         if not self.separations:
             raise ConfigError("the separation list is empty")
+        tiny = [s for s in self.separations if abs(s) < MIN_SEPARATION]
+        if tiny:
+            raise ConfigError(f"separations must be at least {MIN_SEPARATION!r} widths in size: "
+                              f"a probe packet nearer its packet lies in the packet's span, "
+                              f"got {tiny[0]!r}")
         if len(self.signs) != 3 or any(s not in (1, -1) for s in self.signs):
             raise ConfigError(f"signs must be three values of +-1, got {self.signs}")
         tolerances = (self.tol_exact, self.wsw_tol, self.aperture_tol)

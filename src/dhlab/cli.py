@@ -158,8 +158,6 @@ def _check_out_path(path: str) -> None:
 # table of 40 directions encoded as one piece raised a call's peak RSS from
 # 79 to 98 MB
 _TABLE_CHUNK = 1024
-# the JSON encoder's texts of the non-finite floats -> their CSV texts
-_CSV_NONFINITE = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
 
 def _json_pieces(payload):
@@ -188,7 +186,8 @@ def _table_pieces(table: Table, fmt: str, depth: int = 0):
     `json.dumps(indent=2)` text at `depth`, each cell its _json_text, or as
     CSV, a header row and the rows as `csv.writer` writes them, each cell the
     text of _csv_field.  Every float is encoded once per distinct bit pattern
-    in the table; each piece is one join over slots that run key literal (in
+    in the table (_float_texts), any other value once per distinct object in
+    its column; each piece is one join over slots that run key literal (in
     CSV a comma), value text, ..., row end, the value slots filled a column at
     a time."""
     n, csv = len(table), fmt == "csv"
@@ -213,17 +212,13 @@ def _table_pieces(table: Table, fmt: str, depth: int = 0):
                for c in table.columns.values()]
     floats = [i for i, c in enumerate(columns) if isinstance(c, np.ndarray)]
     if floats:
-        # One text per distinct bit pattern: equal bits give equal text, and
-        # -0.0 and 0.0, or two NaN payloads, differ in bits, so are never merged.
-        # A float's text holds no comma, so one dumps of them splits into theirs.
-        bits, inverse = np.unique(np.concatenate([columns[i] for i in floats]).view(np.int64),
-                                  return_inverse=True)
-        texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-        if csv:
-            texts = [_CSV_NONFINITE.get(t, t) for t in texts]
-        texts = np.array(texts, dtype=object)
-        for i, index in zip(floats, inverse.reshape(len(floats), n)):
-            columns[i] = index  # each float column as its values' indices into `texts`
+        texts, index = _float_texts([columns[i] for i in floats], csv)
+        for i, column in zip(floats, index.reshape(len(floats), n)):
+            columns[i] = column  # each float column as its values' indices into `texts`
+    # any other column's texts by value object: each encoded once, shared by
+    # identity, not equality, since -0.0 == 0.0 and NaN != NaN
+    text_of = {i: dict(zip(map(id, c), c)) for i, c in enumerate(columns) if i not in floats}
+    text_of = {i: dict(zip(by_id, map(cell, by_id.values()))) for i, by_id in text_of.items()}
     width = 2 * len(columns) + 1
     slots = [row_end] * width
     slots[:-1:2] = keys
@@ -232,25 +227,38 @@ def _table_pieces(table: Table, fmt: str, depth: int = 0):
         stop = min(start + _TABLE_CHUNK, n)
         del slots[(stop - start) * width:]  # the last piece may be shorter
         for i, column in enumerate(columns):
-            if isinstance(column, np.ndarray):
-                slots[2 * i + 1::width] = texts[column[start:stop]].tolist()
+            if i in text_of:
+                slots[2 * i + 1::width] = map(text_of[i].__getitem__, map(id, column[start:stop]))
             else:
-                slots[2 * i + 1::width] = _column_texts(column[start:stop], cell)
+                slots[2 * i + 1::width] = texts[column[start:stop]].tolist()
         if stop == n:
             slots[-1] = last_end
         yield sep + "".join(slots)
         sep = ""
 
 
-def _column_texts(values: list, text) -> list[str]:
-    """`text` of each value, each distinct object encoded once: shared by
-    identity, not equality, since -0.0 == 0.0 and NaN != NaN."""
-    by_id = dict(zip(map(id, values), values))
-    texts = list(map(text, by_id.values()))
-    if len(by_id) == len(values):
-        return texts
-    by_id = dict(zip(by_id, texts))
-    return list(map(by_id.__getitem__, map(id, values)))
+def _float_texts(columns: list[np.ndarray], csv: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The texts of the distinct bit patterns of the columns' floats, from one
+    argsort, and each float's index into them, in the narrowest unsigned type.
+    -0.0 and 0.0, or two NaN payloads, differ in bits, so are never merged.  A
+    text is `float.__repr__`: the JSON encoder's own for a finite float, and
+    CSV's `nan`, `inf` and `-inf`, which JSON spells as its encoder does."""
+    bits = np.concatenate(columns).view(np.int64)
+    order = bits.argsort()
+    bits = bits[order]  # sorted: the unsorted copy goes
+    first = np.ones(len(bits), bool)  # where each run of equal patterns starts
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    bits = bits[first].view(np.float64)  # the distinct patterns
+    ids = first.cumsum(dtype=np.min_scalar_type(len(bits)))
+    del first
+    index = np.empty_like(ids)
+    index[order] = ids - 1
+    del order, ids
+    texts = np.fromiter(map(float.__repr__, bits), dtype=object, count=len(bits))
+    if not csv:
+        special = ~np.isfinite(bits)
+        texts[special] = list(map(json.dumps, bits[special].tolist()))
+    return texts, index
 
 
 def _csv_field(value, empty: str = "") -> str:

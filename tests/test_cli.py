@@ -314,6 +314,22 @@ def test_car_suite_holds_one_block_row_at_a_time():
     assert peak < 8e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
+def test_table_encoder_holds_little_beyond_its_texts():
+    # the 230,400 floats of 40 random directions: np.unique's flatten copy,
+    # permutation, sorted copy, cumsum and int64 inverse took the traced peak
+    # above the table to 11.6 MB
+    table = run_correlations(RunConfig(direction_mode="random", n_random=40, seed=77))
+    for fmt in ("json", "csv"):
+        tracemalloc.start()
+        try:
+            for _ in cli._table_pieces(table, fmt):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"{fmt}: traced peak {peak / 1e6:.1f} MB"
+
+
 def test_verify_charges_the_kernel_import_to_no_record():
     # the exponential kernel is numpy.linalg's eigh, imported with numpy before
     # run_verify starts; its first import is slowed by 0.5 s, and neither record
@@ -668,6 +684,34 @@ def test_packet_width_of_one_grid_spacing_is_valid():
     assert RunConfig(packet_width=0.05).packet_width == 0.05
 
 
+@pytest.mark.parametrize("command", ["verify", "locality"])
+@pytest.mark.parametrize("separation", ["0", "-0.0", "1e-320", "-1e-320"])
+def test_tiny_separation_exits_two_naming_it_before_the_run(tmp_path, capsys, monkeypatch,
+                                                            command, separation):
+    # a probe packet this close lies in its packet's span: the run used to be
+    # built in full and then fail with a line naming neither key nor value
+    def no_run(rc):
+        raise AssertionError("the run was started")
+    monkeypatch.setattr(cli, f"run_{command}", no_run)
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[geometry]\nseparations = 10, {separation}\n")
+    assert cli.main([command, "--config", str(ini), "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "separations" in err and repr(float(separation)) in err
+
+
+def test_small_and_negative_separations_still_run(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[geometry]\nseparations = 1e-7, -10\n")
+    out = tmp_path / "o.json"
+    assert cli.main(["locality", "--config", str(ini), "--out", str(out)]) == 0
+    assert [r["separation"] for r in json.loads(out.read_text())["noaux_contrast"]] == [1e-7, -10]
+    # verify runs too; record 54 may fail at a separation of 1e-7 widths
+    assert cli.main(["verify", *FAST_FLAGS, "--config", str(ini), "--out", str(out)]) in (0, 1)
+    assert "configuration error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["correlations", "locality"])
 def test_sign_violation_outside_verify_exits_two(tmp_path, capsys, command):
     out = tmp_path / "o.json"
@@ -917,10 +961,18 @@ def column_tables(draw):
     return Table(columns)
 
 
+# floats on either side of repr's switches to exponent form, the extremes,
+# and one that needs 17 significant digits, over three pieces in two orders
+REPR_EDGES = [1e15, 1e16, -1e16, 0.0001, 1e-05, 5e-324, 1.7976931348623157e308,
+              0.30000000000000004]
+REPR_EDGE_TABLE = Table({"x": np.array(REPR_EDGES * 257), "f": REPR_EDGES[::-1] * 257})
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(table=column_tables())
 @example(table=Table({"x": np.array([0.0, -0.0, math.nan, -math.nan, math.inf, 5e-324] * 400),
                       "s": ["a", "\u2603"] * 1200, "f": [0.1, -0.0] * 1200}))
+@example(table=REPR_EDGE_TABLE)
 def test_table_text_is_the_dumps_text_of_its_rows(table):
     expected = json.dumps(table.rows(), indent=2)
     c_make_encoder = json.encoder.c_make_encoder
@@ -939,6 +991,7 @@ def test_table_text_is_the_dumps_text_of_its_rows(table):
 @example(table=Table({"x": np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf] * 400),
                       "s": [",", "\"", "\r", "\n"] * 600, "f": [0.1, -0.0] * 1200}))
 @example(table=Table({"d": [{"a": 1}], "x": [1.0]}))  # a dict cell has no CSV text
+@example(table=REPR_EDGE_TABLE)
 def test_table_csv_is_the_csv_writer_text_of_its_rows(table):
     try:
         expected = _table_csv_oracle(table)
