@@ -413,29 +413,34 @@ def _section_checks(rc: RunConfig, cfgp: model.SystemConfig, t_un: dhrep.DhTrans
     """40-55 on the probe system at kmid: field sections and locality."""
     pts = cfgp.layout.centers + (rc.probe_point,)
     modes = {spin: dhrep.section_modes(cfgp, spin) for spin in ("up", "down")}
+    # conjugated once, for record 40 and the unentangled locality report
+    conjugated = {spin: [dhrep.conjugate(t_un, m) for m in modes[spin]] for spin in modes}
+    loc = _locality_payload(cfgp, t_un, t_en, rc, conjugated)
     # one call conjugates G_DH once for both spins' lists
     both = dhrep.first_order_entangled_conjugate(cfgp, t_un, modes["up"] + modes["down"])
     first = {"up": both[:len(modes["up"])], "down": both[len(modes["up"]):]}
-    # conjugated once, for record 40 and the unentangled locality report
-    conjugated = {spin: [dhrep.conjugate(t_un, m) for m in modes[spin]] for spin in modes}
-    closed_un, closed_en, dev_un, dev_en = {}, {}, [], []
+    del both
+    # one spin at a time, dropping its closed, first-order and conjugated lists
+    # once its deviations and vacuum columns are taken; a section's vacuum
+    # action is sum_k alpha_k(x) m_k|0>, so each m_k|0> is read once
+    dev_un, dev_en, vacuum_columns = [], [], {}
     for spin in ("up", "down"):
-        closed_un[spin] = dhrep.closed_form_modes(cfgp, spin, t_un)
-        closed_en[spin] = dhrep.closed_form_modes(cfgp, spin, t_en)
+        closed_un = dhrep.closed_form_modes(cfgp, spin, t_un)
+        closed_en = dhrep.closed_form_modes(cfgp, spin, t_en)
         # ||section(a) - section(b)|| is the norm of the section of a - b
         dev_un.extend(dhrep.section_norms(cfgp, pts, [
-            c - m for c, m in zip(closed_un[spin], conjugated[spin])]))
+            c - m for c, m in zip(closed_un, conjugated.pop(spin))]))
         dev_en.extend(dhrep.section_norms(cfgp, pts, [
-            c - f for c, f in zip(closed_en[spin], first[spin])]))
+            c - f for c, f in zip(closed_en, first.pop(spin))]))
+        for flavor, images in (("un", closed_un), ("en", closed_en)):
+            vacuum_columns[flavor, spin] = [dhrep.vacuum_action(m).amplitudes for m in images]
+    columns = [vacuum_columns[flavor, spin] for flavor in ("un", "en") for spin in ("up", "down")]
 
     vac = cfgp.vacuum()
     s1, s2, s3 = (float(s) for s in t_un.signs)
     aux1, aux2, aux3 = ((cfgp.adag(j) @ vac).amplitudes for j in (1, 2, 3))
     kterm_up, kterm_down = ((cfgp.bdag(s, r) @ (cfgp.adag(1) @ (cfgp.adag(2) @ vac))).amplitudes
                             for s, r in (("down", 1), ("up", 2)))
-    # a section's vacuum action is sum_k alpha_k(x) m_k|0>: each m_k|0> is read once
-    columns = [[dhrep.vacuum_action(m).amplitudes for m in images[spin]]
-               for images in (closed_un, closed_en) for spin in ("up", "down")]
     dev = []
     for x in pts:
         psi, alpha = cfgp.layout.packet_values(x), dhrep.section_coefficients(cfgp, x)
@@ -446,7 +451,6 @@ def _section_checks(rc: RunConfig, cfgp: model.SystemConfig, t_un: dhrep.DhTrans
                     down_expect + s1 * s2 * kmid * complex(psi[0]) * kterm_down)
         dev += [np.linalg.norm(sum(complex(a) * c for a, c in zip(alpha, cols)) - want)
                 for cols, want in zip(columns, expected)]
-    loc = _locality_payload(cfgp, t_un, t_en, rc, conjugated)
     outside = {table: [r["distance"] for r in rows if r["outside_support"]]
                for table, rows in loc.items() if table.startswith("aux_")}
     region2_up = next(

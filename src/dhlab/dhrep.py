@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from . import wavepackets as wp
-from .errors import SignConstraintError
+from .errors import LayoutError, SignConstraintError
 from .fock import (
     SPIN_DOWN,
     SPIN_UP,
@@ -383,12 +383,14 @@ def locality_report(
         centers = cfg.layout.centers
         mids = tuple(0.5 * (a + b) for a, b in zip(centers, centers[1:]))
         points = centers + mids + cfg.layout.probe_points
-    # V u(x) V^dag - u(x) is linear in alpha(x): conjugate each mode once
-    modes = {s: section_modes(cfg, s) for s in SPINS}
-    if conjugated is None:
-        conjugated = {s: [conjugate(transform, m) for m in modes[s]] for s in SPINS}
-    moved = {s: [c - m for c, m in zip(conjugated[s], modes[s])] for s in SPINS}
-    dists = {s: section_norms(cfg, points, modes) for s, modes in moved.items()}
+    # V u(x) V^dag - u(x) is linear in alpha(x): conjugate each mode once,
+    # one spin at a time, so no spin's operators outlive its distances
+    dists = {}
+    for s in SPINS:
+        modes = section_modes(cfg, s)
+        images = (conjugated[s] if conjugated is not None
+                  else [conjugate(transform, m) for m in modes])
+        dists[s] = section_norms(cfg, points, [c - m for c, m in zip(images, modes)])
     rows = []
     for i, x in enumerate(points):
         mags = [float(abs(v)) for v in cfg.layout.packet_values(x)]
@@ -441,7 +443,11 @@ def single_packet_config(
     grid = wp.uniform_grid(lo, hi, max(16, np.round((hi - lo) / 0.05) + 1))
     packet = wp.gaussian_packet(0.0, width, grid)
     probe_point = separation * width
-    probe = wp.orthogonalized(wp.gaussian_packet(probe_point, width, grid), (packet,))
+    try:
+        probe = wp.orthogonalized(wp.gaussian_packet(probe_point, width, grid), (packet,))
+    except LayoutError as exc:
+        raise LayoutError(f"separations: a probe packet {separation!r} widths from its "
+                          f"packet lies in that packet's span") from exc
     modes: tuple = (PhysicalMode(SPIN_UP, 1),)
     if with_auxiliary:
         modes += (AuxiliaryMode(1),)

@@ -132,7 +132,9 @@ class CSRMatrix:
     """A complex matrix as compressed sparse rows, never mutated after
     construction.  Row i stores data[indptr[i]:indptr[i + 1]] at the columns
     indices[indptr[i]:indptr[i + 1]], each column once and in increasing
-    order.  Products and sums drop the entries that come out exactly zero."""
+    order.  Products and sums drop the entries that come out exactly zero.
+    A matrix keeps those three arrays, plus `rows` and `_ranks` once they are
+    read; `keys` is computed each time it is asked for."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -150,7 +152,7 @@ class CSRMatrix:
         """The row of each stored entry."""
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
-    @cached_property
+    @property
     def keys(self) -> np.ndarray:
         """row * width + column of each stored entry, increasing."""
         return self.rows * self.shape[1] + self.indices
@@ -186,9 +188,7 @@ class CSRMatrix:
             kept = keep.nonzero()[0]
             keys, vals = keys[kept], vals[kept]
         rows = keys // shape[1]
-        matrix = cls._from_rows(rows, keys - rows * shape[1], vals, shape)
-        matrix.__dict__["keys"] = keys  # fills the cached_property
-        return matrix
+        return cls._from_rows(rows, keys - rows * shape[1], vals, shape)
 
     @classmethod
     def _from_rows(cls, rows, cols, vals, shape) -> "CSRMatrix":

@@ -314,6 +314,48 @@ def test_car_suite_holds_one_block_row_at_a_time():
     assert peak < 8e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
+def _probe_setup(rc: RunConfig, kappa: float):
+    cfg0 = checks._config(rc, (rc.probe_point,))
+    t_un = dhrep.build_unentangled_transform(cfg0)
+    return (*checks._entangled(cfg0, t_un, kappa), t_un)
+
+
+def test_section_group_holds_one_spin_at_a_time():
+    # mode caches emptied before the probe setup, as in a fresh run; with both
+    # spins' conjugated, first-order and closed-form lists alive for the whole
+    # group the traced peak was 4.3 MB
+    for cached in (fock._annihilator_matrix, fock._creator_matrix):
+        cached.cache_clear()
+    rc = RunConfig()
+    kmid = rc.kappas[len(rc.kappas) // 2]
+    cfg, t_en, t_un = _probe_setup(rc, kmid)
+    tracemalloc.start()
+    try:
+        records = checks._section_checks(rc, cfg, t_un, t_en, kmid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.id[:2] for r in records] == ["40", "41", "42", "50", "51", "52", "53", "54", "55"]
+    assert all(r.passed for r in records)
+    assert peak < 2.5e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
+def test_locality_report_holds_one_spin_at_a_time():
+    # warm caches; with both spins' modes, images and moved lists alive at once
+    # the traced peak was 1.5 MB
+    rc = RunConfig()
+    cfg, t_en, _ = _probe_setup(rc, max(rc.kappas))
+    expected = dhrep.locality_report(cfg, t_en)
+    tracemalloc.start()
+    try:
+        rows = dhrep.locality_report(cfg, t_en)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == expected
+    assert peak < 1.2e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
 def test_table_encoder_holds_little_beyond_its_texts():
     # the 230,400 floats of 40 random directions: np.unique's flatten copy,
     # permutation, sorted copy, cumsum and int64 inverse took the traced peak
@@ -696,6 +738,20 @@ def test_tiny_separation_exits_two_naming_it_before_the_run(tmp_path, capsys, mo
     ini = tmp_path / "run.ini"
     ini.write_text(f"[geometry]\nseparations = 10, {separation}\n")
     assert cli.main([command, "--config", str(ini), "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "separations" in err and repr(float(separation)) in err
+
+
+@pytest.mark.parametrize("command", ["verify", "locality"])
+@pytest.mark.parametrize("separation", ["1.5e-8", "-1.5e-8"])
+def test_sliver_separation_exits_two_naming_it(tmp_path, capsys, command, separation):
+    # above the config floor but still inside the packet's span: the run is
+    # built and then refused, with a line that names the key and the value
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[geometry]\nseparations = 10, {separation}\n")
+    out = tmp_path / "o.json"
+    assert cli.main([command, *FAST_FLAGS, "--config", str(ini), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert "separations" in err and repr(float(separation)) in err

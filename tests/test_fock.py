@@ -390,6 +390,18 @@ def test_numpy_sum_and_adjoint_are_scipys_bit_for_bit(real_operators):
         _assert_bit_identical(a.adjoint(), _scipy(a).conj().T)
 
 
+def test_sums_and_products_keep_no_key_array(registry):
+    # keys is read only to merge a sum or gather a union, so it is computed when
+    # asked rather than stored beside the three arrays of every result
+    a, b = (mode_operator(registry, m).matrix for m in registry.modes[:2])
+    bdag = mode_operator(registry, registry.modes[1], dagger=True).matrix
+    total = a + bdag  # two entries in some rows, so its product merges by key
+    for m in (total, a - bdag, total @ b, b @ total):
+        assert m.nnz and "keys" not in m.__dict__
+        assert np.array_equal(m.keys, m.rows * m.shape[1] + m.indices)
+        assert "keys" not in m.__dict__
+
+
 def test_numpy_action_is_scipys_bit_for_bit(real_operators):
     v, _, exchange, modes = real_operators
     rng = np.random.default_rng(3)
