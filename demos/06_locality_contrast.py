@@ -17,20 +17,21 @@ print("auxiliary-partner construction "
       "(distance between transformed and usual sections):")
 for transform, name in ((t_un, "unentangled"), (t_en, "entangled")):
     print(f"  {name}:")
-    for row in dhrep.locality_report(cfg, transform):
-        tag = "outside all supports" if row["outside_support"] else (
-            f"packet magnitude {row['relevant_magnitude']:.1e}")
-        print(f"    x={row['point']:+06.1f} spin={row['spin']:4s} "
-              f"distance={row['distance']:.3e}  ({tag})")
+    report = dhrep.locality_report(cfg, transform)
+    for x, spin, dist, magnitude, outside in zip(
+            report["point"], report["spin"], report["distance"],
+            report["relevant_magnitude"], report["outside_support"]):
+        tag = "outside all supports" if outside else f"packet magnitude {magnitude:.1e}"
+        print(f"    x={x:+06.1f} spin={spin:4s} distance={dist:.3e}  ({tag})")
 
 print("\nthe entangled rows show the exchange leakage: the spin-up section in")
 print("region 2 (x=0) moves by ~10*kappa, fed entirely by the partner region.")
 
 print("\nno-auxiliary contrast (single packet + distant probe):")
-rows = dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0))
-for row in rows:
-    print(f"  separation {row['separation']:4.0f} widths: "
-          f"probe operator moved by {row['noaux_probe_operator_distance']:.6f} (bare)  "
-          f"vs {row['aux_probe_operator_distance']:.1e} (with auxiliary)")
+contrast = dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0))
+for sep, bare, aux in zip(contrast["separation"], contrast["noaux_probe_operator_distance"],
+                          contrast["aux_probe_operator_distance"]):
+    print(f"  separation {sep:4.0f} widths: "
+          f"probe operator moved by {bare:.6f} (bare)  vs {aux:.1e} (with auxiliary)")
 print("the bare construction's leakage is the same at every separation;")
 print("the auxiliary partner removes it identically.")

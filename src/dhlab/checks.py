@@ -47,9 +47,9 @@ class CheckRecord:
 
 @dataclass(frozen=True)
 class Table:
-    """A table as its columns, each a float64 array or a list, all of one
-    length; the CLI encodes it column by column, as JSON or CSV, building no
-    row."""
+    """A table as its columns, all of one length: a float column is a float64
+    array, any other a list, whose cells the CLI encodes one object at a time.
+    The CLI encodes it column by column, as JSON or CSV, building no row."""
     columns: dict[str, np.ndarray | list]
 
     def __len__(self) -> int:
@@ -258,9 +258,11 @@ def _lower_bound(check_id: str, ref: str, bound, actual) -> CheckRecord:
 
 
 def _worst(deviations) -> float:
-    """max(0.0, *deviations), but NaN if any deviation is NaN: Python's max
-    drops a NaN that follows a number, so a record reduced with it passes."""
-    return float(np.max(np.fromiter(deviations, float), initial=0.0))
+    """max(0.0, *deviations), but NaN if any deviation is NaN or there is none,
+    so a record fails on a NaN or on nothing: Python's max drops a NaN that
+    follows a number, and max(0.0) of nothing would pass."""
+    deviations = np.fromiter(deviations, float)
+    return float(np.max(deviations, initial=0.0)) if deviations.size else math.nan
 
 
 def _timed(group, *args) -> list[CheckRecord]:
@@ -451,14 +453,12 @@ def _section_checks(rc: RunConfig, cfgp: model.SystemConfig, t_un: dhrep.DhTrans
                     down_expect + s1 * s2 * kmid * complex(psi[0]) * kterm_down)
         dev += [np.linalg.norm(sum(complex(a) * c for a, c in zip(alpha, cols)) - want)
                 for cols, want in zip(columns, expected)]
-    outside = {table: [r["distance"] for r in rows if r["outside_support"]]
-               for table, rows in loc.items() if table.startswith("aux_")}
-    region2_up = next(
-        r["distance"] for r in loc["aux_entangled"]
-        if r["spin"] == "up" and abs(r["point"] - cfgp.layout.centers[1]) < 1e-9
-    )
+    outside = {table: loc[table]["distance"][loc[table]["outside_support"]]
+               for table in ("aux_unentangled", "aux_entangled")}
+    en = loc["aux_entangled"]
+    region2_up = en["distance"][(np.abs(en["point"] - cfgp.layout.centers[1]) < 1e-9)
+                                & (np.array(en["spin"]) == "up")][0]
     noaux = loc["noaux_contrast"]
-    sect = [r["noaux_section_distance"] for r in noaux]
     return [
         _record("40-closed-form-sections", "transformed field sections vs conjugation",
                 0.0, _worst(dev_un), rc.tol_exact),
@@ -478,13 +478,13 @@ def _section_checks(rc: RunConfig, cfgp: model.SystemConfig, t_un: dhrep.DhTrans
                      5.0 * kmid, region2_up),
         _lower_bound("53-noaux-probe-distance",
                      "bare construction moves the distant probe operator",
-                     0.1, np.min([r["noaux_probe_operator_distance"] for r in noaux])),
+                     0.1, np.min(noaux["noaux_probe_operator_distance"])),
         _record("54-noaux-separation-invariance",
                 "probe leakage of the bare construction ignores the separation",
-                0.0, np.ptp(sect), rc.tol_exact),
+                0.0, np.ptp(noaux["noaux_section_distance"]), rc.tol_exact),
         _record("55-aux-probe-distance",
                 "auxiliary-partner construction leaves the probe untouched",
-                0.0, _worst(r["aux_probe_operator_distance"] for r in noaux), rc.tol_exact),
+                0.0, _worst(noaux["aux_probe_operator_distance"]), rc.tol_exact),
     ]
 
 
@@ -590,9 +590,9 @@ def run_correlations(rc: RunConfig) -> Table:
 
 def _locality_payload(cfg: model.SystemConfig, t_un: dhrep.DhTransform,
                       t_en: dhrep.DhTransform, rc: RunConfig,
-                      conjugated: dict | None = None) -> dict[str, list[dict]]:
+                      conjugated: dict | None = None) -> dict[str, dict]:
     """Per-point section distances for the auxiliary construction alongside
-    the no-auxiliary contrast, as the rows of each report.  `conjugated`
+    the no-auxiliary contrast, as the columns of each report.  `conjugated`
     holds the section modes conjugated by t_un, when the caller has them."""
     return {
         "aux_unentangled": dhrep.locality_report(cfg, t_un, tol=rc.tol_exact,
@@ -608,8 +608,8 @@ def run_locality(rc: RunConfig) -> dict[str, Table]:
     cfg0 = _config(rc, (rc.probe_point,))
     t_un = dhrep.build_unentangled_transform(cfg0)
     cfg, t_en = _entangled(cfg0, t_un, max(rc.kappas))
-    return {name: Table({k: [row[k] for row in rows] for k in rows[0]})
-            for name, rows in _locality_payload(cfg, t_un, t_en, rc).items()}
+    payload = _locality_payload(cfg, t_un, t_en, rc)
+    return {name: Table(columns) for name, columns in payload.items()}
 
 
 def run_qubit(rc: RunConfig) -> Table:

@@ -185,11 +185,11 @@ def _table_pieces(table: Table, fmt: str, depth: int = 0):
     """`table.rows()` in pieces of _TABLE_CHUNK rows, with no row built: as the
     `json.dumps(indent=2)` text at `depth`, each cell its _json_text, or as
     CSV, a header row and the rows as `csv.writer` writes them, each cell the
-    text of _csv_field.  Every float is encoded once per distinct bit pattern
-    in the table (_float_texts), any other value once per distinct object in
-    its column; each piece is one join over slots that run key literal (in
-    CSV a comma), value text, ..., row end, the value slots filled a column at
-    a time."""
+    text of _csv_field.  A float column is a float64 array, whose floats are
+    encoded once per distinct bit pattern in the table (_float_texts); a list
+    column's cells are encoded once per distinct object in the column.  Each
+    piece is one join over slots that run key literal (in CSV a comma), value
+    text, ..., row end, the value slots filled a column at a time."""
     n, csv = len(table), fmt == "csv"
     if csv:
         # csv.writer quotes a row that is one empty cell
@@ -208,8 +208,7 @@ def _table_pieces(table: Table, fmt: str, depth: int = 0):
     if not n:
         yield sep if csv else "[]"
         return
-    columns = [np.array(c) if isinstance(c, list) and {*map(type, c)} == {float} else c
-               for c in table.columns.values()]
+    columns = list(table.columns.values())
     floats = [i for i, c in enumerate(columns) if isinstance(c, np.ndarray)]
     if floats:
         texts, index = _float_texts([columns[i] for i in floats], csv)

@@ -369,11 +369,11 @@ def locality_report(
     points: tuple[float, ...] | None = None,
     tol: float = 1e-10,
     conjugated: dict[str, list[FockOperator]] | None = None,
-) -> list[dict]:
-    """Distance between conjugated and usual field sections, one row per
-    point and spin (the rows `dhlab locality` prints).  `conjugated` maps a
-    spin to [conjugate(transform, m) for m in section_modes(cfg, spin)], when
-    the caller has already built them.
+) -> dict[str, np.ndarray | list]:
+    """Distance between conjugated and usual field sections, as the columns of
+    the table `dhlab locality` prints: one row per point and spin, points
+    first.  `conjugated` maps a spin to [conjugate(transform, m) for m in
+    section_modes(cfg, spin)], when the caller has already built them.
 
     A row is flagged `local_ok` unless the point lies outside the supports of
     every wavepacket carrying the corresponding quanta (all relevant packet
@@ -385,30 +385,27 @@ def locality_report(
         points = centers + mids + cfg.layout.probe_points
     # V u(x) V^dag - u(x) is linear in alpha(x): conjugate each mode once,
     # one spin at a time, so no spin's operators outlive its distances
-    dists = {}
-    for s in SPINS:
+    distance = np.empty((len(points), len(SPINS)))
+    for j, s in enumerate(SPINS):
         modes = section_modes(cfg, s)
         images = (conjugated[s] if conjugated is not None
                   else [conjugate(transform, m) for m in modes])
-        dists[s] = section_norms(cfg, points, [c - m for c, m in zip(images, modes)])
-    rows = []
-    for i, x in enumerate(points):
-        mags = [float(abs(v)) for v in cfg.layout.packet_values(x)]
-        for spin in SPINS:
-            dist = float(dists[spin][i])
-            relevant = max(mags[r - 1] for r in _relevant_packets(spin, transform.flavor))
-            outside = relevant <= SUPPORT_CUT
-            rows.append({
-                "point": float(x),
-                "spin": spin,
-                "representation": transform.flavor,
-                "distance": dist,
-                "packet_magnitudes": mags,
-                "relevant_magnitude": relevant,
-                "outside_support": outside,
-                "local_ok": (not outside) or dist <= tol,
-            })
-    return rows
+        distance[:, j] = section_norms(cfg, points, [c - m for c, m in zip(images, modes)])
+    mags = np.abs([cfg.layout.packet_values(x) for x in points])
+    relevant = np.column_stack([mags[:, [r - 1 for r in _relevant_packets(s, transform.flavor)]]
+                                .max(axis=1) for s in SPINS])
+    distance, relevant = distance.ravel(), relevant.ravel()
+    outside = relevant <= SUPPORT_CUT
+    return {
+        "point": np.repeat(np.asarray(points, dtype=float), len(SPINS)),
+        "spin": list(SPINS) * len(points),
+        "representation": [transform.flavor] * distance.size,
+        "distance": distance,
+        "packet_magnitudes": [m for m in mags.tolist() for _ in SPINS],
+        "relevant_magnitude": relevant,
+        "outside_support": outside.tolist(),
+        "local_ok": (~outside | (distance <= tol)).tolist(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +485,12 @@ def noaux_transform(cfg: SinglePacketConfig, theta: float = math.pi / 2.0) -> Dh
 
 def noaux_locality_report(
     separations: tuple[float, ...] = (10.0, 20.0, 40.0), width: float = 1.0
-) -> list[dict]:
+) -> dict[str, np.ndarray]:
     """Probe-support leakage of the no-auxiliary construction next to the
-    auxiliary-partner construction on the same geometry, per separation.  The
-    moved operators V m V^dag - m (m = b, probe) ignore the separation, so each
-    construction builds them once; only psi, chi at the probe point change."""
-    rows, moved = [], {}
+    auxiliary-partner construction on the same geometry, as columns, a row per
+    separation.  The moved operators V m V^dag - m (m = b, probe) ignore the
+    separation, so each is built once; only psi, chi at the probe point change."""
+    moved, at_probe = {}, []
     for sep in separations:
         geo = single_packet_config(sep, width)
         if not moved:
@@ -501,10 +498,10 @@ def noaux_locality_report(
             for cfg, prefix in ((geo, "noaux"), (aux, "aux")):
                 v = noaux_transform(cfg)
                 moved[prefix] = [conjugate(v, m) - m for m in (cfg.b(), cfg.probe())]
-        psi, chi = (f.value_at(geo.probe_point) for f in (geo.packet, geo.probe_function))
-        row: dict = {"separation": float(sep)}
-        for prefix, (d_b, d_probe) in moved.items():
-            row[f"{prefix}_probe_operator_distance"] = d_probe.norm()
-            row[f"{prefix}_section_distance"] = (psi * d_b + chi * d_probe).norm()
-        rows.append(row)
-    return rows
+        at_probe.append([f.value_at(geo.probe_point) for f in (geo.packet, geo.probe_function)])
+    columns = {"separation": np.array(separations, dtype=float)}
+    for prefix, (d_b, d_probe) in moved.items():
+        columns[f"{prefix}_probe_operator_distance"] = np.full(len(at_probe), d_probe.norm())
+        columns[f"{prefix}_section_distance"] = np.array(
+            [(psi * d_b + chi * d_probe).norm() for psi, chi in at_probe])
+    return columns

@@ -214,21 +214,18 @@ def test_criterion_08_effective_locality_contrast(cfg_probe, t_un_probe, t_en_pr
     with criterion(8, "effective locality with auxiliaries, leakage without"):
         assert dhrep.SUPPORT_CUT == 1e-12
         for transform in (t_un_probe, t_en_probe):
-            rows = dhrep.locality_report(cfg_probe, transform, tol=EXACT_TOL)
-            assert all(r["local_ok"] for r in rows)
-            outside = [r for r in rows if r["outside_support"]]
-            assert outside, "report must include outside-support points"
-            for row in outside:
-                assert row["distance"] <= EXACT_TOL, (row["point"], row["spin"], row["distance"])
-            probe_rows = [r for r in rows if r["point"] == 32.0]
-            assert any(r["outside_support"] for r in probe_rows)
-        rows = dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0))
-        section = [r["noaux_section_distance"] for r in rows]
-        for row in rows:
-            assert row["noaux_probe_operator_distance"] > 0.1
-            assert row["noaux_section_distance"] > 0.1
-            assert row["aux_probe_operator_distance"] <= EXACT_TOL
-        assert max(section) - min(section) <= EXACT_TOL
+            report = dhrep.locality_report(cfg_probe, transform, tol=EXACT_TOL)
+            assert all(report["local_ok"])
+            outside = np.array(report["outside_support"])
+            assert outside.any(), "report must include outside-support points"
+            leaks = report["distance"][outside]
+            assert np.all(leaks <= EXACT_TOL), (report["point"][outside], leaks)
+            assert outside[report["point"] == 32.0].any()
+        report = dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0))
+        assert np.all(report["noaux_probe_operator_distance"] > 0.1)
+        assert np.all(report["noaux_section_distance"] > 0.1)
+        assert np.all(report["aux_probe_operator_distance"] <= EXACT_TOL)
+        assert np.ptp(report["noaux_section_distance"]) <= EXACT_TOL
 
 
 def test_criterion_09_first_quantized_oracle():

@@ -27,6 +27,10 @@ The `nan-` cases put a NaN in a non-first position of the values a record
 reduces: Python's `max` and `min` drop a NaN that follows a number, so a
 record must reduce through NaN-propagating numpy calls to fail on one.
 
+`no-row-outside-support` sets `dhrep.SUPPORT_CUT` to -1.0, so no point of
+the locality reports counts as outside support: `50`/`51` then reduce no
+distance, and a reduction of nothing is NaN, so both fail.
+
 Where a mutant cannot reach the record family it sits under, the case names
 the records that do catch it:
 
@@ -150,18 +154,17 @@ def _coefficients_nan_at_probe(cfg, x):
 
 
 def _last_outside_row_nan(cfg, transform, points=None, tol=1e-10, conjugated=None):
-    rows = LOCALITY(cfg, transform, points, tol, conjugated)
-    outside = [r for r in rows if r["outside_support"]]
-    outside[-1]["distance"] = np.nan
-    return rows
+    report = LOCALITY(cfg, transform, points, tol, conjugated)
+    report["distance"][np.flatnonzero(report["outside_support"])[-1]] = np.nan
+    return report
 
 
 def _last_noaux_row_nan(separations, width):
-    rows = NOAUX_LOCALITY(separations, width)
+    report = NOAUX_LOCALITY(separations, width)
     for key in ("noaux_probe_operator_distance", "noaux_section_distance",
                 "aux_probe_operator_distance"):
-        rows[-1][key] = np.nan
-    return rows
+        report[key][-1] = np.nan
+    return report
 
 
 def _dh_correlations_nan(cfg, transform):
@@ -264,6 +267,7 @@ MUTANTS = {
     "nan-last-outside-row": (("50-", "51-"), dhrep, "locality_report", _last_outside_row_nan),
     "nan-last-noaux-row": (("53-", "54-", "55-"), dhrep, "noaux_locality_report",
                            _last_noaux_row_nan),
+    "no-row-outside-support": (("50-", "51-"), dhrep, "SUPPORT_CUT", -1.0),
     "nan-dh-correlations": (("37-", "38-"), dhrep, "dh_vacuum_moments", _dh_correlations_nan),
 }
 

@@ -348,11 +348,12 @@ def test_locality_report_holds_one_spin_at_a_time():
     expected = dhrep.locality_report(cfg, t_en)
     tracemalloc.start()
     try:
-        rows = dhrep.locality_report(cfg, t_en)
+        report = dhrep.locality_report(cfg, t_en)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows == expected
+    assert list(report) == list(expected)
+    assert all(np.array_equal(report[k], expected[k]) for k in expected)
     assert peak < 1.2e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
@@ -1056,6 +1057,18 @@ def test_table_csv_is_the_csv_writer_text_of_its_rows(table):
             _cli_csv(table)
         return
     _assert_same_text(_cli_csv(table), expected)
+
+
+def test_runner_tables_keep_floats_in_arrays():
+    # the encoder sorts the floats of array columns and encodes a list column
+    # one object at a time: a float column must reach it as a float64 array
+    rc = RunConfig(kappas=(0.05,), n_theta=2, n_phi=2)
+    for table in (run_correlations(rc), run_qubit(rc), *run_locality(rc).values()):
+        for key, column in table.columns.items():
+            if isinstance(column, np.ndarray):
+                assert column.dtype == np.float64, key
+            else:
+                assert not any(isinstance(cell, float) for cell in column), key
 
 
 def test_no_command_builds_a_row(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from scipy import sparse
 
 from conftest import grid_directions
 from dhlab import dhrep, fock, model
+from dhlab.checks import Table
 from dhlab.errors import SignConstraintError
 from dhlab.fock import matrix_exponential, operator_distance, vacuum_state
 from dhlab.model import (
@@ -359,9 +360,9 @@ def test_dh_equivalence_against_usual(kappa):
 
 
 def test_locality_report_unentangled(cfg_probe, t_un_probe):
-    rows = dhrep.locality_report(cfg_probe, t_un_probe)
-    assert all(r["local_ok"] for r in rows)
-    by_key = {(r["point"], r["spin"]): r for r in rows}
+    report = dhrep.locality_report(cfg_probe, t_un_probe)
+    assert all(report["local_ok"])
+    by_key = {(r["point"], r["spin"]): r for r in Table(report).rows()}
     # spin-up sections in region 3 and at the probe point are untouched
     assert by_key[(20.0, "up")]["distance"] <= 1e-10
     assert by_key[(32.0, "up")]["distance"] <= 1e-10
@@ -372,9 +373,9 @@ def test_locality_report_unentangled(cfg_probe, t_un_probe):
 
 
 def test_locality_report_entangled_cross_term(cfg_probe, t_en_probe):
-    rows = dhrep.locality_report(cfg_probe, t_en_probe)
-    assert all(r["local_ok"] for r in rows)
-    by_key = {(r["point"], r["spin"]): r for r in rows}
+    report = dhrep.locality_report(cfg_probe, t_en_probe)
+    assert all(report["local_ok"])
+    by_key = {(r["point"], r["spin"]): r for r in Table(report).rows()}
     # the exchange coupling leaks the partner region's support at order kappa
     assert by_key[(0.0, "up")]["distance"] >= 5.0 * cfg_probe.kappa
     assert by_key[(-20.0, "down")]["distance"] >= 5.0 * cfg_probe.kappa
@@ -387,12 +388,23 @@ def test_locality_report_entangled_cross_term(cfg_probe, t_en_probe):
 def test_locality_holds_across_the_grid(cfg_probe, t_un_probe, t_en_probe, flavor):
     transform = t_un_probe if flavor == "unentangled" else t_en_probe
     points = tuple(float(x) for x in cfg_probe.layout.grid.points)
-    rows = dhrep.locality_report(cfg_probe, transform, points=points)
-    assert all(r["local_ok"] for r in rows)
-    outside = [r for r in rows if r["outside_support"]]
-    assert outside
-    worst = max(outside, key=lambda r: r["distance"])
-    assert worst["distance"] <= 1e-10, (worst["point"], worst["spin"], worst["distance"])
+    report = dhrep.locality_report(cfg_probe, transform, points=points)
+    assert all(report["local_ok"])
+    outside = np.array(report["outside_support"])
+    assert outside.any()
+    leaks = report["distance"][outside]
+    assert np.all(leaks <= 1e-10), (report["point"][outside], leaks)
+
+
+def test_locality_report_columns(cfg_probe, t_un_probe):
+    # the centers, then the midpoints between them, then the probe point, each
+    # for spin up and then spin down
+    report = dhrep.locality_report(cfg_probe, t_un_probe)
+    assert list(report) == ["point", "spin", "representation", "distance",
+                            "packet_magnitudes", "relevant_magnitude", "outside_support",
+                            "local_ok"]
+    assert np.array_equal(report["point"], np.repeat([-20.0, 0.0, 20.0, -10.0, 10.0, 32.0], 2))
+    assert report["spin"] == ["up", "down"] * 6
 
 
 @pytest.mark.parametrize("flavor", ["unentangled", "entangled"])
@@ -425,7 +437,7 @@ def test_locality_report_matches_per_point_conjugation(cfg_probe, t_un_probe, t_
                                                        flavor):
     # oracle: conjugate the whole usual section at each point
     transform = t_un_probe if flavor == "unentangled" else t_en_probe
-    rows = dhrep.locality_report(cfg_probe, transform)
+    rows = Table(dhrep.locality_report(cfg_probe, transform)).rows()
     assert len(rows) == 12
     for row in rows:
         point, spin = row["point"], row["spin"]
@@ -447,17 +459,16 @@ def test_noaux_transform_actions():
 
 
 def test_noaux_locality_contrast():
-    rows = dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0))
-    for row in rows:
-        assert row["noaux_probe_operator_distance"] > 0.1
-        assert row["noaux_section_distance"] > 0.1
-        assert row["aux_probe_operator_distance"] <= 1e-12
-        assert row["aux_section_distance"] <= 1e-10
+    report = dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0))
+    assert np.all(report["noaux_probe_operator_distance"] > 0.1)
+    assert np.all(report["noaux_section_distance"] > 0.1)
+    assert np.all(report["aux_probe_operator_distance"] <= 1e-12)
+    assert np.all(report["aux_section_distance"] <= 1e-10)
     # the bare construction's probe distance equals 2*sqrt(2) exactly: the
     # conjugated probe operator is just the negated probe operator
-    assert rows[0]["noaux_probe_operator_distance"] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
-    sect = [row["noaux_section_distance"] for row in rows]
-    assert max(sect) - min(sect) <= 1e-10
+    assert report["noaux_probe_operator_distance"][0] == pytest.approx(
+        2.0 * math.sqrt(2.0), abs=1e-12)
+    assert np.ptp(report["noaux_section_distance"]) <= 1e-10
 
 
 def _noaux_rows_rebuilt_per_separation(separations, width):
@@ -482,7 +493,7 @@ def _noaux_rows_rebuilt_per_separation(separations, width):
 
 @pytest.mark.parametrize("separations, width", [((10.0, 20.0, 40.0), 1.0), ((3.0, 36.5), 0.7)])
 def test_noaux_report_matches_per_separation_rebuild(separations, width):
-    rows = dhrep.noaux_locality_report(separations, width)
+    rows = Table(dhrep.noaux_locality_report(separations, width)).rows()
     oracle = _noaux_rows_rebuilt_per_separation(separations, width)
     assert [row.keys() for row in rows] == [row.keys() for row in oracle]
     for row, expected in zip(rows, oracle):
