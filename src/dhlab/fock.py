@@ -133,8 +133,9 @@ class CSRMatrix:
     construction.  Row i stores data[indptr[i]:indptr[i + 1]] at the columns
     indices[indptr[i]:indptr[i + 1]], each column once and in increasing
     order.  Products and sums drop the entries that come out exactly zero.
-    A matrix keeps those three arrays, plus `rows` and `_ranks` once they are
-    read; `keys` is computed each time it is asked for."""
+    A matrix keeps those three arrays, plus `rows` once it is read (from_triples
+    fills it); `keys` is computed each time it is asked for.  A matrix built
+    from triples in key order may share the caller's arrays (from_triples)."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -145,7 +146,9 @@ class CSRMatrix:
     def nnz(self) -> int:
         return self.data.size
 
-    size = nnz  # the stored values, as scipy counts a sparse array's size
+    # the stored values, as scipy counts a sparse array's size: bench/spans.py
+    # reads getattr(matrix, "nnz", matrix.size), whose default is evaluated first
+    size = nnz
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -157,42 +160,26 @@ class CSRMatrix:
         """row * width + column of each stored entry, increasing."""
         return self.rows * self.shape[1] + self.indices
 
-    @cached_property
-    def _ranks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per rank r, the rows that store an r-th entry and its position."""
-        lengths = np.diff(self.indptr)
-        ranks = []
-        for r in range(lengths.max(initial=0)):
-            sel = (lengths > r).nonzero()[0]
-            ranks.append((sel, self.indptr[sel] + r))
-        return ranks
-
     @classmethod
     def from_triples(cls, rows, cols, vals, shape) -> "CSRMatrix":
         """The matrix of entries (rows[k], cols[k], vals[k]).  Entries at one
-        place add up in the order given; exact zeros are dropped."""
+        place add up in the order given; exact zeros are dropped.  Triples
+        whose keys (row * width + column) strictly increase are not sorted,
+        and where no zero is dropped the matrix stores the caller's `cols`,
+        `vals` and `rows` as its indices, data and rows."""
         keys = rows * shape[1] + cols
-        order = np.argsort(keys, kind="stable")
-        return cls._from_keys(keys[order], vals[order], shape)
-
-    @classmethod
-    def _from_keys(cls, keys, vals, shape) -> "CSRMatrix":
-        """from_triples for entries already sorted by key (rows * width + cols)."""
-        if keys.size > 1:
-            new = keys[1:] != keys[:-1]
-            if not new.all():
-                starts = np.concatenate(([0], new.nonzero()[0] + 1))
+        if not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            keys, vals = keys[order], vals[order]
+            starts = np.concatenate(([0], (keys[1:] != keys[:-1]).nonzero()[0] + 1))
+            if starts.size < keys.size:
                 keys, vals = keys[starts], _run_sums(vals, starts)
+            rows = keys // shape[1]
+            cols = keys - rows * shape[1]
         keep = vals != 0
         if not keep.all():
             kept = keep.nonzero()[0]
-            keys, vals = keys[kept], vals[kept]
-        rows = keys // shape[1]
-        return cls._from_rows(rows, keys - rows * shape[1], vals, shape)
-
-    @classmethod
-    def _from_rows(cls, rows, cols, vals, shape) -> "CSRMatrix":
-        """The matrix of entries sorted by row and, within a row, by column."""
+            rows, cols, vals = rows[kept], cols[kept], vals[kept]
         counts = np.bincount(rows, minlength=shape[0])
         matrix = cls(np.concatenate(([0], np.cumsum(counts))), cols, vals, shape)
         matrix.__dict__["rows"] = rows  # fills the cached_property
@@ -233,10 +220,12 @@ class CSRMatrix:
         keys, vals = keys[order], np.concatenate((self.data, other.data))[order]
         second = (keys[1:] == keys[:-1]).nonzero()[0] + 1
         vals[second - 1] += vals[second]
-        keep = vals != 0
+        keep = vals != 0  # zeros go before the division: most of a CAR-suite sum cancels
         keep[second] = False
         kept = keep.nonzero()[0]
-        return CSRMatrix._from_keys(keys[kept], vals[kept], self.shape)
+        keys = keys[kept]
+        rows = keys // self.shape[1]  # sorted and each place once: from_triples skips its sort
+        return CSRMatrix.from_triples(rows, keys - rows * self.shape[1], vals[kept], self.shape)
 
     def __neg__(self) -> "CSRMatrix":
         return CSRMatrix(self.indptr, self.indices, -self.data, self.shape)
@@ -289,25 +278,17 @@ def _product(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     picks = np.arange(total) + np.repeat(starts - ends + lengths, lengths)  # b's entries in turn
     rows, cols = np.repeat(a.rows, lengths), b.indices[picks]
     vals = _times(np.repeat(a.data, lengths), b.data[picks])
-    shape = (a.shape[0], b.shape[1])
-    if np.diff(a.indptr).max(initial=0) > 1:
-        return CSRMatrix.from_triples(rows, cols, vals, shape)
-    # each row of a has at most one entry, so each row copies one sorted row of b
-    keep = vals != 0
-    if not keep.all():
-        kept = keep.nonzero()[0]
-        rows, cols, vals = rows[kept], cols[kept], vals[kept]
-    return CSRMatrix._from_rows(rows, cols, vals, shape)
+    return CSRMatrix.from_triples(rows, cols, vals, (a.shape[0], b.shape[1]))
 
 
 def _apply(a: CSRMatrix, x: np.ndarray) -> np.ndarray:
     """a @ x for a vector or a block of columns x.  Each output element adds
-    its terms in row order, from 0, as scipy's csr_matvec(s) does."""
-    if x.ndim == 2:  # column by column: numpy gathers rows of a few values slowly
-        return np.stack([_apply(a, column) for column in x.T], axis=1)
-    out = np.zeros(a.shape[0], dtype=complex)
-    for sel, pos in a._ranks:
-        out[sel] += _times(a.data[pos], x.take(a.indices[pos]))
+    its terms in a's row order, from 0, as scipy's csr_matvec(s) does:
+    np.add.at applies its updates in index order, and a's entries are stored
+    row by row.  It reads a's `rows`, which the matrix then keeps."""
+    data = a.data if x.ndim == 1 else a.data[:, None]
+    out = np.zeros((a.shape[0], *x.shape[1:]), dtype=complex)
+    np.add.at(out, a.rows, _times(data, x[a.indices]))
     return out
 
 
@@ -327,27 +308,18 @@ def _check_same_registry(a, b):
 
 @dataclass(frozen=True, eq=False)
 class FockOperator:
-    """Complex 2**N x 2**N matrix bound to a mode registry.  A matrix that is
-    not a CSRMatrix but has tocsr() (a scipy sparse array, say) is converted."""
+    """Complex 2**N x 2**N CSRMatrix bound to a mode registry."""
 
     registry: ModeRegistry
     matrix: CSRMatrix
 
     def __post_init__(self):
-        matrix = self.matrix
-        if not isinstance(matrix, CSRMatrix):
-            if not hasattr(matrix, "tocsr"):
-                raise TypeError(f"operator matrix must be sparse, got {type(matrix)}")
-            csr = matrix.tocsr()
-            rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
-            matrix = CSRMatrix.from_triples(rows, np.asarray(csr.indices, dtype=np.int64),
-                                            np.asarray(csr.data, dtype=complex),
-                                            tuple(csr.shape))
-            object.__setattr__(self, "matrix", matrix)
+        if not isinstance(self.matrix, CSRMatrix):
+            raise TypeError(f"operator matrix must be a CSRMatrix, got {type(self.matrix)}")
         dim = self.registry.dimension
-        if matrix.shape != (dim, dim):
+        if self.matrix.shape != (dim, dim):
             raise RegistryError(
-                f"matrix shape {matrix.shape} does not match registry dimension {dim}"
+                f"matrix shape {self.matrix.shape} does not match registry dimension {dim}"
             )
 
     def dagger(self) -> "FockOperator":

@@ -357,7 +357,11 @@ def standard_layout(
     probes = []
     for x in probe_points:
         raw = gaussian_packet(x, width, grid)
-        probes.append(orthogonalized(raw, packets + tuple(probes)))
+        try:
+            probes.append(orthogonalized(raw, packets + tuple(probes)))
+        except LayoutError as exc:
+            raise LayoutError(f"probe_point: a probe packet at {float(x)!r} lies in the "
+                              f"span of the packets it is orthogonalized against") from exc
     return PacketLayout(
         grid=grid,
         packets=packets,

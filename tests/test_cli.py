@@ -758,6 +758,18 @@ def test_sliver_separation_exits_two_naming_it(tmp_path, capsys, command, separa
     assert "separations" in err and repr(float(separation)) in err
 
 
+@pytest.mark.parametrize("command", ["verify", "locality"])
+@pytest.mark.parametrize("point", ["0", "20", "-20", "1e-9"])
+def test_probe_on_a_centre_exits_two_naming_it(tmp_path, capsys, command, point):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[geometry]\nprobe_point = {point}\n")
+    out = tmp_path / "o.json"
+    assert cli.main([command, *FAST_FLAGS, "--config", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "probe_point" in err and repr(float(point)) in err
+
+
 def test_small_and_negative_separations_still_run(tmp_path, capsys):
     ini = tmp_path / "run.ini"
     ini.write_text("[geometry]\nseparations = 1e-7, -10\n")

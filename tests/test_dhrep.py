@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from conftest import grid_directions
 from dhlab import dhrep, fock, model
@@ -423,9 +422,8 @@ def test_section_norms_match_the_per_point_sections(cfg_probe, t_un_probe, t_en_
 def test_section_norms_sum_duplicate_entries(cfg_probe):
     # a matrix holding one entry twice counts as its sum, as in a sparse sum
     dim = cfg_probe.registry.dimension
-    dup = fock.FockOperator(cfg_probe.registry, sparse.csr_array(
-        (np.array([1.0, 2.0, 1j]), np.array([5, 5, 7]), np.r_[0, 3, np.full(dim - 1, 3)]),
-        shape=(dim, dim)))
+    dup = fock.FockOperator(cfg_probe.registry, fock.CSRMatrix.from_triples(
+        np.array([0, 0, 0]), np.array([5, 5, 7]), np.array([1.0, 2.0, 1j]), (dim, dim)))
     modes = [dup] + dhrep.section_modes(cfg_probe, "up")[1:]
     x = cfg_probe.layout.centers[0]
     assert dhrep.section_norms(cfg_probe, (x,), modes)[0] == pytest.approx(

@@ -226,7 +226,7 @@ def test_compressed_exponential_against_dense_expm(case):
     # Test-only oracle: scipy's dense expm of the whole matrix.
     dense = COMPRESSED_CASES[case]()
     reg = ModeRegistry(tuple(ProbeMode(i + 1) for i in range(4)))
-    e = matrix_exponential(FockOperator(reg, sparse.csr_array(dense)))
+    e = matrix_exponential(FockOperator(reg, fock.CSRMatrix.from_dense(dense)))
     assert np.abs(e.matrix.toarray() - scipy.linalg.expm(dense)).max() <= 1e-13
     assert not np.any(e.matrix.data == 0)  # exact zeros are dropped
 
@@ -245,9 +245,10 @@ def test_exponential_refuses_non_skew_input(case):
 def test_expm_against_taylor_oracle(seed):
     skew = _check_03_skew(seed)
     reg = ModeRegistry(tuple(ProbeMode(i + 1) for i in range(4)))
-    a = FockOperator(reg, sparse.csr_array(skew))
+    a = FockOperator(reg, fock.CSRMatrix.from_dense(skew))
     e = matrix_exponential(a)
-    assert operator_distance(e, FockOperator(reg, sparse.csr_array(taylor_expm(skew)))) <= 1e-12
+    taylor = FockOperator(reg, fock.CSRMatrix.from_dense(taylor_expm(skew)))
+    assert operator_distance(e, taylor) <= 1e-12
     # skew-Hermitian input exponentiates to a unitary
     assert operator_distance(e @ e.dagger(), identity_operator(reg)) <= 1e-11
 
@@ -265,7 +266,7 @@ def test_exponential_action_against_dense_expm(kappa):
 
 
 def test_expm_rejects_bad_input(registry):
-    bad = FockOperator(registry, sparse.csr_array(np.full((512, 512), np.nan, dtype=complex)))
+    bad = FockOperator(registry, fock.CSRMatrix.from_dense(np.full((512, 512), np.nan)))
     with pytest.raises(ValueError):
         matrix_exponential(bad)
     with pytest.raises(ValueError):
@@ -303,6 +304,8 @@ def test_exponential_at_the_largest_in_use_norm_still_evolves():
 def test_dense_matrix_rejected(registry):
     with pytest.raises(TypeError):
         FockOperator(registry, np.eye(registry.dimension, dtype=complex))
+    with pytest.raises(TypeError):  # nor is any other sparse type converted
+        FockOperator(registry, sparse.csr_array(np.eye(registry.dimension, dtype=complex)))
 
 
 @pytest.mark.parametrize("theta", [math.pi / 6.0, math.pi / 2.0])
@@ -406,6 +409,54 @@ def test_numpy_action_is_scipys_bit_for_bit(real_operators):
     v, _, exchange, modes = real_operators
     rng = np.random.default_rng(3)
     block = rng.standard_normal((v.shape[0], 3)) + 1j * rng.standard_normal((v.shape[0], 3))
-    for a in (v, exchange, modes[0], v @ modes[1], modes[-1], v @ modes[-1]):
-        assert np.array_equal(a @ block[:, 0], _scipy(a) @ block[:, 0])
-        assert np.array_equal(a @ block, _scipy(a) @ block)
+    block[::3, 1] = complex(-0.0, -0.0)  # a vector holding -0.0
+    gaps = v.rows % 4 != 0  # v without every fourth row: a matrix with empty rows
+    gappy = fock.CSRMatrix.from_triples(v.rows[gaps], v.indices[gaps], v.data[gaps], v.shape)
+    for a in (v, exchange, modes[0], v @ modes[1], modes[-1], v @ modes[-1], gappy):
+        for x in (block[:, 0], block[:, 1], block):
+            assert (a @ x).tobytes() == (_scipy(a) @ x).tobytes()  # -0.0 is not 0.0 here
+
+
+# (rows, cols) in key order; "duplicates" gives three places more than once
+FROM_TRIPLES_CASES = {
+    "distinct": ([0, 0, 2, 3, 3, 6], [1, 4, 0, 0, 2, 4]),
+    "duplicates": ([0, 2, 2, 2, 3, 3, 6, 6], [1, 0, 0, 0, 2, 2, 4, 4]),
+    "one-entry": ([2], [3]),
+    "no-entry": ([], []),
+}
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+@pytest.mark.parametrize("case", sorted(FROM_TRIPLES_CASES))
+def test_from_triples_takes_sorted_or_shuffled_triples_alike(case, zeros):
+    rows, cols = (np.array(a, dtype=np.int64) for a in FROM_TRIPLES_CASES[case])
+    rng = np.random.default_rng(21)
+    vals = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+    if zeros:
+        vals[::3] = 0.0
+    if case == "duplicates":
+        vals[1:4] = [0.1, 0.2, 0.3]  # (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+        vals[6:] = [1.5, -1.5]  # cancels to an exact zero
+    # oracle: each place's values added in the order given, exact zeros dropped
+    sums = {}
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        sums[r, c] = sums[r, c] + v if (r, c) in sums else v
+    kept = [(r, c, v) for (r, c), v in sums.items() if v != 0]
+    want = [np.cumsum([0] + [sum(r == i for r, _, _ in kept) for i in range(7)]),
+            np.array([c for _, c, _ in kept], dtype=np.int64),
+            np.array([v for _, _, v in kept], dtype=complex),
+            np.array([r for r, _, _ in kept], dtype=np.int64)]
+    if case == "duplicates":
+        assert sums[2, 0] == (0.1 + 0.2) + 0.3 != 0.6
+        assert (6, 4) not in [(r, c) for r, c, _ in kept]
+    made = fock.CSRMatrix.from_triples(rows, cols, vals, (7, 5))
+    places = rows * 5 + cols
+    for seed in range(4):  # places in a random order, each place's values in theirs
+        rank = np.random.default_rng(seed).permutation(35)[places]
+        order = np.argsort(rank, kind="stable")
+        shuffled = fock.CSRMatrix.from_triples(rows[order], cols[order], vals[order], (7, 5))
+        for got in (made, shuffled):
+            parts = (got.indptr, got.indices, got.data, got.rows)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(parts, want)), (case, seed)
+    if case != "duplicates" and not zeros:  # sorted, nothing dropped: kept as given
+        assert made.rows is rows and made.indices is cols and made.data is vals
