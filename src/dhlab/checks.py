@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -179,9 +180,13 @@ class RunConfig:
 
 def directions(rc: RunConfig) -> list[SpinDirection]:
     """Deterministic direction set: a (theta, phi) grid, or seeded uniform
-    sphere samples when direction_mode = random."""
+    sphere samples when direction_mode = random.  The samples come from a
+    private random.Random(seed), whose random() stream Python keeps across
+    versions, through uniform(a, b) = a + (b - a) * random(); loading
+    numpy.random for them would cost several MB of RSS.  Earlier versions
+    drew with numpy's default_rng, so a seed's set differs from theirs."""
     if rc.direction_mode == "random":
-        rng = np.random.default_rng(rc.seed)
+        rng = random.Random(rc.seed)
         out = []
         for _ in range(rc.n_random):
             theta = math.acos(rng.uniform(-1.0, 1.0))
@@ -310,8 +315,9 @@ def _algebra_checks(seed: int) -> list[CheckRecord]:
         for p, e_p in enumerate(stack))
     vac = vacuum_state(reg)
 
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    rng = random.Random(seed)  # as in directions(): no numpy.random
+    draws = np.array([rng.uniform(-1.0, 1.0) for _ in range(512)]).reshape(2, 16, 16)
+    raw = draws[0] + 1j * draws[1]
     skew = raw - raw.conj().T
     skew *= 1.0 / max(1.0, np.linalg.norm(skew, 2))
     small_reg = ModeRegistry(model.standard_registry().modes[:4])
@@ -415,11 +421,12 @@ def _section_checks(rc: RunConfig, cfgp: model.SystemConfig, t_un: dhrep.DhTrans
     """40-55 on the probe system at kmid: field sections and locality."""
     pts = cfgp.layout.centers + (rc.probe_point,)
     modes = {spin: dhrep.section_modes(cfgp, spin) for spin in ("up", "down")}
-    # conjugated once, for record 40 and the unentangled locality report
+    # conjugated once, for records 40 and 41 and the unentangled locality report
     conjugated = {spin: [dhrep.conjugate(t_un, m) for m in modes[spin]] for spin in modes}
     loc = _locality_payload(cfgp, t_un, t_en, rc, conjugated)
     # one call conjugates G_DH once for both spins' lists
-    both = dhrep.first_order_entangled_conjugate(cfgp, t_un, modes["up"] + modes["down"])
+    both = dhrep.first_order_entangled_conjugate(cfgp, t_un, modes["up"] + modes["down"],
+                                                 conjugated=conjugated["up"] + conjugated["down"])
     first = {"up": both[:len(modes["up"])], "down": both[len(modes["up"]):]}
     del both
     # one spin at a time, dropping its closed, first-order and conjugated lists

@@ -223,13 +223,17 @@ def conjugate(transform: DhTransform, op: FockOperator) -> FockOperator:
 
 
 def first_order_entangled_conjugate(
-    cfg: SystemConfig, base: DhTransform, ops: Sequence[FockOperator]
+    cfg: SystemConfig,
+    base: DhTransform,
+    ops: Sequence[FockOperator],
+    conjugated: Sequence[FockOperator] | None = None,
 ) -> list[FockOperator]:
     """First-order entangled conjugations A_DH + i [G_DH, A_DH] built on the
     unentangled transform (no series truncation beyond first order), with
-    G_DH = V_un G V_un^dag built once for all of ops."""
+    G_DH = V_un G V_un^dag built once for all of ops.  `conjugated` holds
+    [conjugate(base, op) for op in ops], when the caller has already built it."""
     g_dh = conjugate(base, entangling_generator(cfg))
-    ops_dh = [conjugate(base, op) for op in ops]
+    ops_dh = conjugated if conjugated is not None else [conjugate(base, op) for op in ops]
     return [op_dh + 1j * (g_dh @ op_dh - op_dh @ g_dh) for op_dh in ops_dh]
 
 

@@ -522,7 +522,7 @@ def _component_exponentials(a: FockOperator) -> list[tuple[np.ndarray, np.ndarra
     size = np.bincount(labels)[labels]
     slot = np.empty_like(labels)  # an index's place within its component
     parts = []
-    for s in np.unique(size).tolist():
+    for s in np.flatnonzero(np.bincount(size)).tolist():  # ascending; np.unique loads numpy.ma
         members = order[size[order] == s].reshape(-1, s)
         slot[members] = np.arange(s)
         comp = np.empty_like(labels)

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import random
 import re
 import time
 import tracemalloc
@@ -149,11 +150,14 @@ def test_bad_tol_exact_flag_exits_two_with_one_line(tmp_path, capsys, tol):
 
 
 def test_verify_leaves_numpy_global_random_state_alone():
-    before = np.random.get_state()
+    # nor Python's: the seeded draws use a private random.Random
+    before, python_before = np.random.get_state(), random.getstate()
     run_verify(RunConfig(kappas=(0.05,)))
+    directions(RunConfig(direction_mode="random", n_random=5, seed=7))
     after = np.random.get_state()
     assert before[0] == after[0] and np.array_equal(before[1], after[1])
     assert before[2:] == after[2:]
+    assert random.getstate() == python_before
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -192,7 +196,9 @@ def test_direction_sets():
     rng_rc = RunConfig(direction_mode="random", n_random=9, seed=3)
     sampled = directions(rng_rc)
     assert len(sampled) == 9
-    assert directions(rng_rc)[0].theta == sampled[0].theta  # seeded, reproducible
+    assert directions(rng_rc) == sampled  # seeded, reproducible
+    assert not set(sampled) & set(directions(RunConfig(direction_mode="random", n_random=9,
+                                                       seed=4)))
     with pytest.raises(ConfigError):
         RunConfig(direction_mode="spiral")
     with pytest.raises(ConfigError):
@@ -887,6 +893,25 @@ def test_no_command_loads_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines() == [f"{step} []" for step in (
         "import", "verify", "correlations", "locality", "qubit")]
+
+
+def test_no_command_loads_a_numpy_module_the_import_did_not(tmp_path):
+    # numpy.random (seeded draws) and numpy.ma (a plain np.unique) cost MBs
+    # of RSS when first loaded mid-run; no command needs either
+    ini = tmp_path / "random.ini"
+    ini.write_text("[directions]\nmode = random\nn_random = 6\n")
+    code = ("import sys, dhlab.cli\n"
+            "loaded = lambda: {m for m in sys.modules if m.split('.')[0] == 'numpy'}\n"
+            "before = loaded()\n"
+            "assert dhlab.cli.main(sys.argv[1:]) == 0\n"
+            "print(' '.join(sorted({'.'.join(m.split('.')[:2]) for m in loaded() - before})))\n")
+    new = {}
+    for argv in (["verify"], ["correlations"], ["correlations", "--config", str(ini)],
+                 ["locality"], ["qubit"]):
+        proc = run_python(["-c", code, *argv, "--out", str(tmp_path / "o.json")])
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        new[" ".join(argv[:2])] = proc.stdout.split()
+    assert not any(new.values()), f"numpy modules loaded after import: {new}"
 
 
 def test_runtime_declares_and_imports_no_scipy():

@@ -216,6 +216,23 @@ def test_first_order_vs_exact_conjugation(kappa):
         assert operator_distance(exact, first) <= 8.0 * kappa**2
 
 
+def test_first_order_takes_already_conjugated_modes(monkeypatch):
+    cfg = model.standard_config(kappa=0.05)
+    base = dhrep.build_unentangled_transform(cfg)
+    ops = (cfg.b("up", 1), cfg.b("down", 2))
+    plain = dhrep.first_order_entangled_conjugate(cfg, base, ops)
+    images = [dhrep.conjugate(base, op) for op in ops]
+    calls = []
+    conjugate = dhrep.conjugate
+    monkeypatch.setattr(dhrep, "conjugate", lambda t, op: calls.append(op) or conjugate(t, op))
+    given = dhrep.first_order_entangled_conjugate(cfg, base, ops, conjugated=images)
+    assert len(calls) == 1  # G_DH only
+    for a, b in zip(plain, given):
+        m, n = a.matrix, b.matrix
+        assert (m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes()) == (
+            n.indptr.tobytes(), n.indices.tobytes(), n.data.tobytes())
+
+
 def test_sections_usual_composition(cfg_probe):
     x = cfg_probe.layout.centers[0]
     section = dhrep.field_section(cfg_probe, x, dhrep.section_modes(cfg_probe, "up"))
