@@ -4,6 +4,24 @@ Every check produces a CheckRecord whose pass flag is recomputable from its
 fields: pass iff abs_error <= tolerance.  For lower-bound checks ("the
 distance must exceed X") abs_error stores the shortfall max(0, X - actual)
 and the tolerance is zero.
+
+Claim map: which `verify` records check which claim of the abstract
+(PAPER.md).  The first five rows are the four claims, the correlations with
+their independent qubit oracle; the last three are the ground they stand on.
+A record family NN is every id NN-..., per-kappa ids included; each family
+sits in one row.  Tolerances are the defaults (1e-10 is `tol_exact`), and
+kappa is the record's own.
+
+| claim                  | records      | tolerance class                               | demo   |
+| ---------------------- | ------------ | --------------------------------------------- | ------ |
+| DH field transforms    | 31-35, 40-42 | 1e-10; 32: exactly 0; 33: 1e-12               | 04, 05 |
+| localized spin         | 20, 22       | 1e-10                                         | 03     |
+| DH-vacuum correlations | 36-38        | 36: 5 kappa^2; 37: 1e-10; 38: kappa^2 + 1e-10 | 05     |
+| - their qubit oracle   | 60-64        | kappa^3; 63: 2 kappa^3                        | 07     |
+| locality, separability | 50-55        | 1e-10; 52, 53: lower bounds                   | 06     |
+| mode algebra, expm     | 01-04        | 01, 02: exactly 0; 03: 1e-12; 04: 1e-11       | 01     |
+| geometry gates         | 10-13        | 10: 1e-10; 11: exactly 0; 12, 13: 1e-8        | 02     |
+| basis kets, signs      | 21, 30       | 21: 1e-10; 30: exactly 0                      | 03, 04 |
 """
 
 from __future__ import annotations
@@ -282,8 +300,42 @@ def _side_by_side(m: CSRMatrix, block: int) -> CSRMatrix:
     """`m`'s blocks of `block` rows set side by side: entry (q * block + r, c)
     moves to (r, q * width + c), so vstack(m_0 .. m_n) becomes hstack(m_0 .. m_n)."""
     width = m.shape[1]
-    return CSRMatrix.from_triples(m.rows % block, m.rows // block * width + m.indices, m.data,
+    q, r = np.divmod(m.rows, block)
+    order = r.argsort(kind="stable")  # within a row r, m's order is block q, then column
+    return CSRMatrix.from_triples(r[order], (q * width + m.indices)[order], m.data[order],
                                   (block, m.shape[0] // block * width))
+
+
+def _car_deviation(stack: list[CSRMatrix]) -> float:
+    """The worst |entry| of {e_p, e_q} - [q = p + K] I over the stack
+    e = (e_0 .. e_2K-1) = (c_1 .. c_K, c_1^dag .. c_K^dag).  {e_q, e_p} is
+    {e_p, e_q} summed in the other order, so each unordered pair is read
+    once, in block row p's blocks q >= p.  Laid out last first,
+    rev = (e_2K-1 .. e_0), the stack puts those blocks first: block j of
+    e_p @ hstack(rev) is e_p e_q, and row block j of vstack(rev) @ e_p is
+    e_q e_p, q = 2K-1-j.  So the first product is cut to its first 2K-p
+    blocks by a column mask, the second is taken of vstack(rev)'s first
+    2K-p blocks (views), and side by side their sum is block row p."""
+    k, dim = len(stack) // 2, stack[0].shape[0]
+    e_column = vstack(stack[::-1])
+    # hstack(rev) is remapped from vstack(rev), not taken as an adjoint, so a
+    # stack that is not closed under adjoints reads as it stands
+    e_row = _side_by_side(e_column, dim)
+    diagonal = np.arange(dim)
+    worst = []
+    for p, e_p in enumerate(stack):
+        width = (2 * k - p) * dim
+        full = e_p @ e_row
+        keep = (full.indices < width).nonzero()[0]
+        row = CSRMatrix.from_triples(full.rows[keep], full.indices[keep], full.data[keep],
+                                     (dim, width))
+        del full, keep  # the traced peak holds one product at a time
+        row = row + _side_by_side(e_column.first_rows(width) @ e_p, dim)
+        if p < k:  # q = p + K is block j = K-1-p
+            row = row - CSRMatrix.from_triples(diagonal, diagonal + (k - 1 - p) * dim,
+                                               np.ones(dim, dtype=complex), row.shape)
+        worst.append(np.abs(row.data).max(initial=0.0))
+    return _worst(worst)
 
 
 def _taylor_expm(matrix: np.ndarray, terms: int = 40) -> np.ndarray:
@@ -300,19 +352,7 @@ def _algebra_checks(seed: int) -> list[CheckRecord]:
     """01-04: the mode algebra and the generic exponential against its oracle."""
     reg = ModeRegistry(model.standard_registry().modes + (ProbeMode(1),))
     ops = [(mode_operator(reg, m), mode_operator(reg, m, dagger=True)) for m in reg.modes]
-    # Over e = (c_1 .. c_K, c_1^dag .. c_K^dag), block q of e_p @ hstack(e) is e_p e_q, and
-    # row block q of vstack(e) @ e_p is e_q e_p: set side by side, their sum is block row p
-    # of every anticommutator {e_p, e_q}, one block row at a time.  e_row = hstack(e) is the
-    # adjoint of vstack(e^dag), e^dag = (c_1^dag .. c_K^dag, c_1 .. c_K).
-    stack = [c.matrix for c, _ in ops] + [cd.matrix for _, cd in ops]
-    e_row, e_column = vstack(stack[len(ops):] + stack[:len(ops)]).adjoint(), vstack(stack)
-    dim, diagonal = reg.dimension, np.arange(reg.dimension)
-    # {c_i, c_i^dag} = I sits K blocks off the diagonal
-    car_dev = _worst(np.abs((
-        e_p @ e_row + _side_by_side(e_column @ e_p, dim)
-        - CSRMatrix.from_triples(diagonal, diagonal + (p + len(ops)) % len(stack) * dim,
-                                 np.ones(dim, dtype=complex), e_row.shape)).data).max(initial=0.0)
-        for p, e_p in enumerate(stack))
+    car_dev = _car_deviation([c.matrix for c, _ in ops] + [cd.matrix for _, cd in ops])
     vac = vacuum_state(reg)
 
     rng = random.Random(seed)  # as in directions(): no numpy.random

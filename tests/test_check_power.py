@@ -5,8 +5,8 @@ default RunConfig; every record family the case names must then fail.
 The table covers each check group of `run_verify`:
 
 - `01-car-suite` reads the anticommutators one block row at a time, each
-  partner block moved into the row by `checks._side_by_side`, and `02` each
-  annihilator on the vacuum;
+  unordered pair once, each partner block moved into the row by
+  `checks._side_by_side`, and `02` each annihilator on the vacuum;
 - `03` and `04` read the generic exponential of a random skew matrix;
 - `20` reads each region's localized spin operator on the unentangled state,
   and `21` the Gram matrix of the basis kets;
@@ -81,6 +81,17 @@ def _creator_negated_for_last_mode(registry, label, dagger=False):
     # the last mode's (the probe's) creator negated: {c, -c^dag} = -I, not I
     op = fock.mode_operator(registry, label, dagger)
     return -op if dagger and label == registry.modes[-1] else op
+
+
+def _creator_with_one_entry_negated(registry, label, dagger=False):
+    # one entry of the first mode's creator negated: its {c, c^dag} is off I there
+    op = fock.mode_operator(registry, label, dagger)
+    if not (dagger and label == registry.modes[0]):
+        return op
+    m = op.matrix
+    data = m.data.copy()
+    data[0] = -data[0]
+    return FockOperator(registry, CSRMatrix(m.indptr, m.indices, data, m.shape))
 
 
 def _partners_without_block_offset(m, block):
@@ -229,6 +240,7 @@ MUTANTS = {
     "partner-not-block-transposed": (("01-",), checks, "_side_by_side",
                                      _partners_without_block_offset),
     "last-creator-negated": (("01-",), checks, "mode_operator", _creator_negated_for_last_mode),
+    "creator-entry-negated": (("01-",), checks, "mode_operator", _creator_with_one_entry_negated),
     "component-block-dropped": (("33-",), checks, "matrix_exponential",
                                 _exponential_without_one_block),
     "vacuum-with-one-quantum": (("02-",), checks, "vacuum_state", _vacuum_with_one_quantum),

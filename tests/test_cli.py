@@ -295,6 +295,33 @@ def test_verify_wall_times_share_each_group_time():
     assert all(len(times) == 1 for times in shares.values()), shares
 
 
+# the claim map that opens checks.py: header, rule, then one row per claim
+CLAIM_TABLE = [line for line in checks.__doc__.splitlines() if line.startswith("| ")]
+
+
+def _claim_families():
+    # every record family the map's rows name, once per naming
+    named = []
+    for line in CLAIM_TABLE[2:]:
+        for part in line.split("|")[2].split(","):
+            first, _, last = part.strip().partition("-")
+            named += [f"{n:02d}" for n in range(int(first), int(last or first) + 1)]
+    return named
+
+
+def test_readme_holds_the_claim_map_of_checks():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert len(CLAIM_TABLE) > 2 and "\n".join(CLAIM_TABLE) in readme
+
+
+@pytest.mark.parametrize("config", [RunConfig(), RunConfig(kappas=(0.0, 0.13), seed=3)],
+                         ids=["default", "kappa-0-0.13-seed-3"])
+def test_claim_map_names_each_verify_record_family_once(config):
+    # per-kappa ids go by their family; no family twice, missing or stale
+    emitted = {r.id[:2] for r in run_verify(config)}
+    assert sorted(_claim_families()) == sorted(emitted)
+
+
 def test_side_by_side_sets_row_blocks_beside_each_other():
     # record 01 moves each partner block e_q e_p from row block q into block row p
     rng = np.random.default_rng(5)
@@ -303,6 +330,56 @@ def test_side_by_side_sets_row_blocks_beside_each_other():
     side = checks._side_by_side(CSRMatrix.from_dense(dense), 4)
     assert side.shape == (4, 12)
     assert np.array_equal(side.toarray(), np.hstack(np.vsplit(dense, 3)))
+
+
+def _car_stack():
+    # (c_1 .. c_4, c_1^dag .. c_4^dag) on a 4-mode registry, dim 16
+    reg = fock.ModeRegistry(model.standard_registry().modes[:4])
+    return [fock.mode_operator(reg, m, dagger).matrix for dagger in (False, True)
+            for m in reg.modes]
+
+
+def _dense_car_deviation(stack):
+    # every one of the (2K)^2 anticommutators, dense: {c_p, c_p^dag} = I sits K blocks off
+    k, dense = len(stack) // 2, [m.toarray() for m in stack]
+    eye = np.eye(dense[0].shape[0])
+    return max(np.abs(a @ b + b @ a - (eye if abs(p - q) == k else 0.0)).max()
+               for p, a in enumerate(dense) for q, b in enumerate(dense))
+
+
+def test_car_deviation_on_mode_operators_reads_zero_as_brute_force_does():
+    stack = _car_stack()
+    assert checks._car_deviation(stack) == _dense_car_deviation(stack) == 0.0
+
+
+@pytest.mark.parametrize("factor", [-1.0, 1.5])
+@pytest.mark.parametrize("creator", range(4))
+def test_car_deviation_reads_a_broken_creator_as_brute_force_does(creator, factor):
+    # one entry of one creator negated (or scaled): the triangle of unordered
+    # pairs must find the same worst entry as all (2K)^2 dense anticommutators
+    stack = _car_stack()
+    m = stack[4 + creator]
+    data = m.data.copy()
+    data[3] *= factor
+    stack[4 + creator] = CSRMatrix(m.indptr, m.indices, data, m.shape)
+    deviation = checks._car_deviation(stack)
+    assert deviation > 0.0
+    assert deviation == _dense_car_deviation(stack)
+
+
+@pytest.mark.parametrize("position", [0, 3, 6])
+def test_car_deviation_reads_every_unordered_pair(position):
+    # a mode operator's single entries give every broken pair the same
+    # deviation, and a square of one is zero; an integer matrix in one slot
+    # gives each pair with it, itself included, its own exact value
+    stack = _car_stack()
+    rng = np.random.default_rng(position)
+    dense = rng.integers(-3, 4, (16, 16)) * (rng.random((16, 16)) < 0.3)
+    dense = dense + 1j * rng.integers(-2, 3, (16, 16)) * (dense != 0)
+    stack[position] = CSRMatrix.from_dense(dense)
+    deviation = checks._car_deviation(stack)
+    assert deviation > 0.0
+    assert deviation == _dense_car_deviation(stack)
 
 
 def test_car_suite_holds_one_block_row_at_a_time():
@@ -942,12 +1019,22 @@ def _assert_same_text(text, expected):
 
 json_scalars = (st.none() | st.booleans() | st.integers() | st.text()
                 | st.floats() | st.floats().map(np.float64))
-json_values = st.recursive(
-    json_scalars,
-    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
-                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
-    max_leaves=30,
-)
+
+
+def _containers(children):
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(st.text(max_size=6), children, max_size=4))
+
+
+# values up to four containers deep, composed level by level.  st.recursive
+# decides whether its `extend` uses its argument by parsing the source lines
+# at the function's line number, read from disk when it validates: if the file
+# changed after import, it parses other lines (`max_leaves=30,` here) and
+# warns that `extend` cannot recurse.  A composed strategy has no such check.
+json_values = json_scalars
+for _ in range(4):
+    json_values = json_scalars | _containers(json_values)
+
 # a table: dicts of one key tuple, each column drawn from one kind of value
 json_columns = st.sampled_from([
     st.floats(), st.floats().map(np.float64), st.text(), st.integers(), st.booleans(),

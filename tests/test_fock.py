@@ -412,8 +412,14 @@ def test_numpy_action_is_scipys_bit_for_bit(real_operators):
     block[::3, 1] = complex(-0.0, -0.0)  # a vector holding -0.0
     gaps = v.rows % 4 != 0  # v without every fourth row: a matrix with empty rows
     gappy = fock.CSRMatrix.from_triples(v.rows[gaps], v.indices[gaps], v.data[gaps], v.shape)
-    for a in (v, exchange, modes[0], v @ modes[1], modes[-1], v @ modes[-1], gappy):
-        for x in (block[:, 0], block[:, 1], block):
+    data = v.data.copy()
+    data[v.indptr[5]:v.indptr[6]] = complex(-0.0, -0.0)  # stored -0.0s, row 5 only those
+    signed = fock.CSRMatrix(v.indptr, v.indices, data, v.shape)
+    # a block goes through one flat add.at at row * k + column: one, two
+    # (strided) and three (Fortran-ordered) columns
+    blocks = (block, block[:, :1], block[:, ::2], np.asfortranarray(block))
+    for a in (v, exchange, modes[0], v @ modes[1], modes[-1], v @ modes[-1], gappy, signed):
+        for x in (block[:, 0], block[:, 1], *blocks):
             assert (a @ x).tobytes() == (_scipy(a) @ x).tobytes()  # -0.0 is not 0.0 here
 
 
