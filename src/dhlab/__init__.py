@@ -64,10 +64,8 @@ from .dhrep import (
     first_order_entangled_conjugate,
     locality_report,
     noaux_locality_report,
-    noaux_transform,
     removal_generator,
     section_modes,
-    single_packet_config,
     vacuum_action,
 )
 

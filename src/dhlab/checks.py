@@ -201,8 +201,7 @@ def directions(rc: RunConfig) -> list[SpinDirection]:
     sphere samples when direction_mode = random.  The samples come from a
     private random.Random(seed), whose random() stream Python keeps across
     versions, through uniform(a, b) = a + (b - a) * random(); loading
-    numpy.random for them would cost several MB of RSS.  Earlier versions
-    drew with numpy's default_rng, so a seed's set differs from theirs."""
+    numpy.random for them would cost several MB of RSS."""
     if rc.direction_mode == "random":
         rng = random.Random(rc.seed)
         out = []

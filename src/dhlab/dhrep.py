@@ -412,79 +412,42 @@ def locality_report(
     }
 
 
-# ---------------------------------------------------------------------------
-# Single-particle construction without auxiliary fields (the contrast case).
-# ---------------------------------------------------------------------------
+# The no-auxiliary contrast builds its own grid, in packet widths: 15 of margin
+# on either side of the packet and the probe, and a spacing near 1/20
+_NOAUX_MARGIN, _NOAUX_SPACING = 15.0, 0.05
 
 
-@dataclass(frozen=True, eq=False)
-class SinglePacketConfig:
-    """One packet plus one distant probe; optionally an auxiliary partner."""
-
-    grid: wp.Grid
-    packet: wp.GridFunction
-    probe_point: float
-    probe_function: wp.GridFunction
-    registry: ModeRegistry
-    with_auxiliary: bool
-
-    def b(self, dagger: bool = False) -> FockOperator:
-        return mode_operator(self.registry, PhysicalMode(SPIN_UP, 1), dagger)
-
-    def probe(self) -> FockOperator:
-        return mode_operator(self.registry, ProbeMode(1))
-
-
-def single_packet_config(
-    separation: float, width: float = 1.0, with_auxiliary: bool = False
-) -> SinglePacketConfig:
-    """Packet at the origin, probe packet `separation` widths away."""
-    margin = 15.0 * width
-    lo, hi = -margin, separation * width + margin
-    grid = wp.uniform_grid(lo, hi, max(16, np.round((hi - lo) / 0.05) + 1))
+def _noaux_probe_values(separation: float, width: float) -> tuple[complex, complex]:
+    """psi, chi at the probe point: a packet at the origin and a probe packet
+    orthogonalized against it, |separation| widths away (a reflection maps one
+    sign onto the other).  The spacing puts the probe centre on a node; the
+    step count comes first, so a huge separation meets the grid cap."""
+    to_probe = float(np.round((_NOAUX_MARGIN + abs(separation)) / _NOAUX_SPACING))
+    above = round(_NOAUX_MARGIN / _NOAUX_SPACING)
+    d = abs(separation) * width
+    h = (_NOAUX_MARGIN * width + d) / to_probe
+    grid = wp.uniform_grid(-_NOAUX_MARGIN * width, d + above * h, to_probe + above + 1)
     packet = wp.gaussian_packet(0.0, width, grid)
-    probe_point = separation * width
     try:
-        probe = wp.orthogonalized(wp.gaussian_packet(probe_point, width, grid), (packet,))
+        probe = wp.orthogonalized(wp.gaussian_packet(d, width, grid), (packet,))
     except LayoutError as exc:
         raise LayoutError(f"separations: a probe packet {separation!r} widths from its "
                           f"packet lies in that packet's span") from exc
-    modes: tuple = (PhysicalMode(SPIN_UP, 1),)
+    return packet.value_at(d), probe.value_at(d)
+
+
+def _noaux_transform(with_auxiliary: bool) -> DhTransform:
+    """exp((pi/2) W) on the modes b, probe: the bare removal generator
+    W = b - bdag, or W = a b - bdag adag with an auxiliary partner a."""
+    aux = (AuxiliaryMode(1),) if with_auxiliary else ()
+    registry = ModeRegistry((PhysicalMode(SPIN_UP, 1), *aux, ProbeMode(1)))
+    b, bdag = (mode_operator(registry, PhysicalMode(SPIN_UP, 1), d) for d in (False, True))
+    w = b - bdag
     if with_auxiliary:
-        modes += (AuxiliaryMode(1),)
-    modes += (ProbeMode(1),)
-    return SinglePacketConfig(
-        grid=grid,
-        packet=packet,
-        probe_point=probe_point,
-        probe_function=probe,
-        registry=ModeRegistry(modes),
-        with_auxiliary=with_auxiliary,
-    )
-
-
-def single_particle_state(cfg: SinglePacketConfig) -> FockState:
-    """bdag |0> (times adag for the auxiliary-partner construction)."""
-    state = vacuum_state(cfg.registry)
-    if cfg.with_auxiliary:
-        state = mode_operator(cfg.registry, AuxiliaryMode(1), dagger=True) @ state
-    return cfg.b(dagger=True) @ state
-
-
-def _noaux_generator(cfg: SinglePacketConfig) -> FockOperator:
-    """The bare removal generator W = b - bdag (no auxiliary field); for the
-    auxiliary-partner config, W = a b - bdag adag instead."""
-    b, bdag = cfg.b(), cfg.b(dagger=True)
-    if cfg.with_auxiliary:
-        a, adag = (mode_operator(cfg.registry, AuxiliaryMode(1), d) for d in (False, True))
-        return a @ b - bdag @ adag
-    return b - bdag
-
-
-def noaux_transform(cfg: SinglePacketConfig, theta: float = math.pi / 2.0) -> DhTransform:
-    """Standardizing transform exp(theta W) at cos(theta) = 0 (a pure sign)."""
-    factor = DhFactorParams(g=1.0, theta=theta)
-    return DhTransform(operator=factor.exponential(_noaux_generator(cfg)), factors=(factor,))
+        a, adag = (mode_operator(registry, AuxiliaryMode(1), d) for d in (False, True))
+        w = a @ b - bdag @ adag
+    factor = DhFactorParams.from_sign(1)
+    return DhTransform(operator=factor.exponential(w), factors=(factor,))
 
 
 def noaux_locality_report(
@@ -494,17 +457,13 @@ def noaux_locality_report(
     auxiliary-partner construction on the same geometry, as columns, a row per
     separation.  The moved operators V m V^dag - m (m = b, probe) ignore the
     separation, so each is built once; only psi, chi at the probe point change."""
-    moved, at_probe = {}, []
-    for sep in separations:
-        geo = single_packet_config(sep, width)
-        if not moved:
-            aux = single_packet_config(sep, width, with_auxiliary=True)
-            for cfg, prefix in ((geo, "noaux"), (aux, "aux")):
-                v = noaux_transform(cfg)
-                moved[prefix] = [conjugate(v, m) - m for m in (cfg.b(), cfg.probe())]
-        at_probe.append([f.value_at(geo.probe_point) for f in (geo.packet, geo.probe_function)])
+    at_probe = [_noaux_probe_values(sep, width) for sep in separations]
     columns = {"separation": np.array(separations, dtype=float)}
-    for prefix, (d_b, d_probe) in moved.items():
+    for prefix, with_auxiliary in (("noaux", False), ("aux", True)):
+        v = _noaux_transform(with_auxiliary)
+        d_b, d_probe = (conjugate(v, m) - m for m in (
+            mode_operator(v.registry, PhysicalMode(SPIN_UP, 1)),
+            mode_operator(v.registry, ProbeMode(1))))
         columns[f"{prefix}_probe_operator_distance"] = np.full(len(at_probe), d_probe.norm())
         columns[f"{prefix}_section_distance"] = np.array(
             [(psi * d_b + chi * d_probe).norm() for psi, chi in at_probe])

@@ -19,7 +19,8 @@ Operators hold their matrix as compressed sparse rows on numpy arrays
 mutated after construction, so they may be shared freely between threads.
 The matrix type has the few operations dhlab needs: products, sums, scalar
 multiples, adjoints, row stacks and leading rows, and its products and sums
-add in the order scipy's do.  Exponentials are taken of skew-Hermitian
+add in the order scipy's do: their values are scipy's bit for bit, apart from
+the sign of a zero.  Exponentials are taken of skew-Hermitian
 operators only, one connected component of the sparsity graph at a time,
 from the eigendecomposition (numpy's eigh) of the square of the component's
 block.
@@ -297,7 +298,8 @@ def _run_sums(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def _product(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     """a @ b.  Row i's terms come in the order of row i of a, each a[i, j]
-    times row j of b, and add up in that order, as in scipy's csr_matmat."""
+    times row j of b, and add up in that order, as in scipy's csr_matmat,
+    which starts from 0 and so may turn a part's -0.0 into +0.0."""
     starts = b.indptr[a.indices]
     lengths = b.indptr[a.indices + 1] - starts
     ends = lengths.cumsum()

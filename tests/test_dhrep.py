@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import grid_directions
 from dhlab import dhrep, fock, model
@@ -461,15 +463,30 @@ def test_locality_report_matches_per_point_conjugation(cfg_probe, t_un_probe, t_
         assert row["distance"] == pytest.approx(oracle, rel=1e-12, abs=1e-14), (point, spin)
 
 
+def _noaux_generator(registry, with_auxiliary):
+    b, bdag = (fock.mode_operator(registry, fock.PhysicalMode(fock.SPIN_UP, 1), d)
+               for d in (False, True))
+    if not with_auxiliary:
+        return b - bdag
+    a, adag = (fock.mode_operator(registry, fock.AuxiliaryMode(1), d) for d in (False, True))
+    return a @ b - bdag @ adag
+
+
+@pytest.mark.parametrize("with_auxiliary", [False, True])
+def test_noaux_transform_is_the_quarter_turn_of_its_generator(with_auxiliary):
+    t = dhrep._noaux_transform(with_auxiliary)
+    w = _noaux_generator(t.registry, with_auxiliary)
+    assert operator_distance(t.operator, dhrep.rotation_exponential(w, math.pi / 2.0, 1.0)) <= 1e-15
+
+
 def test_noaux_transform_actions():
-    cfg = dhrep.single_packet_config(20.0)
-    psi1 = dhrep.single_particle_state(cfg)
-    vac = vacuum_state(cfg.registry)
+    t = dhrep._noaux_transform(with_auxiliary=False)
+    vac = vacuum_state(t.registry)
+    psi1 = fock.mode_operator(t.registry, fock.PhysicalMode(fock.SPIN_UP, 1), dagger=True) @ vac
     theta = math.pi / 3.0
-    rotated = dhrep.rotation_exponential(dhrep._noaux_generator(cfg), theta, 1.0) @ psi1
+    rotated = dhrep.rotation_exponential(_noaux_generator(t.registry, False), theta, 1.0) @ psi1
     expected = math.cos(theta) * psi1 + math.sin(theta) * vac
     assert (rotated - expected).norm() <= 1e-14
-    t = dhrep.noaux_transform(cfg)
     assert (t.operator @ psi1 - vac).norm() <= 1e-14
 
 
@@ -486,27 +503,42 @@ def test_noaux_locality_contrast():
     assert np.ptp(report["noaux_section_distance"]) <= 1e-10
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(separations=st.lists(st.tuples(st.floats(10.0, 40.0), st.sampled_from([1.0, -1.0])).map(
+    lambda pair: pair[0] * pair[1]), min_size=1, max_size=3).map(lambda seps: (20.0, *seps)))
+@example(separations=(10.01, 20.0))
+@example(separations=(10.0, 20.0, 40.02))
+@example(separations=(-10.0, 20.0))
+@example(separations=(10.0, -20.0))
+def test_noaux_section_distance_ignores_decimals_and_sign(separations):
+    # the probe centre must sit on a grid node for every separation; a probe
+    # read half a spacing off its centre reads as leakage
+    report = dhrep.noaux_locality_report(separations)
+    assert np.ptp(report["noaux_section_distance"]) <= 1e-10, separations
+
+
 def _noaux_rows_rebuilt_per_separation(separations, width):
-    # oracle: the config, the transform and the section rebuilt for every
-    # separation and every construction
+    # oracle: the probe values, the transform and the section rebuilt for
+    # every separation and every construction
     rows = []
     for sep in separations:
         row = {"separation": float(sep)}
+        psi, chi = dhrep._noaux_probe_values(sep, width)
         for with_aux, prefix in ((False, "noaux"), (True, "aux")):
-            cfg = dhrep.single_packet_config(sep, width, with_auxiliary=with_aux)
-            v = dhrep.noaux_transform(cfg)
-            probe = cfg.probe()
+            v = dhrep._noaux_transform(with_aux)
+            b = fock.mode_operator(v.registry, fock.PhysicalMode(fock.SPIN_UP, 1))
+            probe = fock.mode_operator(v.registry, fock.ProbeMode(1))
             row[f"{prefix}_probe_operator_distance"] = operator_distance(
                 dhrep.conjugate(v, probe), probe)
-            section = (cfg.packet.value_at(cfg.probe_point) * cfg.b()
-                       + cfg.probe_function.value_at(cfg.probe_point) * probe)
+            section = psi * b + chi * probe
             row[f"{prefix}_section_distance"] = operator_distance(
                 dhrep.conjugate(v, section), section)
         rows.append(row)
     return rows
 
 
-@pytest.mark.parametrize("separations, width", [((10.0, 20.0, 40.0), 1.0), ((3.0, 36.5), 0.7)])
+@pytest.mark.parametrize("separations, width", [((10.0, 20.0, 40.0), 1.0), ((3.0, 36.5), 0.7),
+                                                ((-12.5, 10.01), 1.3)])
 def test_noaux_report_matches_per_separation_rebuild(separations, width):
     rows = Table(dhrep.noaux_locality_report(separations, width)).rows()
     oracle = _noaux_rows_rebuilt_per_separation(separations, width)
@@ -518,12 +550,12 @@ def test_noaux_report_matches_per_separation_rebuild(separations, width):
 
 def test_noaux_report_builds_each_transform_once(monkeypatch):
     built = []
-    original = dhrep.noaux_transform
+    original = dhrep._noaux_transform
 
-    def counting(cfg, *args, **kwargs):
-        built.append(cfg.with_auxiliary)
-        return original(cfg, *args, **kwargs)
+    def counting(with_auxiliary):
+        built.append(with_auxiliary)
+        return original(with_auxiliary)
 
-    monkeypatch.setattr(dhrep, "noaux_transform", counting)
+    monkeypatch.setattr(dhrep, "_noaux_transform", counting)
     dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0))
     assert sorted(built) == [False, True]

@@ -6,6 +6,9 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 import dhlab
@@ -421,6 +424,73 @@ def test_numpy_action_is_scipys_bit_for_bit(real_operators):
     for a in (v, exchange, modes[0], v @ modes[1], modes[-1], v @ modes[-1], gappy, signed):
         for x in (block[:, 0], block[:, 1], *blocks):
             assert (a @ x).tobytes() == (_scipy(a) @ x).tobytes()  # -0.0 is not 0.0 here
+
+
+def _assert_scipy_values(mine, oracle):
+    # the claim the suite checks on drawn matrices: scipy's structure, and
+    # scipy's values bit for bit once + 0.0 folds the sign of a zero
+    oracle = sparse.csr_array(oracle)
+    oracle.sort_indices()
+    assert np.array_equal(mine.indptr, oracle.indptr)
+    assert np.array_equal(mine.indices, oracle.indices)
+    assert np.array_equal(mine.data, oracle.data)
+    assert (mine.data + 0.0).tobytes() == (oracle.data + 0.0).tobytes()
+
+
+# drawn entries: about half exact zeros, the rest with parts that are small
+# integers, -0.0, or values whose products and sums round; the EXACT ones add
+# up exactly in any order
+EXACT_PARTS = (0.0, -0.0, 1.0, -1.0, 2.0, -3.0)
+PARTS = EXACT_PARTS + (0.5, 1.7, -2.3, 0.1)
+
+
+def _entries(parts=PARTS):
+    nonzero = [complex(re, im) for re in parts for im in parts if re or im]
+    return st.sampled_from([0j] * len(nonzero) + nonzero)
+
+
+def _dense(draw, rows, cols):
+    return draw(hnp.arrays(complex, (rows, cols), elements=_entries()))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_sparse_layer_matches_scipy_on_drawn_matrices(data):
+    m, k, n = (data.draw(st.integers(0, 7)) for _ in range(3))
+    dense_a, dense_a2, dense_b = _dense(data.draw, m, k), _dense(data.draw, m, k), _dense(
+        data.draw, k, n)
+    a, a2, b = (fock.CSRMatrix.from_dense(d) for d in (dense_a, dense_a2, dense_b))
+    sa, sa2, sb = (sparse.csr_array(d) for d in (dense_a, dense_a2, dense_b))
+    _assert_scipy_values(a, sa)
+    _assert_scipy_values(a @ b, sa @ sb)
+    _assert_scipy_values(a + a2, sa + sa2)
+    _assert_scipy_values(a - a2, sa - sa2)
+    scalar = data.draw(_entries())
+    _assert_scipy_values(scalar * a, scalar * sa)
+    _assert_scipy_values(a.adjoint(), sa.conj().T)
+    r = data.draw(st.integers(0, m))
+    _assert_scipy_values(a.first_rows(r), sa[:r])
+    blocks = [_dense(data.draw, data.draw(st.integers(0, 3)), k) for _ in range(
+        data.draw(st.integers(1, 3)))]
+    _assert_scipy_values(fock.vstack([fock.CSRMatrix.from_dense(d) for d in blocks]),
+                         sparse.vstack([sparse.csr_array(d) for d in blocks], format="csr"))
+    x = _dense(data.draw, k, 1)[:, 0]
+    mine, oracle = a @ x, sa @ x
+    assert np.array_equal(mine, oracle)
+    assert (mine + 0.0).tobytes() == (oracle + 0.0).tobytes()
+    # unsorted triples with repeated places; exact parts, as scipy's sum of a
+    # place's entries need not follow their order
+    nnz = data.draw(st.integers(0, 12))
+    rows = np.array(data.draw(st.lists(st.integers(0, max(m - 1, 0)), min_size=nnz,
+                                       max_size=nnz)), dtype=np.int64)
+    cols = np.array(data.draw(st.lists(st.integers(0, max(k - 1, 0)), min_size=nnz,
+                                       max_size=nnz)), dtype=np.int64)
+    if m and k:
+        vals = np.array(data.draw(st.lists(_entries(EXACT_PARTS), min_size=nnz, max_size=nnz)),
+                        dtype=complex)
+        oracle = sparse.coo_array((vals, (rows, cols)), shape=(m, k)).tocsr()
+        oracle.eliminate_zeros()
+        _assert_scipy_values(fock.CSRMatrix.from_triples(rows, cols, vals, (m, k)), oracle)
 
 
 # (rows, cols) in key order; "duplicates" gives three places more than once
