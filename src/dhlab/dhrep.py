@@ -412,9 +412,8 @@ def locality_report(
     }
 
 
-# The no-auxiliary contrast builds its own grid, in packet widths: 15 of margin
-# on either side of the packet and the probe, and a spacing near 1/20
-_NOAUX_MARGIN, _NOAUX_SPACING = 15.0, 0.05
+# the contrast's grid in packet widths; _NOAUX_ABOVE = _NOAUX_MARGIN / _NOAUX_SPACING steps
+_NOAUX_MARGIN, _NOAUX_SPACING, _NOAUX_ABOVE = 15.0, 0.05, 300
 
 
 def _noaux_probe_values(separation: float, width: float) -> tuple[complex, complex]:
@@ -422,11 +421,12 @@ def _noaux_probe_values(separation: float, width: float) -> tuple[complex, compl
     orthogonalized against it, |separation| widths away (a reflection maps one
     sign onto the other).  The spacing puts the probe centre on a node; the
     step count comes first, so a huge separation meets the grid cap."""
+    # np.round, not round: round(inf) raises, and an infinite count meets the cap
     to_probe = float(np.round((_NOAUX_MARGIN + abs(separation)) / _NOAUX_SPACING))
-    above = round(_NOAUX_MARGIN / _NOAUX_SPACING)
     d = abs(separation) * width
     h = (_NOAUX_MARGIN * width + d) / to_probe
-    grid = wp.uniform_grid(-_NOAUX_MARGIN * width, d + above * h, to_probe + above + 1)
+    grid = wp.uniform_grid(-_NOAUX_MARGIN * width, d + _NOAUX_ABOVE * h,
+                           to_probe + _NOAUX_ABOVE + 1)
     packet = wp.gaussian_packet(0.0, width, grid)
     try:
         probe = wp.orthogonalized(wp.gaussian_packet(d, width, grid), (packet,))

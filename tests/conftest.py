@@ -1,49 +1,24 @@
+import importlib.util
 import math
-import os
-import resource
-import subprocess
-import sys
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import dhlab
 from dhlab import dhrep, model
 
 AXES = (model.SpinDirection.x1(), model.SpinDirection.x2(), model.SpinDirection.x3())
 PAIRS = ((1, 2), (2, 3), (3, 1))
 KERNEL_TOL = 1e-14
-CLI_ADDRESS_SPACE = 1 << 30
-SRC_DIR = str(Path(dhlab.__file__).resolve().parents[1])
 
-
-def run_python(args: list[str], **kwargs) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter on `args` that imports dhlab from this
-    checkout, with BLAS on one thread."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120, **kwargs)
-
-
-def _cap_address_space() -> None:
-    resource.setrlimit(resource.RLIMIT_AS, (CLI_ADDRESS_SPACE, CLI_ADDRESS_SPACE))
-
-
-def run_cli_capped(argv: list[str], config: str) -> subprocess.CompletedProcess:
-    """Run `python -m dhlab.cli <argv>` on `config` (INI text) in a subprocess
-    whose address space is capped at 1 GiB, so a config that asks for too
-    much memory fails in the child with MemoryError instead of exhausting
-    the machine."""
-    with tempfile.TemporaryDirectory() as tmp:
-        ini = Path(tmp) / "run.ini"
-        ini.write_text(config)
-        return run_python(["-m", "dhlab.cli", *argv, "--config", str(ini),
-                           "--out", str(Path(tmp) / "out.json")],
-                          preexec_fn=_cap_address_space)
+# tools/geometry_sweep.py holds the one subprocess runner: run_python (BLAS on
+# one thread, dhlab from this checkout) and run_cli_capped (1 GiB, 60 s CPU)
+_spec = importlib.util.spec_from_file_location(
+    "geometry_sweep", Path(__file__).resolve().parents[1] / "tools" / "geometry_sweep.py")
+geometry_sweep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(geometry_sweep)
+run_python, run_cli_capped = geometry_sweep.run_python, geometry_sweep.run_cli_capped
 
 
 def grid_directions(n_theta: int, n_phi: int) -> list[model.SpinDirection]:

@@ -2,23 +2,24 @@
 
 Each config runs in its own `python -m dhlab.cli verify` subprocess, one at a
 time, under an address-space cap (RLIMIT_AS) and a CPU-time cap (RLIMIT_CPU).
+The same runner serves the tests' capped CLI runs (tests/conftest.py).
 A meaningless geometry must exit 2; an exit 1 must be a paper identity that
 fails.  The report holds, per sample, the exit-code counts, the failing record
 families (the id's two-digit prefix), each config that exits 1 (or with any
 code other than 0 and 2), and the first words of each exit-2 line.
 
-Two samples are drawn:
+Two samples are drawn from one random.Random(SEED):
 
-- `valid`: widths 0.5-2, grids of 801-2001 points, separations of 10-40 widths
-  of either sign with arbitrary decimals, sign choices with s1 s2 s3 = -1, and
-  1-3 kappas in (0, 0.2];
-- `near`: the same, with one separation of 3-10 widths, where the packet's
-  tail at the probe point is no longer negligible (README, "Near separations").
+- `valid`: VALID configs of widths 0.5-2, grids of 801-2001 points,
+  separations of 10-40 widths of either sign with arbitrary decimals, sign
+  choices with s1 s2 s3 = -1, and 1-3 kappas in (0, 0.2];
+- `near`: NEAR configs like those, with one separation of 3-10 widths, where
+  the packet's tail at the probe point is no longer negligible (README,
+  "Near separations").
 
 Run it from the repository root with
 
-    python tools/geometry_sweep.py [--seed 0] [--count 200] [--near 20] \\
-        [--out tools/geometry_sweep.json]
+    python tools/geometry_sweep.py [--out tools/geometry_sweep.json]
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 ADDRESS_SPACE = 1 << 30  # bytes
 CPU_SECONDS = 60
+SEED, VALID, NEAR = 0, 200, 20
 VALID_SIGNS = ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1))
 
 
@@ -81,25 +83,30 @@ def draw_config(rng: random.Random, near: bool = False) -> str:
     ])
 
 
+def run_python(args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on `args` that imports dhlab from this
+    checkout, with BLAS on one thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=2 * CPU_SECONDS, **kwargs)
+
+
 def _cap() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
     resource.setrlimit(resource.RLIMIT_CPU, (CPU_SECONDS, CPU_SECONDS))
 
 
-def run_verify(config: str) -> tuple[int, str]:
-    """Exit code and stderr of one capped `dhlab verify` run on `config`."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                        os.environ.get("PYTHONPATH")])))
+def run_cli_capped(argv: list[str], config: str) -> subprocess.CompletedProcess:
+    """Run `python -m dhlab.cli <argv>` on `config` (INI text) in a subprocess
+    capped at 1 GiB of address space and 60 s of CPU, so a config that asks
+    for too much fails in the child instead of exhausting the machine."""
     with tempfile.TemporaryDirectory() as tmp:
         ini = Path(tmp) / "run.ini"
         ini.write_text(config)
-        proc = subprocess.run(
-            [sys.executable, "-m", "dhlab.cli", "verify", "--config", str(ini),
-             "--out", str(Path(tmp) / "out.json")],
-            env=env, capture_output=True, text=True, timeout=10 * CPU_SECONDS,
-            preexec_fn=_cap)
-    return proc.returncode, proc.stderr
+        return run_python(["-m", "dhlab.cli", *argv, "--config", str(ini),
+                           "--out", str(Path(tmp) / "out.json")], preexec_fn=_cap)
 
 
 def sweep(configs: list[str]) -> dict:
@@ -108,7 +115,8 @@ def sweep(configs: list[str]) -> dict:
     refusals: collections.Counter = collections.Counter()
     failing = []
     for config in configs:
-        code, err = run_verify(config)
+        proc = run_cli_capped(["verify"], config)
+        code, err = proc.returncode, proc.stderr
         exits[str(code)] += 1
         if code == 1:
             ids = [line.split()[1].rstrip(":") for line in err.splitlines()
@@ -126,16 +134,13 @@ def sweep(configs: list[str]) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--count", type=int, default=200, help="configs in the valid sample")
-    parser.add_argument("--near", type=int, default=20, help="configs in the near sample")
     parser.add_argument("--out", default=str(ROOT / "tools" / "geometry_sweep.json"))
     args = parser.parse_args(argv)
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     start = time.perf_counter()
-    report = {"seed": args.seed,
-              "valid": sweep([draw_config(rng) for _ in range(args.count)]),
-              "near": sweep([draw_config(rng, near=True) for _ in range(args.near)])}
+    report = {"seed": SEED,
+              "valid": sweep([draw_config(rng) for _ in range(VALID)]),
+              "near": sweep([draw_config(rng, near=True) for _ in range(NEAR)])}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     for name in ("valid", "near"):
         print(name, report[name]["exit_codes"], report[name]["failing_families"])
