@@ -21,13 +21,13 @@ print("removal generator action: W1|psi> = g|psi_23> ->",
 print("and back with a sign:     W1|psi_23> = -g|psi> ->",
       (w1 @ psi23 + psi).norm())
 
-for signs in ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1)):
-    t = dhrep.build_unentangled_transform(cfg, signs)
+for signs, t in dhrep.unentangled_transforms(
+        cfg, ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1))).items():
     overlap = vac.overlap(t.operator @ psi)
     print(f"signs {signs}: <0|V|psi> = {overlap.real:+.12f}")
 
 try:
-    dhrep.build_unentangled_transform(cfg, (1, 1, 1))
+    dhrep.unentangled_transforms(cfg, ((1, 1, 1),))
 except SignConstraintError as exc:
     print("rejected sign assignment:", exc)
 

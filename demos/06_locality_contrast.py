@@ -28,7 +28,7 @@ print("\nthe entangled rows show the exchange leakage: the spin-up section in")
 print("region 2 (x=0) moves by ~10*kappa, fed entirely by the partner region.")
 
 print("\nno-auxiliary contrast (single packet + distant probe):")
-contrast = dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0))
+contrast = dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0), width=1.0)
 for sep, bare, aux in zip(contrast["separation"], contrast["noaux_probe_operator_distance"],
                           contrast["aux_probe_operator_distance"]):
     print(f"  separation {sep:4.0f} widths: "

@@ -52,7 +52,6 @@ from .model import (
     standard_config,
 )
 from .dhrep import (
-    DhFactorParams,
     DhTransform,
     build_entangled_transform,
     build_unentangled_transform,
@@ -64,6 +63,7 @@ from .dhrep import (
     first_order_entangled_conjugate,
     locality_report,
     noaux_locality_report,
+    removal_factor,
     removal_generator,
     section_modes,
     vacuum_action,

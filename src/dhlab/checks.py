@@ -415,7 +415,7 @@ def _transform_checks(rc: RunConfig, cfg0: model.SystemConfig, psi_un, t_uns: di
     generic = matrix_exponential((math.pi / 2.0) * w1)
     dev = _worst(operator_distance(closed, generic) for closed in (
         dhrep.rotation_exponential(w1, math.pi / 2.0, 1.0),
-        dhrep.DhFactorParams.from_sign(1).exponential(w1)))  # the factor V_un uses
+        dhrep.removal_factor(w1, 1)))  # the factor V_un uses
     s1, s2, s3 = (float(s) for s in t_un0.signs)
     smear_dev = _worst(operator_distance(dhrep.conjugate(t_un0, cfg0.b(spin, r)), image)
                        for spin, r, image in (("up", 1, s1 * cfg0.adag(1)),
@@ -464,8 +464,7 @@ def _section_checks(rc: RunConfig, cfgp: model.SystemConfig, t_un: dhrep.DhTrans
     conjugated = {spin: [dhrep.conjugate(t_un, m) for m in modes[spin]] for spin in modes}
     loc = _locality_payload(cfgp, t_un, t_en, rc, conjugated)
     # one call conjugates G_DH once for both spins' lists
-    both = dhrep.first_order_entangled_conjugate(cfgp, t_un, modes["up"] + modes["down"],
-                                                 conjugated=conjugated["up"] + conjugated["down"])
+    both = dhrep.first_order_entangled_conjugate(cfgp, t_un, conjugated["up"] + conjugated["down"])
     first = {"up": both[:len(modes["up"])], "down": both[len(modes["up"]):]}
     del both
     # one spin at a time, dropping its closed, first-order and conjugated lists

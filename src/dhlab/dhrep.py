@@ -12,8 +12,9 @@ relevant subspace W^3 = -g^2 W, so the factor exponentials have the exact
 rotation closed form; the generic matrix exponential is kept as the
 validation path.  Choosing cos(theta_i g_i) = 0 makes each factor act with a
 pure sign s_i = sin(theta_i g_i) = +-1, and the product standardizes the
-three-particle state exactly when s1 s2 s3 = -1.  At that angle the factor is
-I + (s/g) W + W^2/g^2 exactly, so V_un is a signed permutation of the basis.
+three-particle state exactly when s1 s2 s3 = -1.  Every factor is pinned at
+g = 1, where it is I + s W + W^2 exactly (removal_factor), so a transform is
+its operator and its signs, and V_un is a signed permutation of the basis.
 
 The entangled transform is the two-step composition V_en = V_un exp(+iG)
 with G the dimensionless spin-exchange generator; it standardizes the
@@ -73,49 +74,12 @@ UNITARITY_TOL = 1e-10
 SUPPORT_CUT = 1e-12
 
 
-@dataclass(frozen=True)
-class DhFactorParams:
-    """Parameters (g, theta) of one removal factor, pinned to a pure sign:
-    cos(theta*g) = 0 and s = sin(theta*g) = +-1."""
-
-    g: float
-    theta: float
-
-    def __post_init__(self):
-        if abs(math.cos(self.theta * self.g)) > 1e-12:
-            raise ValueError(
-                f"cos(theta*g) = {math.cos(self.theta * self.g)} must vanish"
-            )
-
-    @property
-    def sign(self) -> int:
-        s = math.sin(self.theta * self.g)
-        if abs(abs(s) - 1.0) > 1e-12:
-            raise ValueError(f"sin(theta*g) = {s} is not a pure sign")
-        return 1 if s > 0 else -1
-
-    @classmethod
-    def from_sign(cls, sign: int, g: float = 1.0) -> "DhFactorParams":
-        """Minimal branch: theta = sign * pi/(2 g)."""
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        return cls(g=g, theta=sign * math.pi / (2.0 * g))
-
-    def exponential(self, w: FockOperator, square: FockOperator | None = None) -> FockOperator:
-        """exp(theta w) for a generator with w^3 = -g^2 w at the pinned angle:
-        I + (s/g) w + w @ w / g^2, free of the cos(fl(theta g)) residue.  A
-        caller that holds w @ w passes it as `square`."""
-        g = self.g
-        square = w @ w if square is None else square
-        return identity_operator(w.registry) + (self.sign / g) * w + (1.0 / (g * g)) * square
-
-
 @dataclass(frozen=True, eq=False)
 class DhTransform:
-    """Unitary standardizing transform with its factor metadata."""
+    """Unitary standardizing transform with the signs of its removal factors."""
 
     operator: FockOperator
-    factors: tuple[DhFactorParams, ...]
+    signs: tuple[int, ...]
     base: "DhTransform | None" = None
 
     def __post_init__(self):
@@ -136,10 +100,6 @@ class DhTransform:
     @property
     def flavor(self) -> str:
         return "unentangled" if self.base is None else "entangled"
-
-    @property
-    def signs(self) -> tuple[int, ...]:
-        return tuple(f.sign for f in self.factors)
 
 
 def removal_generator(
@@ -164,6 +124,15 @@ def rotation_exponential(w: FockOperator, theta: float, g: float) -> FockOperato
     return ident + s * w + c * (w @ w)
 
 
+def removal_factor(w: FockOperator, sign: int,
+                   square: FockOperator | None = None) -> FockOperator:
+    """exp(s (pi/2) w) for a removal generator at g = 1, so w^3 = -w: at the
+    pinned angle the closed form is I + s w + w @ w, free of the
+    cos(fl(pi/2)) residue.  A caller that holds w @ w passes it as `square`."""
+    square = w @ w if square is None else square
+    return identity_operator(w.registry) + sign * w + square
+
+
 def entangler_exponential(cfg: SystemConfig) -> FockOperator:
     """exp(iG) for the spin-exchange generator: G^3 = kappa^2 G gives
     w^3 = -kappa^2 w for w = iG, so the rotation closed form applies."""
@@ -175,15 +144,14 @@ def entangler_exponential(cfg: SystemConfig) -> FockOperator:
 _REMOVAL_SLOTS = ((SPIN_UP, 1, 1), (SPIN_DOWN, 2, 2), (SPIN_DOWN, 3, 3))
 
 
-def build_unentangled_transform(
-    cfg: SystemConfig, signs: tuple[int, int, int] | None = None
-) -> DhTransform:
-    """Standardizing transform V = V3 V2 V1 for the unentangled state.
+def build_unentangled_transform(cfg: SystemConfig) -> DhTransform:
+    """Standardizing transform V = V3 V2 V1 for the unentangled state, with
+    the factor signs cfg.signs.
 
     The sign assignment must satisfy s1*s2*s3 = -1, which makes
     V |psi_unentangled> = |0> exactly.
     """
-    signs = tuple(cfg.signs if signs is None else signs)
+    signs = tuple(cfg.signs)
     return unentangled_transforms(cfg, (signs,))[signs]
 
 
@@ -194,17 +162,17 @@ def unentangled_transforms(
     pinned at g = 1 whatever its sign, so each slot's removal generator and
     its square are built once for all the choices."""
     for signs in sign_choices:
-        if signs[0] * signs[1] * signs[2] != -1:
-            raise SignConstraintError(f"sign assignment {signs} violates s1*s2*s3 = -1")
+        if len(signs) != 3 or any(s not in (1, -1) for s in signs) or math.prod(signs) != -1:
+            raise SignConstraintError(
+                f"sign assignment {signs} must be three signs +-1 with s1*s2*s3 = -1")
     generators = [removal_generator(cfg, spin, region, aux) for spin, region, aux in _REMOVAL_SLOTS]
     squares = [w @ w for w in generators]
     transforms = {}
     for signs in sign_choices:
-        factors = tuple(DhFactorParams.from_sign(s) for s in signs)
         v = identity_operator(cfg.registry)
-        for factor, w, square in zip(factors, generators, squares):
-            v = factor.exponential(w, square) @ v
-        transforms[tuple(signs)] = DhTransform(operator=v, factors=factors)
+        for sign, w, square in zip(signs, generators, squares):
+            v = removal_factor(w, sign, square) @ v
+        transforms[tuple(signs)] = DhTransform(operator=v, signs=tuple(signs))
     return transforms
 
 
@@ -214,7 +182,7 @@ def build_entangled_transform(cfg: SystemConfig, base: DhTransform) -> DhTransfo
     if base.flavor != "unentangled":
         raise ValueError("base must be an unentangled transform")
     v = base.operator @ entangler_exponential(cfg)
-    return DhTransform(operator=v, factors=base.factors, base=base)
+    return DhTransform(operator=v, signs=base.signs, base=base)
 
 
 def conjugate(transform: DhTransform, op: FockOperator) -> FockOperator:
@@ -223,17 +191,13 @@ def conjugate(transform: DhTransform, op: FockOperator) -> FockOperator:
 
 
 def first_order_entangled_conjugate(
-    cfg: SystemConfig,
-    base: DhTransform,
-    ops: Sequence[FockOperator],
-    conjugated: Sequence[FockOperator] | None = None,
+    cfg: SystemConfig, base: DhTransform, ops_dh: Sequence[FockOperator]
 ) -> list[FockOperator]:
-    """First-order entangled conjugations A_DH + i [G_DH, A_DH] built on the
-    unentangled transform (no series truncation beyond first order), with
-    G_DH = V_un G V_un^dag built once for all of ops.  `conjugated` holds
-    [conjugate(base, op) for op in ops], when the caller has already built it."""
+    """First-order entangled conjugations A_DH + i [G_DH, A_DH] of the images
+    ops_dh = [conjugate(base, op) for op in ops] under the unentangled
+    transform (no series truncation beyond first order), with
+    G_DH = V_un G V_un^dag built once for all of them."""
     g_dh = conjugate(base, entangling_generator(cfg))
-    ops_dh = conjugated if conjugated is not None else [conjugate(base, op) for op in ops]
     return [op_dh + 1j * (g_dh @ op_dh - op_dh @ g_dh) for op_dh in ops_dh]
 
 
@@ -446,13 +410,10 @@ def _noaux_transform(with_auxiliary: bool) -> DhTransform:
     if with_auxiliary:
         a, adag = (mode_operator(registry, AuxiliaryMode(1), d) for d in (False, True))
         w = a @ b - bdag @ adag
-    factor = DhFactorParams.from_sign(1)
-    return DhTransform(operator=factor.exponential(w), factors=(factor,))
+    return DhTransform(operator=removal_factor(w, 1), signs=(1,))
 
 
-def noaux_locality_report(
-    separations: tuple[float, ...] = (10.0, 20.0, 40.0), width: float = 1.0
-) -> dict[str, np.ndarray]:
+def noaux_locality_report(separations: tuple[float, ...], width: float) -> dict[str, np.ndarray]:
     """Probe-support leakage of the no-auxiliary construction next to the
     auxiliary-partner construction on the same geometry, as columns, a row per
     separation.  The moved operators V m V^dag - m (m = b, probe) ignore the

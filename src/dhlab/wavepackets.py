@@ -20,7 +20,6 @@ from .errors import GridMismatchError, LayoutError
 WSW_TOL = 1e-10
 APERTURE_TOL = 1e-8
 APERTURE_THRESHOLD = 1e-8
-NORMALIZATION_TOL = 1e-10
 SPAN_RESIDUAL_TOL = 1e-8
 MAX_GRID_POINTS = 1_000_000  # 1.4 M points already take `dhlab locality` to 261 MB
 
@@ -90,10 +89,6 @@ class GridFunction:
             raise ValueError("samples must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(norm(self) - 1.0) <= NORMALIZATION_TOL
 
     def value_at(self, x: float) -> complex:
         return complex(self.values[self.grid.index_of(x)])
@@ -299,18 +294,16 @@ DEFAULT_POINTS = 1401
 
 @dataclass(frozen=True, eq=False)
 class PacketLayout:
-    """The standard three-region geometry plus auxiliary and probe functions.
+    """The standard three-region geometry plus probe functions.
 
-    Auxiliary wavefunctions are arbitrary normalized functions (they define
-    the auxiliary modes but never enter a physical expectation).  Probe
-    functions are orthogonalized against the physical packets so the probe
-    modes extend the orthonormal mode family exactly.
+    Probe functions are orthogonalized against the physical packets so the
+    probe modes extend the orthonormal mode family exactly.  The auxiliary
+    modes need no wavefunction: they never enter a physical expectation.
     """
 
     grid: Grid
     packets: tuple[GridFunction, GridFunction, GridFunction]
     apertures: tuple[ApertureFunction, ApertureFunction, ApertureFunction]
-    aux_functions: tuple[GridFunction, GridFunction, GridFunction]
     probe_points: tuple[float, ...]
     probe_functions: tuple[GridFunction, ...]
     centers: tuple[float, float, float]
@@ -331,11 +324,9 @@ def standard_layout(
     span: tuple[float, float] = DEFAULT_SPAN,
     n_points: int = DEFAULT_POINTS,
     probe_points: tuple[float, ...] = (),
-    aux_functions: tuple[GridFunction, GridFunction, GridFunction] | None = None,
 ) -> PacketLayout:
     """Build the default geometry: three unit-width Gaussians, matched
-    apertures, auxiliary functions (copies of the packets unless given), and
-    orthogonalized probe packets at the requested points.
+    apertures, and orthogonalized probe packets at the requested points.
 
     The span widens, at the same grid spacing, so that every probe point
     keeps ten packet widths of margin to either edge.
@@ -348,12 +339,6 @@ def standard_layout(
         grid = uniform_grid(lo, hi, np.round((hi - lo) / spacing) + 1)
     packets = tuple(gaussian_packet(c, width, grid) for c in centers)
     apertures = tuple(build_aperture(p, APERTURE_THRESHOLD) for p in packets)
-    if aux_functions is None:
-        aux_functions = packets
-    else:
-        for f in aux_functions:
-            if not f.is_normalized:
-                raise LayoutError("auxiliary wavefunctions must be normalized")
     probes = []
     for x in probe_points:
         raw = gaussian_packet(x, width, grid)
@@ -366,7 +351,6 @@ def standard_layout(
         grid=grid,
         packets=packets,
         apertures=apertures,
-        aux_functions=tuple(aux_functions),
         probe_points=tuple(float(x) for x in probe_points),
         probe_functions=tuple(probes),
         centers=tuple(float(c) for c in centers),

@@ -16,7 +16,9 @@ Regenerate it, and see which outputs moved, with
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import platform
@@ -72,10 +74,24 @@ def run(case: str) -> tuple[int, bytes]:
         return code, out.read_bytes()
 
 
+def _cell(text: str):
+    """A CSV cell's value: the float it spells, else its text."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _tables(case: str, output: bytes) -> dict[str, list[dict]]:
-    """An output's tables as rows, by table name ('' for a lone table)."""
+    """An output's tables as rows, by table name ('' for a lone table).  A
+    CSV's stacked tables are told apart by its `table` column; a cell a table
+    lacks is empty, so that column is no float column of that table."""
     if case.endswith(".csv"):
-        return {}  # its floats are its JSON twin's
+        tables = {}
+        for row in csv.DictReader(io.StringIO(output.decode())):
+            tables.setdefault(row.pop("table", ""), []).append(
+                {k: _cell(v) for k, v in row.items()})
+        return tables
     payload = json.loads(output)
     return {"": payload} if isinstance(payload, list) else payload
 

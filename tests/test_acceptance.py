@@ -60,8 +60,8 @@ def test_criterion_02_standardization(cfg0):
     with criterion(2, "standardizing transforms reach the vacuum"):
         psi_un = unentangled_state(cfg0)
         vac = cfg0.vacuum()
-        for signs in ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1)):
-            t = dhrep.build_unentangled_transform(cfg0, signs)
+        for t in dhrep.unentangled_transforms(
+                cfg0, ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1))).values():
             assert abs(vac.overlap(t.operator @ psi_un) - 1.0) <= EXACT_TOL
         for kappa in KAPPAS:
             cfg = model.standard_config(kappa=kappa)
@@ -182,7 +182,8 @@ def test_criterion_07_closed_form_dh_operators(cfg_probe, t_un_probe, t_en_probe
         conj_un_modes = {spin: [dhrep.conjugate(t_un_probe, m) for m in modes[spin]]
                          for spin in modes}
         closed_en_modes = {spin: dhrep.closed_form_modes(cfg, spin, t_en_probe) for spin in modes}
-        first_modes = {spin: dhrep.first_order_entangled_conjugate(cfg, t_un_probe, modes[spin])
+        first_modes = {spin: dhrep.first_order_entangled_conjugate(cfg, t_un_probe,
+                                                                   conj_un_modes[spin])
                        for spin in modes}
         vac = cfg.vacuum()
         k = cfg.kappa
@@ -221,7 +222,7 @@ def test_criterion_08_effective_locality_contrast(cfg_probe, t_un_probe, t_en_pr
             leaks = report["distance"][outside]
             assert np.all(leaks <= EXACT_TOL), (report["point"][outside], leaks)
             assert outside[report["point"] == 32.0].any()
-        report = dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0))
+        report = dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0), width=1.0)
         assert np.all(report["noaux_probe_operator_distance"] > 0.1)
         assert np.all(report["noaux_section_distance"] > 0.1)
         assert np.all(report["aux_probe_operator_distance"] <= EXACT_TOL)

@@ -125,10 +125,9 @@ def _localized_spin_negated(cfg, region, direction):
     return -LOCALIZED_SPIN(cfg, region, direction)
 
 
-def _factor_exponential_sign_flipped(self, w, square=None):
-    # I - (s/g) w + w @ w / g^2 is exp(-theta w), the inverse factor, still unitary
-    g = self.g
-    return identity_operator(w.registry) + (-self.sign / g) * w + (1.0 / (g * g)) * (w @ w)
+def _factor_exponential_sign_flipped(w, sign, square=None):
+    # I - s w + w @ w is exp(-s (pi/2) w), the inverse factor, still unitary
+    return identity_operator(w.registry) + (-sign) * w + (w @ w)
 
 
 def _second_order_without_half(state, kappa, order="exact"):
@@ -259,8 +258,8 @@ MUTANTS = {
     "localized-spin-negated": (("20-spin-eigenvalue-r1", "20-spin-eigenvalue-r2",
                                 "20-spin-eigenvalue-r3"), model, "localized_spin_operator",
                                _localized_spin_negated),
-    "factor-exponential-sign-flipped": (("31-", "33-", "34-"), dhrep.DhFactorParams,
-                                        "exponential", _factor_exponential_sign_flipped),
+    "factor-exponential-sign-flipped": (("31-", "33-", "34-"), dhrep, "removal_factor",
+                                        _factor_exponential_sign_flipped),
     "second-order-without-half": (("60-",), qubits, "evolve_qubits",
                                   _second_order_without_half),
     "expectation-without-second-order-term": (("61-",), qubits, "expectation_closed_form",

@@ -27,16 +27,6 @@ from dhlab.model import (
 ALL_SIGNS = ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1))
 
 
-def test_factor_params():
-    f = dhrep.DhFactorParams.from_sign(-1, g=2.0)
-    assert f.sign == -1
-    assert abs(math.cos(f.theta * f.g)) <= 1e-12
-    with pytest.raises(ValueError):
-        dhrep.DhFactorParams(g=1.0, theta=0.3)
-    with pytest.raises(ValueError):
-        dhrep.DhFactorParams.from_sign(0)
-
-
 def test_removal_generator_actions(cfg0):
     g1, g2, g3 = 1.3, 0.7, 2.1
     psi_un = unentangled_state(cfg0)
@@ -71,17 +61,17 @@ def test_intermediate_rotation_action(cfg0):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_single_factor_actions(cfg0, sign):
     # V1|psi_un> = s1 |psi_23>, V2|psi_23> = -s2 |psi_3>, V3|psi_3> = s3 |0>
-    factor = dhrep.DhFactorParams.from_sign(sign)
+    g, theta = 1.0, sign * math.pi / 2.0
     psi_un = unentangled_state(cfg0)
     psi_23 = build_state(cfg0, REGIONS_23_OCC)
     psi_3 = build_state(cfg0, REGION_3_OCC)
     vac = cfg0.vacuum()
-    w1 = dhrep.removal_generator(cfg0, "up", 1, 1, factor.g)
-    w2 = dhrep.removal_generator(cfg0, "down", 2, 2, factor.g)
-    w3 = dhrep.removal_generator(cfg0, "down", 3, 3, factor.g)
-    v1 = dhrep.rotation_exponential(w1, factor.theta, factor.g)
-    v2 = dhrep.rotation_exponential(w2, factor.theta, factor.g)
-    v3 = dhrep.rotation_exponential(w3, factor.theta, factor.g)
+    w1 = dhrep.removal_generator(cfg0, "up", 1, 1, g)
+    w2 = dhrep.removal_generator(cfg0, "down", 2, 2, g)
+    w3 = dhrep.removal_generator(cfg0, "down", 3, 3, g)
+    v1 = dhrep.rotation_exponential(w1, theta, g)
+    v2 = dhrep.rotation_exponential(w2, theta, g)
+    v3 = dhrep.rotation_exponential(w3, theta, g)
     assert (v1 @ psi_un - float(sign) * psi_23).norm() <= 1e-14
     assert (v2 @ psi_23 + float(sign) * psi_3).norm() <= 1e-14
     assert (v3 @ psi_3 - float(sign) * vac).norm() <= 1e-14
@@ -90,12 +80,22 @@ def test_single_factor_actions(cfg0, sign):
 def test_sign_constraint_enforced(cfg0):
     for signs in ((1, 1, 1), (-1, -1, 1), (1, -1, -1)):
         with pytest.raises(SignConstraintError):
-            dhrep.build_unentangled_transform(cfg0, signs)
+            dhrep.unentangled_transforms(cfg0, (signs,))
+
+
+def test_non_signs_are_refused(cfg0):
+    # (0.5, 2, -1) has the product -1 but is no sign assignment; one refused
+    # choice refuses the whole call
+    for signs in ((0, 1, 1), (0.5, 2, -1)):
+        with pytest.raises(SignConstraintError):
+            dhrep.unentangled_transforms(cfg0, (signs,))
+        with pytest.raises(SignConstraintError):
+            dhrep.unentangled_transforms(cfg0, ALL_SIGNS + (signs,))
 
 
 @pytest.mark.parametrize("signs", ALL_SIGNS)
 def test_standardization_all_sign_assignments(cfg0, signs):
-    t = dhrep.build_unentangled_transform(cfg0, signs)
+    t = dhrep.build_unentangled_transform(dataclasses.replace(cfg0, signs=signs))
     vac = cfg0.vacuum()
     psi_un = unentangled_state(cfg0)
     assert abs(vac.overlap(t.operator @ psi_un) - 1.0) <= 1e-10
@@ -105,8 +105,8 @@ def test_standardization_all_sign_assignments(cfg0, signs):
     assert t.flavor == "unentangled"
     # the two-step transform standardizes the evolved state for every
     # admissible sign assignment as well
-    cfg = dataclasses.replace(cfg0, kappa=0.05)
-    t_en = dhrep.build_entangled_transform(cfg, dhrep.build_unentangled_transform(cfg, signs))
+    cfg = dataclasses.replace(cfg0, kappa=0.05, signs=signs)
+    t_en = dhrep.build_entangled_transform(cfg, dhrep.build_unentangled_transform(cfg))
     exact = evolve(cfg, unentangled_state(cfg), "exact")
     assert (t_en.operator @ exact - vac).norm() <= 1e-10
 
@@ -117,7 +117,7 @@ def test_unentangled_transform_is_a_signed_permutation(request, cfg_name, signs)
     # every factor is pinned at cos(theta g) = 0, so V_un only permutes the
     # Fock basis up to signs and stores no cos(fl(pi/2)) residue
     cfg = request.getfixturevalue(cfg_name)
-    v = dhrep.build_unentangled_transform(cfg, signs).operator
+    v = dhrep.unentangled_transforms(cfg, (signs,))[signs].operator
     assert v.matrix.nnz == cfg.registry.dimension
     assert np.all(np.abs(v.matrix.data) == 1.0)
     assert np.array_equal((v @ unentangled_state(cfg)).amplitudes, cfg.vacuum().amplitudes)
@@ -139,14 +139,15 @@ def test_nan_transform_fails_unitarity_gate(cfg0, t_un0):
     matrix = fock.CSRMatrix(m.indptr, m.indices, data, m.shape)
     with pytest.raises(ValueError):
         dhrep.DhTransform(operator=fock.FockOperator(cfg0.registry, matrix),
-                          factors=t_un0.factors)
+                          signs=t_un0.signs)
 
 
 def test_rotation_fast_path_matches_generic_expm(cfg0, cfg05):
-    f = dhrep.DhFactorParams.from_sign(1, g=1.4)
-    w = dhrep.removal_generator(cfg0, "down", 2, 2, f.g)
-    fast = dhrep.rotation_exponential(w, f.theta, f.g)
-    generic = matrix_exponential(f.theta * w)
+    g = 1.4
+    theta = math.pi / (2.0 * g)
+    w = dhrep.removal_generator(cfg0, "down", 2, 2, g)
+    fast = dhrep.rotation_exponential(w, theta, g)
+    generic = matrix_exponential(theta * w)
     assert operator_distance(fast, generic) <= 1e-12
     fast_en = dhrep.entangler_exponential(cfg05)
     generic_en = matrix_exponential(1j * model.entangling_generator(cfg05))
@@ -213,7 +214,8 @@ def test_first_order_vs_exact_conjugation(kappa):
     # second-order Frobenius remainder measured at 9 modes: 4.00 kappa^2 per
     # packet-mode operator; recorded bound C = 8.
     ops = (cfg.b("up", 1), cfg.b("down", 2))
-    for op, first in zip(ops, dhrep.first_order_entangled_conjugate(cfg, base, ops)):
+    images = [dhrep.conjugate(base, op) for op in ops]
+    for op, first in zip(ops, dhrep.first_order_entangled_conjugate(cfg, base, images)):
         exact = dhrep.conjugate(t_en, op)
         assert operator_distance(exact, first) <= 8.0 * kappa**2
 
@@ -221,16 +223,15 @@ def test_first_order_vs_exact_conjugation(kappa):
 def test_first_order_takes_already_conjugated_modes(monkeypatch):
     cfg = model.standard_config(kappa=0.05)
     base = dhrep.build_unentangled_transform(cfg)
-    ops = (cfg.b("up", 1), cfg.b("down", 2))
-    plain = dhrep.first_order_entangled_conjugate(cfg, base, ops)
-    images = [dhrep.conjugate(base, op) for op in ops]
+    images = [dhrep.conjugate(base, op) for op in (cfg.b("up", 1), cfg.b("down", 2))]
+    g_dh = dhrep.conjugate(base, model.entangling_generator(cfg))
     calls = []
     conjugate = dhrep.conjugate
     monkeypatch.setattr(dhrep, "conjugate", lambda t, op: calls.append(op) or conjugate(t, op))
-    given = dhrep.first_order_entangled_conjugate(cfg, base, ops, conjugated=images)
+    given = dhrep.first_order_entangled_conjugate(cfg, base, images)
     assert len(calls) == 1  # G_DH only
-    for a, b in zip(plain, given):
-        m, n = a.matrix, b.matrix
+    for a, image in zip(given, images):
+        m, n = a.matrix, (image + 1j * (g_dh @ image - image @ g_dh)).matrix
         assert (m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes()) == (
             n.indptr.tobytes(), n.indices.tobytes(), n.data.tobytes())
 
@@ -269,7 +270,8 @@ def test_sections_entangled_closed_form_equals_first_order(cfg_probe, t_un_probe
         for x in pts:
             closed = dhrep.field_section(cfg_probe, x, closed_modes)
             usual = dhrep.field_section(cfg_probe, x, modes)
-            [first] = dhrep.first_order_entangled_conjugate(cfg_probe, t_un_probe, [usual])
+            [first] = dhrep.first_order_entangled_conjugate(
+                cfg_probe, t_un_probe, [dhrep.conjugate(t_un_probe, usual)])
             assert operator_distance(closed, first) <= 1e-10
             # against exact conjugation the closed form is first-order only;
             # measured remainder 5.06 k^2 at 11 modes, bound C = 8
@@ -491,7 +493,7 @@ def test_noaux_transform_actions():
 
 
 def test_noaux_locality_contrast():
-    report = dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0))
+    report = dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0), width=1.0)
     assert np.all(report["noaux_probe_operator_distance"] > 0.1)
     assert np.all(report["noaux_section_distance"] > 0.1)
     assert np.all(report["aux_probe_operator_distance"] <= 1e-12)
@@ -513,7 +515,7 @@ def test_noaux_locality_contrast():
 def test_noaux_section_distance_ignores_decimals_and_sign(separations):
     # the probe centre must sit on a grid node for every separation; a probe
     # read half a spacing off its centre reads as leakage
-    report = dhrep.noaux_locality_report(separations)
+    report = dhrep.noaux_locality_report(separations, 1.0)
     assert np.ptp(report["noaux_section_distance"]) <= 1e-10, separations
 
 
@@ -557,5 +559,5 @@ def test_noaux_report_builds_each_transform_once(monkeypatch):
         return original(with_auxiliary)
 
     monkeypatch.setattr(dhrep, "_noaux_transform", counting)
-    dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0))
+    dhrep.noaux_locality_report(separations=(10.0, 20.0, 40.0), width=1.0)
     assert sorted(built) == [False, True]

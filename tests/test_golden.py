@@ -4,9 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import make_golden
-from dhlab import cli
+from dhlab import cli, fock
 
 GOLDEN = json.loads(make_golden.GOLDEN.read_text())
 
@@ -31,6 +32,30 @@ def test_outputs_match_golden(fresh):
 
 def test_outputs_match_golden_on_another_key(fresh):
     assert make_golden.moved({**GOLDEN, "key": {**GOLDEN["key"], "machine": "other"}}, fresh) == []
+
+
+def _to_scipy(m):
+    return sparse.csr_array((m.data, m.indices, m.indptr), shape=m.shape)
+
+
+def _from_scipy(s):
+    # scipy drops the exact zeros of a sum or product as dhlab does, but may
+    # leave a product's columns unsorted; sorting moves no value
+    s.sort_indices()
+    return fock.CSRMatrix(s.indptr.astype(np.int64), s.indices.astype(np.int64), s.data,
+                          s.shape)
+
+
+def test_outputs_match_golden_with_scipys_sparse_layer(monkeypatch):
+    """The four commands with the sparse layer's products, sums and actions
+    taken by scipy: no output moves, as in bytes on the golden key."""
+    monkeypatch.setattr(fock, "_product", lambda a, b: _from_scipy(_to_scipy(a) @ _to_scipy(b)))
+    monkeypatch.setattr(fock, "_apply", lambda a, x: _to_scipy(a) @ x)
+    monkeypatch.setattr(fock.CSRMatrix, "__add__",
+                        lambda a, b: _from_scipy(_to_scipy(a) + _to_scipy(b)))
+    monkeypatch.setattr(fock.CSRMatrix, "__sub__",
+                        lambda a, b: _from_scipy(_to_scipy(a) - _to_scipy(b)))
+    assert make_golden.moved(GOLDEN, make_golden.generate()) == []
 
 
 def test_one_ulp_in_one_correlation_moves_the_output(monkeypatch):

@@ -249,29 +249,6 @@ def test_exact_vs_first_order_closed_forms(kappa):
                 assert abs(got - closed) <= 5.0 * kappa**2
 
 
-def test_auxiliary_functions_do_not_move_observables(cfg05):
-    # Any normalized auxiliary wavefunction choice leaves every expectation
-    # unchanged; the modes are defined by the functions but never observed.
-    from dhlab import wavepackets as wp
-
-    grid = wp.uniform_grid(-35.0, 35.0, 1401)
-    alt_aux = tuple(wp.gaussian_packet(c, 2.0, grid) for c in (-8.0, 3.0, 11.0))
-    layout = wp.standard_layout(aux_functions=alt_aux)
-    cfg_alt = model.standard_config(kappa=0.05, layout=layout)
-    psi_a = evolve(cfg05, unentangled_state(cfg05), "exact")
-    psi_b = evolve(cfg_alt, unentangled_state(cfg_alt), "exact")
-    d1, d2 = SpinDirection(0.9, 0.2), SpinDirection(1.7, 3.9)
-    for region in (1, 2, 3):
-        assert abs(
-            spin_expectation(cfg05, psi_a, region, d1)
-            - spin_expectation(cfg_alt, psi_b, region, d1)
-        ) <= 1e-10
-    assert abs(
-        spin_correlation(cfg05, psi_a, 1, d1, 2, d2)
-        - spin_correlation(cfg_alt, psi_b, 1, d1, 2, d2)
-    ) <= 1e-10
-
-
 def test_entanglement_detection(cfg0, cfg05):
     psi0 = unentangled_state(cfg0)
     assert not model.is_entangled(cfg0, psi0)

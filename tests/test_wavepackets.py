@@ -36,7 +36,6 @@ def test_grid_invariants():
 def test_gaussian_packet_normalization(grid, packets):
     for p in packets:
         assert abs(wp.norm(p) - 1.0) <= 1e-10
-        assert p.is_normalized
         assert wp.inner(p, p).real == pytest.approx(1.0, abs=1e-12)
 
 
