@@ -3,7 +3,8 @@
 Three unit-width Gaussian wavepackets, twenty widths apart, define the
 regions.  The separation gate (pointwise products of distinct packets) and
 the aperture gates justify treating the packet modes as exactly orthonormal
-before any operator algebra runs on top of them.
+before any operator algebra runs on top of them; `wp.standard_layout` judges
+both and refuses a layout that fails either.
 """
 
 from dhlab import wavepackets as wp
@@ -23,12 +24,13 @@ for i in range(3):
         analytic = wp.gaussian_overlap(layout.centers[i], layout.centers[j], layout.width)
         print(f"  ({i + 1},{j + 1}): quadrature {measured.real:.3e}, analytic {analytic:.3e}")
 
-wsw = wp.wsw_report(list(layout.packets), tol=1e-10)
-print(f"\nseparation gate: max pointwise product = {wsw.max_product:.3e}"
-      f" -> {'pass' if wsw.passed else 'FAIL'}")
+# standard_layout already refused the layout if a gate failed; these are its numbers
+product = wp.max_packet_product(list(layout.packets))
+print(f"\nseparation gate: max pointwise product = {product:.3e} (tolerance {wp.WSW_TOL:g})")
 
-apt = wp.aperture_report(list(layout.apertures), list(layout.packets), tol=1e-8)
-print("aperture gate:", apt.to_dict())
+exact, pointwise, integral = wp.aperture_errors(list(layout.apertures), list(layout.packets))
+print(f"aperture gate: products exact = {exact}, max pointwise error = {pointwise:.3e}, "
+      f"max integral error = {integral:.3e} (tolerance {wp.APERTURE_TOL:g})")
 
 # aperture extents: a contiguous block of ones around each packet
 for i, a in enumerate(layout.apertures, start=1):

@@ -100,9 +100,10 @@ MIN_KAPPA = (4.0 * np.finfo(float).eps) ** (1.0 / 3.0)
 MAX_DIRECTIONS = 100
 # `locality`'s probe packet, s widths from its packet, keeps a residual of about
 # |s| / 2 when orthogonalized against it (overlap exp(-s^2 / 8)), and one at or
-# below wp.SPAN_RESIDUAL_TOL is refused; below this floor it is at most half
-# that, so no separation under it can run (the measured edge is 2e-8)
-MIN_SEPARATION = wp.SPAN_RESIDUAL_TOL
+# below wp.SPAN_RESIDUAL_TOL is refused, so every |s| up to about twice that
+# fails (the measured edge is 2.0000000056e-8 at widths 0.002 to 1e4); at this
+# floor the residual is 1.5 times the tolerance, so every admitted separation runs
+MIN_SEPARATION = 3.0 * wp.SPAN_RESIDUAL_TOL
 
 
 @dataclass
@@ -184,7 +185,7 @@ class RunConfig:
             raise ConfigError("the separation list is empty")
         tiny = [s for s in self.separations if abs(s) < MIN_SEPARATION]
         if tiny:
-            raise ConfigError(f"separations must be at least {MIN_SEPARATION!r} widths in size: "
+            raise ConfigError(f"separations must be at least {MIN_SEPARATION:g} widths in size: "
                               f"a probe packet nearer its packet lies in the packet's span, "
                               f"got {tiny[0]!r}")
         if len(self.signs) != 3 or any(s not in (1, -1) for s in self.signs):
@@ -234,9 +235,10 @@ def _config(rc: RunConfig, probe_points: tuple[float, ...] = ()) -> model.System
         span=(rc.grid_min, rc.grid_max),
         n_points=rc.grid_points,
         probe_points=probe_points,
+        wsw_tol=rc.wsw_tol,
+        aperture_tol=rc.aperture_tol,
     )
-    return model.standard_config(signs=rc.signs, layout=layout,
-                                 wsw_tol=rc.wsw_tol, aperture_tol=rc.aperture_tol)
+    return model.standard_config(signs=rc.signs, layout=layout)
 
 
 def _entangled(cfg0: model.SystemConfig, t_un: dhrep.DhTransform, kappa: float):
@@ -376,22 +378,21 @@ def _algebra_checks(seed: int) -> list[CheckRecord]:
 
 def _model_checks(rc: RunConfig, cfg0: model.SystemConfig, psi_un, dirs, u) -> list[CheckRecord]:
     """10-30: the geometry gates, the unentangled model and the sign constraint."""
-    wsw = wp.wsw_report(list(cfg0.layout.packets), tol=rc.wsw_tol)
-    apt = wp.aperture_report(list(cfg0.layout.apertures), list(cfg0.layout.packets),
-                             tol=rc.aperture_tol)
+    packets = list(cfg0.layout.packets)
+    exact, pointwise, integral = wp.aperture_errors(list(cfg0.layout.apertures), packets)
     states = [psi_un] + [model.build_state(cfg0, model.FLIPPED_OCC[r]) for r in (1, 2, 3)]
     gram_dev = _worst(abs(si.overlap(sj) - (1.0 if i == j else 0.0))
                       for i, si in enumerate(states) for j, sj in enumerate(states))
     corr = _sweep(model.state_moments(cfg0, psi_un), u)[1]
     return [
         _record("10-wsw-gate", "pointwise products of distinct packets vanish",
-                0.0, wsw.max_product, rc.wsw_tol),
+                0.0, wp.max_packet_product(packets), rc.wsw_tol),
         _record("11-aperture-products", "aperture mutual exclusion and idempotence",
-                0.0, 0.0 if apt.products_exact else 1.0, 0.0),
+                0.0, 0.0 if exact else 1.0, 0.0),
         _record("12-aperture-pointwise", "apertures pass their packets through unchanged",
-                0.0, apt.max_pointwise_error, rc.aperture_tol),
+                0.0, pointwise, rc.aperture_tol),
         _record("13-aperture-integrals", "aperture-weighted packet norms are Kronecker deltas",
-                0.0, apt.max_integral_error, rc.aperture_tol),
+                0.0, integral, rc.aperture_tol),
         *(_record(f"20-spin-eigenvalue-r{region}", "axis-aligned localized spin eigenvalue", 0.0,
                   (model.localized_spin_operator(cfg0, region, SpinDirection.x3()) @ psi_un
                    - eig * psi_un).norm(), rc.tol_exact)

@@ -102,13 +102,11 @@ class DhTransform:
         return "unentangled" if self.base is None else "entangled"
 
 
-def removal_generator(
-    cfg: SystemConfig, spin: str, region: int, aux_index: int, g: float = 1.0
-) -> FockOperator:
-    """Skew-Hermitian generator g (a_j b_{s,r} - bdag_{s,r} adag_j) that swaps
-    one region's physical quantum into its auxiliary partner."""
+def removal_generator(cfg: SystemConfig, spin: str, region: int, aux_index: int) -> FockOperator:
+    """Skew-Hermitian generator a_j b_{s,r} - bdag_{s,r} adag_j (g = 1) that
+    swaps one region's physical quantum into its auxiliary partner."""
     a, b = cfg.a(aux_index), cfg.b(spin, region)
-    return g * (a @ b - cfg.bdag(spin, region) @ cfg.adag(aux_index))
+    return a @ b - cfg.bdag(spin, region) @ cfg.adag(aux_index)
 
 
 def rotation_exponential(w: FockOperator, theta: float, g: float) -> FockOperator:

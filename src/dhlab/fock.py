@@ -426,10 +426,6 @@ class FockState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.norm() - 1.0) <= 1e-12
-
     def normalized(self) -> "FockState":
         n = self.norm()
         if n == 0.0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wavepackets as wp
-from .errors import DuplicateOccupationError, LayoutError, PerturbativeRangeWarning
+from .errors import DuplicateOccupationError, PerturbativeRangeWarning
 from .fock import (
     SPIN_DOWN,
     SPIN_UP,
@@ -139,22 +139,14 @@ def standard_config(
     signs: tuple[int, int, int] = (1, 1, -1),
     probe_points: tuple[float, ...] = (),
     layout: wp.PacketLayout | None = None,
-    wsw_tol: float = wp.WSW_TOL,
-    aperture_tol: float = wp.APERTURE_TOL,
 ) -> SystemConfig:
-    """Default three-region system; validates the geometric gates up front.
+    """Default three-region system.
 
-    Without a layout, `wp.standard_layout` builds the default geometry with
-    the requested probe points.
+    Without a layout, `wp.standard_layout` builds (and gates) the default
+    geometry with the requested probe points.
     """
     if layout is None:
         layout = wp.standard_layout(probe_points=probe_points)
-    wsw = wp.wsw_report(list(layout.packets), tol=wsw_tol)
-    if not wsw.passed:
-        raise LayoutError(f"layout fails the separation gate: {wsw.to_dict()}")
-    apt = wp.aperture_report(list(layout.apertures), list(layout.packets), tol=aperture_tol)
-    if not apt.passed:
-        raise LayoutError(f"layout fails the aperture gate: {apt.to_dict()}")
     registry = standard_registry(len(layout.probe_points))
     return SystemConfig(layout, registry, kappa, signs)
 

@@ -3,8 +3,8 @@
 All functions live on a uniform 1-D grid and integrals use the rectangle
 rule h * sum(f).  The layout gates (widely-separated-wavepacket products and
 the aperture algebra) must pass before the finite mode reduction used by the
-operator algebra is trusted; `wsw_report` and `aperture_report` quantify
-them.
+operator algebra is trusted: `max_packet_product` and `aperture_errors`
+measure them, and `standard_layout` refuses a layout that fails either.
 """
 
 from __future__ import annotations
@@ -169,82 +169,28 @@ def orthogonalized(f: GridFunction, against: tuple[GridFunction, ...]) -> GridFu
     return normalized(residual)
 
 
-@dataclass(frozen=True)
-class WswReport:
-    """Worst pointwise product over distinct packet pairs."""
-
-    max_product: float
-    worst_pair: tuple[int, int] | None
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_product <= self.tol
-
-    def to_dict(self) -> dict:
-        return {
-            "max_product": self.max_product,
-            "worst_pair": list(self.worst_pair) if self.worst_pair else None,
-            "tol": self.tol,
-            "pass": self.passed,
-        }
-
-
-def wsw_report(functions: list[GridFunction], tol: float = WSW_TOL) -> WswReport:
-    """Check that distinct packets have pointwise vanishing products."""
+def max_packet_product(functions: list[GridFunction]) -> float:
+    """Worst pointwise product |f_i f_j| over distinct functions (0 for fewer than two)."""
     worst = 0.0
-    worst_pair = None
     for i in range(len(functions)):
         for j in range(i + 1, len(functions)):
             _check_same_grid(functions[i], functions[j])
-            m = float(np.abs(functions[i].values * functions[j].values).max())
-            if m > worst:
-                worst, worst_pair = m, (i, j)
-    return WswReport(worst, worst_pair, tol)
+            worst = max(worst, float(np.abs(functions[i].values * functions[j].values).max()))
+    return worst
 
 
-def build_aperture(f: GridFunction, threshold: float = APERTURE_THRESHOLD) -> ApertureFunction:
-    """Indicator of the region where |f| >= threshold * peak|f|."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie strictly between 0 and 1 (relative to peak)")
+def build_aperture(f: GridFunction) -> ApertureFunction:
+    """Indicator of the region where |f| >= APERTURE_THRESHOLD * peak|f|."""
     mags = np.abs(f.values)
-    return ApertureFunction(f.grid, (mags >= threshold * mags.max()).astype(np.int8))
+    return ApertureFunction(f.grid, (mags >= APERTURE_THRESHOLD * mags.max()).astype(np.int8))
 
 
-@dataclass(frozen=True)
-class ApertureReport:
-    """Results of the aperture-algebra gates against a packet family."""
-
-    products_exact: bool
-    max_pointwise_error: float
-    max_integral_error: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.products_exact
-            and self.max_pointwise_error <= self.tol
-            and self.max_integral_error <= self.tol
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "products_exact": self.products_exact,
-            "max_pointwise_error": self.max_pointwise_error,
-            "max_integral_error": self.max_integral_error,
-            "tol": self.tol,
-            "pass": self.passed,
-        }
-
-
-def aperture_report(
-    apertures: list[ApertureFunction],
-    packets: list[GridFunction],
-    tol: float = APERTURE_TOL,
-) -> ApertureReport:
-    """Check A_i A_j = delta_ij A_j exactly, A_i psi_j ~ delta_ij psi_j pointwise,
-    and quadrature of A_i |psi_j|^2 = delta_ij within tol."""
+def aperture_errors(
+    apertures: list[ApertureFunction], packets: list[GridFunction]
+) -> tuple[bool, float, float]:
+    """How far the apertures are from A_i A_j = delta_ij A_j (exactly),
+    A_i psi_j = delta_ij psi_j (pointwise) and quadrature of A_i |psi_j|^2 =
+    delta_ij: (products exact, max pointwise error, max integral error)."""
     if len(apertures) != len(packets):
         raise LayoutError("need one aperture per packet")
     products_exact = True
@@ -261,7 +207,7 @@ def aperture_report(
             max_pointwise = max(max_pointwise, pointwise)
             integral = float(a.grid.spacing * np.sum(a.values * np.abs(psi.values) ** 2))
             max_integral = max(max_integral, abs(integral - delta))
-    return ApertureReport(products_exact, max_pointwise, max_integral, tol)
+    return products_exact, max_pointwise, max_integral
 
 
 def write_csv(f: GridFunction, path) -> None:
@@ -324,12 +270,16 @@ def standard_layout(
     span: tuple[float, float] = DEFAULT_SPAN,
     n_points: int = DEFAULT_POINTS,
     probe_points: tuple[float, ...] = (),
+    wsw_tol: float = WSW_TOL,
+    aperture_tol: float = APERTURE_TOL,
 ) -> PacketLayout:
     """Build the default geometry: three unit-width Gaussians, matched
     apertures, and orthogonalized probe packets at the requested points.
 
     The span widens, at the same grid spacing, so that every probe point
-    keeps ten packet widths of margin to either edge.
+    keeps ten packet widths of margin to either edge.  A layout whose packets
+    fail the separation gate (max_packet_product above wsw_tol) or the
+    aperture gates (aperture_errors above aperture_tol) raises LayoutError.
     """
     grid = uniform_grid(span[0], span[1], n_points)
     if probe_points:
@@ -338,7 +288,7 @@ def standard_layout(
         spacing = (span[1] - span[0]) / (n_points - 1)
         grid = uniform_grid(lo, hi, np.round((hi - lo) / spacing) + 1)
     packets = tuple(gaussian_packet(c, width, grid) for c in centers)
-    apertures = tuple(build_aperture(p, APERTURE_THRESHOLD) for p in packets)
+    apertures = tuple(build_aperture(p) for p in packets)
     probes = []
     for x in probe_points:
         raw = gaussian_packet(x, width, grid)
@@ -347,6 +297,15 @@ def standard_layout(
         except LayoutError as exc:
             raise LayoutError(f"probe_point: a probe packet at {float(x)!r} lies in the "
                               f"span of the packets it is orthogonalized against") from exc
+    product = max_packet_product(list(packets))
+    if not product <= wsw_tol:
+        raise LayoutError(f"layout fails the separation gate: max packet product "
+                          f"{product!r} exceeds {wsw_tol!r}")
+    exact, pointwise, integral = aperture_errors(list(apertures), list(packets))
+    if not (exact and pointwise <= aperture_tol and integral <= aperture_tol):
+        raise LayoutError(f"layout fails the aperture gate: products exact {exact}, "
+                          f"pointwise error {pointwise!r}, integral error {integral!r}, "
+                          f"tolerance {aperture_tol!r}")
     return PacketLayout(
         grid=grid,
         packets=packets,

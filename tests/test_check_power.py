@@ -50,9 +50,9 @@ the records that do catch it:
 
 Three record families have no mutant, for these reasons:
 
-- `10`-`13` restate the geometry gates that `model.standard_config` already
-  enforces: a mutant of the packets or apertures that breaks them makes
-  `_config` raise LayoutError, the CLI's exit 2, before any record exists.
+- `10`-`13` restate the gates that `wp.standard_layout` enforces: a mutant
+  of the packets or apertures that breaks them makes `_config` raise
+  LayoutError, the CLI's exit 2, before any record exists.
 - `30` reads the sign triple of the RunConfig, which no code computes;
   `--signs 1,1,1` fails it (`test_cli.py::test_verify_sign_violation_exits_one`).
 - `32`: a removal generator that is not skew-Hermitian makes `V_un`

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import grid_directions
 from dhlab import dhrep, fock, model
-from dhlab.checks import Table
+from dhlab.checks import MIN_SEPARATION, Table
 from dhlab.errors import SignConstraintError
 from dhlab.fock import matrix_exponential, operator_distance, vacuum_state
 from dhlab.model import (
@@ -33,9 +33,9 @@ def test_removal_generator_actions(cfg0):
     psi_23 = build_state(cfg0, REGIONS_23_OCC)
     psi_3 = build_state(cfg0, REGION_3_OCC)
     vac = cfg0.vacuum()
-    w1 = dhrep.removal_generator(cfg0, "up", 1, 1, g1)
-    w2 = dhrep.removal_generator(cfg0, "down", 2, 2, g2)
-    w3 = dhrep.removal_generator(cfg0, "down", 3, 3, g3)
+    w1 = g1 * dhrep.removal_generator(cfg0, "up", 1, 1)
+    w2 = g2 * dhrep.removal_generator(cfg0, "down", 2, 2)
+    w3 = g3 * dhrep.removal_generator(cfg0, "down", 3, 3)
     # the six displayed actions, with their exact signs
     assert (w1 @ psi_un - g1 * psi_23).norm() == 0.0
     assert (w1 @ psi_23 + g1 * psi_un).norm() == 0.0
@@ -50,7 +50,7 @@ def test_removal_generator_actions(cfg0):
 def test_intermediate_rotation_action(cfg0):
     # exp(theta W1)|psi_un> = cos(theta g)|psi_un> + sin(theta g)|psi_23>
     g, theta = 1.0, 0.3
-    w1 = dhrep.removal_generator(cfg0, "up", 1, 1, g)
+    w1 = g * dhrep.removal_generator(cfg0, "up", 1, 1)
     psi_un = unentangled_state(cfg0)
     psi_23 = build_state(cfg0, REGIONS_23_OCC)
     got = dhrep.rotation_exponential(w1, theta, g) @ psi_un
@@ -66,9 +66,9 @@ def test_single_factor_actions(cfg0, sign):
     psi_23 = build_state(cfg0, REGIONS_23_OCC)
     psi_3 = build_state(cfg0, REGION_3_OCC)
     vac = cfg0.vacuum()
-    w1 = dhrep.removal_generator(cfg0, "up", 1, 1, g)
-    w2 = dhrep.removal_generator(cfg0, "down", 2, 2, g)
-    w3 = dhrep.removal_generator(cfg0, "down", 3, 3, g)
+    w1 = g * dhrep.removal_generator(cfg0, "up", 1, 1)
+    w2 = g * dhrep.removal_generator(cfg0, "down", 2, 2)
+    w3 = g * dhrep.removal_generator(cfg0, "down", 3, 3)
     v1 = dhrep.rotation_exponential(w1, theta, g)
     v2 = dhrep.rotation_exponential(w2, theta, g)
     v3 = dhrep.rotation_exponential(w3, theta, g)
@@ -145,7 +145,7 @@ def test_nan_transform_fails_unitarity_gate(cfg0, t_un0):
 def test_rotation_fast_path_matches_generic_expm(cfg0, cfg05):
     g = 1.4
     theta = math.pi / (2.0 * g)
-    w = dhrep.removal_generator(cfg0, "down", 2, 2, g)
+    w = g * dhrep.removal_generator(cfg0, "down", 2, 2)
     fast = dhrep.rotation_exponential(w, theta, g)
     generic = matrix_exponential(theta * w)
     assert operator_distance(fast, generic) <= 1e-12
@@ -517,6 +517,15 @@ def test_noaux_section_distance_ignores_decimals_and_sign(separations):
     # read half a spacing off its centre reads as leakage
     report = dhrep.noaux_locality_report(separations, 1.0)
     assert np.ptp(report["noaux_section_distance"]) <= 1e-10, separations
+
+
+@pytest.mark.parametrize("width", [0.002, 1.0, 2.5, 1e4])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_probe_at_the_separation_floor_is_built(width, sign):
+    # the floor the config enforces leaves a residual above the span tolerance,
+    # so no admitted separation is refused once the run is built
+    psi, chi = dhrep._noaux_probe_values(sign * MIN_SEPARATION, width)
+    assert np.isfinite(psi) and np.isfinite(chi)
 
 
 def _noaux_rows_rebuilt_per_separation(separations, width):

@@ -342,7 +342,7 @@ def test_state_vector_algebra(registry):
     assert combo.overlap(vac) == pytest.approx(0.6)
     assert vac.overlap(combo) == pytest.approx(0.6)
     assert one.overlap(combo) == pytest.approx(0.8j)
-    assert combo.is_normalized
+    assert abs(combo.norm() - 1.0) <= 1e-12
     with pytest.raises(ValueError):
         (vac - vac).normalized()
     with pytest.raises(ValueError):

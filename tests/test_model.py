@@ -263,10 +263,11 @@ def test_entanglement_detection(cfg0, cfg05):
 def test_layout_gates_enforced():
     from dhlab import wavepackets as wp
 
-    grid = wp.uniform_grid(-35.0, 35.0, 1401)
-    overlapping = wp.standard_layout(centers=(-2.0, 0.0, 2.0))
-    with pytest.raises(LayoutError):
-        model.standard_config(layout=overlapping)
+    with pytest.raises(LayoutError, match="^layout fails the separation gate"):
+        wp.standard_layout(centers=(-2.0, 0.0, 2.0))
+    # a gate judged against a zero tolerance refuses the default layout too
+    with pytest.raises(LayoutError, match="^layout fails the aperture gate"):
+        wp.standard_layout(aperture_tol=0.0)
 
 
 # --- spin-moment tensor kernel ----------------------------------------------

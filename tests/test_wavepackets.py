@@ -71,16 +71,11 @@ def test_inner_conjugate_symmetry_and_grid_check(grid, packets):
         wp.inner(f, wp.GridFunction(other, np.zeros(1400)))
 
 
-def test_wsw_report_cases(grid, packets):
-    report = wp.wsw_report(packets, tol=1e-10)
-    assert report.passed
-    assert report.max_product <= 1e-10
-    duplicated = wp.wsw_report([packets[0], packets[0]], tol=1e-10)
+def test_max_packet_product_cases(grid, packets):
+    assert wp.max_packet_product(packets) <= 1e-10
     peak = float(np.abs(packets[0].values).max())
-    assert not duplicated.passed
-    assert duplicated.max_product == pytest.approx(peak**2)
-    single = wp.wsw_report([packets[0]], tol=1e-10)
-    assert single.passed and single.max_product == 0.0
+    assert wp.max_packet_product([packets[0], packets[0]]) == pytest.approx(peak**2)
+    assert wp.max_packet_product([packets[0]]) == 0.0
 
 
 def test_packet_gram_matrix_is_identity(packets):
@@ -89,41 +84,38 @@ def test_packet_gram_matrix_is_identity(packets):
 
 
 def test_build_aperture_shape(grid, packets):
-    ap = wp.build_aperture(packets[1], threshold=1e-6)
+    ap = wp.build_aperture(packets[1])
     ones = np.flatnonzero(ap.values)
     assert ones.size > 0
     assert np.array_equal(ones, np.arange(ones[0], ones[-1] + 1))  # contiguous
     assert np.array_equal(ap.values * ap.values, ap.values)  # idempotent
-    with pytest.raises(ValueError):
-        wp.build_aperture(packets[1], threshold=0.0)
-    with pytest.raises(ValueError):
-        wp.build_aperture(packets[1], threshold=1.5)
+    mags = np.abs(packets[1].values)
+    assert np.array_equal(ap.values == 1, mags >= wp.APERTURE_THRESHOLD * mags.max())
 
 
-def test_aperture_report_standard_layout(grid, packets):
+def test_aperture_errors_standard_layout(grid, packets):
     apertures = [wp.build_aperture(p) for p in packets]
-    report = wp.aperture_report(apertures, packets, tol=1e-8)
-    assert report.passed
-    assert report.products_exact
-    assert report.max_pointwise_error <= 1e-8
-    assert report.max_integral_error <= 1e-8
+    exact, pointwise, integral = wp.aperture_errors(apertures, packets)
+    assert exact
+    assert pointwise <= 1e-8
+    assert integral <= 1e-8
 
 
-def test_aperture_report_swapped_fails(grid, packets):
+def test_aperture_errors_swapped(grid, packets):
     apertures = [wp.build_aperture(p) for p in packets]
     swapped = [apertures[1], apertures[0], apertures[2]]
-    report = wp.aperture_report(swapped, packets, tol=1e-8)
-    assert not report.passed
+    integral = wp.aperture_errors(swapped, packets)[2]
     # diagonal integral ~ 0 instead of 1
-    assert report.max_integral_error == pytest.approx(1.0, abs=1e-6)
+    assert integral == pytest.approx(1.0, abs=1e-6)
 
 
-def test_aperture_report_empty_aperture_fails(grid, packets):
+def test_aperture_errors_empty_aperture(grid, packets):
     empty = wp.ApertureFunction(grid, np.zeros(grid.size, dtype=np.int8))
     apertures = [empty] + [wp.build_aperture(p) for p in packets[1:]]
-    report = wp.aperture_report(apertures, packets, tol=1e-8)
-    assert not report.passed
-    assert report.max_integral_error == pytest.approx(1.0, abs=1e-6)
+    integral = wp.aperture_errors(apertures, packets)[2]
+    assert integral == pytest.approx(1.0, abs=1e-6)
+    with pytest.raises(LayoutError):
+        wp.aperture_errors(apertures[:2], packets)
 
 
 def test_aperture_values_must_be_binary(grid):
