@@ -154,10 +154,9 @@ def _check_out_path(path: str) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
-# rows per piece of a table: it bounds the text held at once; the 19,200-row
-# table of 40 directions encoded as one piece raised a call's peak RSS from
-# 79 to 98 MB
-_TABLE_CHUNK = 1024
+# rows per piece of a table: it bounds the text held at once, about 125 KB of
+# `correlations` JSON; no other temporary spans every float of the table
+_TABLE_CHUNK = 256
 
 
 def _json_pieces(payload):
@@ -177,7 +176,10 @@ def _json_pieces(payload):
 
 def _json_text(value, depth: int) -> str:
     """`json.dumps(value, indent=2)` as it reads nested `depth` levels deep: an
-    encoded string holds no raw newline, so every line break is the indent's."""
+    encoded string holds no raw newline, so every line break is the indent's,
+    and a scalar's text, which has none, is the plain dumps text."""
+    if not isinstance(value, (list, tuple, dict)):
+        return json.dumps(value)
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
@@ -185,10 +187,10 @@ def _table_pieces(table: Table, fmt: str, depth: int = 0):
     """`table.rows()` in pieces of _TABLE_CHUNK rows, with no row built: as the
     `json.dumps(indent=2)` text at `depth`, each cell its _json_text, or as
     CSV, a header row and the rows as `csv.writer` writes them, each cell the
-    text of _csv_field.  A float column is a float64 array, whose floats are
-    encoded once per distinct bit pattern in the table (_float_texts); a list
-    column's cells are encoded once per distinct object in the column.  Each
-    piece is one join over slots that run key literal (in CSV a comma), value
+    text of _csv_field.  Each column is texts and a code per cell into them: a
+    text per distinct bit pattern of the float columns (_float_texts), or per
+    distinct object of a list column.  The head is a piece of its own; every
+    other is one join over slots that run key literal (in CSV a comma), value
     text, ..., row end, the value slots filled a column at a time."""
     n, csv = len(table), fmt == "csv"
     if csv:
@@ -210,14 +212,17 @@ def _table_pieces(table: Table, fmt: str, depth: int = 0):
         return
     columns = list(table.columns.values())
     floats = [i for i, c in enumerate(columns) if isinstance(c, np.ndarray)]
+    for i, column in enumerate(columns):
+        if i not in floats:  # by identity, not equality: -0.0 == 0.0 and NaN != NaN
+            first, codes = _codes(np.fromiter(map(id, column), np.intp, n))
+            objects = map(column.__getitem__, first.tolist())
+            columns[i] = np.fromiter(map(cell, objects), object, len(first)), codes
+    # only a list cell can fail to encode, so the head goes out before the float
+    # texts are made; made before _emit opens its file, they cost 0.6-0.8 MB RSS
+    yield sep
     if floats:
-        texts, index = _float_texts([columns[i] for i in floats], csv)
-        for i, column in zip(floats, index.reshape(len(floats), n)):
-            columns[i] = column  # each float column as its values' indices into `texts`
-    # any other column's texts by value object: each encoded once, shared by
-    # identity, not equality, since -0.0 == 0.0 and NaN != NaN
-    text_of = {i: dict(zip(map(id, c), c)) for i, c in enumerate(columns) if i not in floats}
-    text_of = {i: dict(zip(by_id, map(cell, by_id.values()))) for i, by_id in text_of.items()}
+        for i, coded in zip(floats, _float_texts([columns[i] for i in floats], csv)):
+            columns[i] = coded
     width = 2 * len(columns) + 1
     slots = [row_end] * width
     slots[:-1:2] = keys
@@ -225,39 +230,49 @@ def _table_pieces(table: Table, fmt: str, depth: int = 0):
     for start in range(0, n, _TABLE_CHUNK):
         stop = min(start + _TABLE_CHUNK, n)
         del slots[(stop - start) * width:]  # the last piece may be shorter
-        for i, column in enumerate(columns):
-            if i in text_of:
-                slots[2 * i + 1::width] = map(text_of[i].__getitem__, map(id, column[start:stop]))
-            else:
-                slots[2 * i + 1::width] = texts[column[start:stop]].tolist()
+        for i, (texts, codes) in enumerate(columns):
+            slots[2 * i + 1::width] = texts[codes[start:stop]].tolist()
         if stop == n:
             slots[-1] = last_end
-        yield sep + "".join(slots)
-        sep = ""
+        yield "".join(slots)
 
 
-def _float_texts(columns: list[np.ndarray], csv: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The texts of the distinct bit patterns of the columns' floats, from one
-    argsort, and each float's index into them, in the narrowest unsigned type.
-    -0.0 and 0.0, or two NaN payloads, differ in bits, so are never merged.  A
-    text is `float.__repr__`: the JSON encoder's own for a finite float, and
-    CSV's `nan`, `inf` and `-inf`, which JSON spells as its encoder does."""
-    bits = np.concatenate(columns).view(np.int64)
-    order = bits.argsort()
-    bits = bits[order]  # sorted: the unsorted copy goes
-    first = np.ones(len(bits), bool)  # where each run of equal patterns starts
-    np.not_equal(bits[1:], bits[:-1], out=first[1:])
-    bits = bits[first].view(np.float64)  # the distinct patterns
-    ids = first.cumsum(dtype=np.min_scalar_type(len(bits)))
-    del first
-    index = np.empty_like(ids)
-    index[order] = ids - 1
-    del order, ids
+def _codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """From one argsort of `keys`: where one of each distinct key stands, in
+    key order, and each key's code, the rank of its value among the distinct
+    ones, in the narrowest unsigned type that holds their count."""
+    order = keys.argsort()
+    keys = keys[order]  # sorted: the unsorted view is the caller's
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))  # where each run starts
+    del keys
+    codes = np.empty(len(order), np.min_scalar_type(np.count_nonzero(first)))
+    codes[order] = first.cumsum(dtype=codes.dtype) - 1
+    return order[first], codes
+
+
+def _float_texts(columns: list[np.ndarray], csv: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per column, the texts of the distinct bit patterns of all the columns'
+    floats (one array, shared) and the column's codes into them: _codes
+    deduplicates each column, then ranks their patterns together (np.sort and
+    np.searchsorted would fault in 0.3 MB more of numpy's code).  -0.0 and
+    0.0, or two NaN payloads, differ in bits, so are never merged.  A text is
+    `float.__repr__`, the JSON encoder's own for a finite float, and CSV's
+    `nan`, `inf` and `-inf`, which JSON spells as its encoder does."""
+    codes, patterns = [], []
+    for column in columns:
+        first, column_codes = _codes(column.view(np.int64))
+        codes.append(column_codes)
+        patterns.append(column.view(np.int64)[first])
+    ends = np.cumsum([len(p) for p in patterns[:-1]], dtype=int)
+    patterns = np.concatenate(patterns)
+    first, ranks = _codes(patterns)  # the table's codes of each column's patterns
+    bits = patterns[first].view(np.float64)
+    codes = [r[c] for r, c in zip(np.split(ranks, ends), codes)]
     texts = np.fromiter(map(float.__repr__, bits), dtype=object, count=len(bits))
     if not csv:
         special = ~np.isfinite(bits)
         texts[special] = list(map(json.dumps, bits[special].tolist()))
-    return texts, index
+    return [(texts, c) for c in codes]
 
 
 def _csv_field(value, empty: str = "") -> str:

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import re
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -444,7 +445,8 @@ def test_locality_report_holds_one_spin_at_a_time():
 def test_table_encoder_holds_little_beyond_its_texts():
     # the 230,400 floats of 40 random directions: np.unique's flatten copy,
     # permutation, sorted copy, cumsum and int64 inverse took the traced peak
-    # above the table to 11.6 MB; it now reads 5.53 MB in JSON and in CSV
+    # above the table to 11.6 MB; the table-wide argsort that followed read
+    # 5.53 MB; with no temporary longer than a column it reads about 4.2 MB
     table = run_correlations(RunConfig(direction_mode="random", n_random=40, seed=77))
     for fmt in ("json", "csv"):
         tracemalloc.start()
@@ -454,7 +456,40 @@ def test_table_encoder_holds_little_beyond_its_texts():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7e6, f"{fmt}: traced peak {peak / 1e6:.1f} MB"
+        assert peak < 5e6, f"{fmt}: traced peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_repeated_correlations_hold_their_peak_rss(tmp_path):
+    # 20 cold calls in one process, as the benchmark's worker makes them: with
+    # the table-wide encoder arrays the peak crept 2.7-2.9 MB from call 1 to
+    # 20; it now grows about 0.5 MB.  The peak is VmHWM, the process image's
+    # own ru_maxrss: ru_maxrss itself keeps, across the exec, the peak of the
+    # process it was forked from
+    ini = tmp_path / "random.ini"
+    ini.write_text("[directions]\nmode = random\nn_random = 40\n")
+    code = ("import sys, dhlab.cli\n"
+            "def clear_caches():\n"
+            "    for name, module in list(sys.modules.items()):\n"
+            "        if module is None or name.split('.')[0] != 'dhlab':\n"
+            "            continue\n"
+            "        for value in vars(module).values():\n"
+            "            if callable(getattr(value, 'cache_clear', None)) and \\\n"
+            "                    getattr(value, '__module__', None) == name:\n"
+            "                value.cache_clear()\n"
+            "ini, out = sys.argv[1:]\n"
+            "assert dhlab.cli.main(['qubit', '--out', out]) == 0\n"
+            "for seed in range(20):\n"
+            "    clear_caches()\n"
+            "    argv = ['correlations', '--config', ini, '--seed', str(seed), '--out', out]\n"
+            "    assert dhlab.cli.main(argv) == 0\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n")
+    proc = run_python(["-c", code, str(ini), str(tmp_path / "o.json")])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    peaks = [int(kib) / 1024 for kib in proc.stdout.split()]
+    assert len(peaks) == 20
+    assert peaks[-1] - peaks[0] < 1.2, f"peak RSS by call, MB: {peaks}"
 
 
 def test_verify_charges_the_kernel_import_to_no_record():
@@ -1167,12 +1202,27 @@ REPR_EDGES = [1e15, 1e16, -1e16, 0.0001, 1e-05, 5e-324, 1.7976931348623157e308,
               0.30000000000000004]
 REPR_EDGE_TABLE = Table({"x": np.array(REPR_EDGES * 257), "f": REPR_EDGES[::-1] * 257})
 
+# the seams of the encoder's float path, which deduplicates each float column
+# on its own and then merges the columns' patterns
+NAN_PAYLOADS = np.array([0x7FF8 << 48, 0x7FF0_0000_0000_0001]).view(np.float64)
+SHARED_PATTERNS_TABLE = Table({"a": np.array([2.5, 0.25, 1.5, 0.5]),  # 0.25 only here
+                               "b": np.array([0.5, 2.5, 1.5, 0.5])})
+SPLIT_ZEROS_TABLE = Table({"a": np.array([0.0, NAN_PAYLOADS[0], 1.0]),
+                           "b": np.array([-0.0, NAN_PAYLOADS[1], 1.0])})
+# 40,000 patterns a column fit uint16 codes; the table's 80,000 do not
+WIDE_CODES_TABLE = Table({"a": np.arange(40_000) + 0.5, "b": np.arange(40_000) + 40_000.5})
+NO_FLOAT_TABLE = Table({"s": ["a", "b", "a"], "l": [[1.0], None, [1.0]]})
+
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(table=column_tables())
 @example(table=Table({"x": np.array([0.0, -0.0, math.nan, -math.nan, math.inf, 5e-324] * 400),
                       "s": ["a", "\u2603"] * 1200, "f": [0.1, -0.0] * 1200}))
 @example(table=REPR_EDGE_TABLE)
+@example(table=SHARED_PATTERNS_TABLE)
+@example(table=SPLIT_ZEROS_TABLE)
+@example(table=WIDE_CODES_TABLE)
+@example(table=NO_FLOAT_TABLE)
 def test_table_text_is_the_dumps_text_of_its_rows(table):
     expected = json.dumps(table.rows(), indent=2)
     c_make_encoder = json.encoder.c_make_encoder
@@ -1192,6 +1242,10 @@ def test_table_text_is_the_dumps_text_of_its_rows(table):
                       "s": [",", "\"", "\r", "\n"] * 600, "f": [0.1, -0.0] * 1200}))
 @example(table=Table({"d": [{"a": 1}], "x": [1.0]}))  # a dict cell has no CSV text
 @example(table=REPR_EDGE_TABLE)
+@example(table=SHARED_PATTERNS_TABLE)
+@example(table=SPLIT_ZEROS_TABLE)
+@example(table=WIDE_CODES_TABLE)
+@example(table=NO_FLOAT_TABLE)
 def test_table_csv_is_the_csv_writer_text_of_its_rows(table):
     try:
         expected = _table_csv_oracle(table)
@@ -1200,6 +1254,18 @@ def test_table_csv_is_the_csv_writer_text_of_its_rows(table):
             _cli_csv(table)
         return
     _assert_same_text(_cli_csv(table), expected)
+
+
+def test_float_texts_are_one_per_distinct_pattern_of_the_table():
+    # float.__repr__ runs once per bit pattern, however many columns hold it
+    for table in (SHARED_PATTERNS_TABLE, SPLIT_ZEROS_TABLE, REPR_EDGE_TABLE):
+        columns = [c for c in table.columns.values() if isinstance(c, np.ndarray)]
+        coded = cli._float_texts(columns, csv=False)
+        bits = {b for c in columns for b in c.view(np.int64).tolist()}
+        assert all(texts is coded[0][0] for texts, _ in coded)
+        assert len(coded[0][0]) == len(bits)
+        assert [texts[c].tolist() for texts, c in coded] == [list(map(json.dumps, c.tolist()))
+                                                             for c in columns]
 
 
 def test_runner_tables_keep_floats_in_arrays():
