@@ -25,10 +25,10 @@ for i in range(3):
         print(f"  ({i + 1},{j + 1}): quadrature {measured.real:.3e}, analytic {analytic:.3e}")
 
 # standard_layout already refused the layout if a gate failed; these are its numbers
-product = wp.max_packet_product(list(layout.packets))
+product = layout.packet_product
 print(f"\nseparation gate: max pointwise product = {product:.3e} (tolerance {wp.WSW_TOL:g})")
 
-exact, pointwise, integral = wp.aperture_errors(list(layout.apertures), list(layout.packets))
+exact, pointwise, integral = layout.aperture_gate
 print(f"aperture gate: products exact = {exact}, max pointwise error = {pointwise:.3e}, "
       f"max integral error = {integral:.3e} (tolerance {wp.APERTURE_TOL:g})")
 

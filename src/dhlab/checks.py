@@ -377,16 +377,16 @@ def _algebra_checks(seed: int) -> list[CheckRecord]:
 
 
 def _model_checks(rc: RunConfig, cfg0: model.SystemConfig, psi_un, dirs, u) -> list[CheckRecord]:
-    """10-30: the geometry gates, the unentangled model and the sign constraint."""
-    packets = list(cfg0.layout.packets)
-    exact, pointwise, integral = wp.aperture_errors(list(cfg0.layout.apertures), packets)
+    """10-30: the geometry gates (the numbers `wp.standard_layout` gated the
+    layout on), the unentangled model and the sign constraint."""
+    exact, pointwise, integral = cfg0.layout.aperture_gate
     states = [psi_un] + [model.build_state(cfg0, model.FLIPPED_OCC[r]) for r in (1, 2, 3)]
     gram_dev = _worst(abs(si.overlap(sj) - (1.0 if i == j else 0.0))
                       for i, si in enumerate(states) for j, sj in enumerate(states))
     corr = _sweep(model.state_moments(cfg0, psi_un), u)[1]
     return [
         _record("10-wsw-gate", "pointwise products of distinct packets vanish",
-                0.0, wp.max_packet_product(packets), rc.wsw_tol),
+                0.0, cfg0.layout.packet_product, rc.wsw_tol),
         _record("11-aperture-products", "aperture mutual exclusion and idempotence",
                 0.0, 0.0 if exact else 1.0, 0.0),
         _record("12-aperture-pointwise", "apertures pass their packets through unchanged",

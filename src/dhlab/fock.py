@@ -14,7 +14,7 @@ With this convention every canonical anticommutation relation
 holds exactly: all matrices are integer-structured, so the identities close
 in floating point with zero error.
 
-Operators hold their matrix as compressed sparse rows on numpy arrays
+Operators hold their matrix as its entries in row order on numpy arrays
 (CSRMatrix), states a numpy vector; both are bound to their registry and never
 mutated after construction, so they may be shared freely between threads.
 The matrix type has the few operations dhlab needs: products, sums, scalar
@@ -129,22 +129,33 @@ class ModeRegistry:
             raise RegistryError(f"label {label} not in registry") from None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CSRMatrix:
-    """A complex matrix as compressed sparse rows, never mutated after
-    construction.  Row i stores data[indptr[i]:indptr[i + 1]] at the columns
-    indices[indptr[i]:indptr[i + 1]], each column once and in increasing
-    order.  Products and sums drop the entries that come out exactly zero.
-    A matrix keeps those three arrays, plus `rows` once it is read; every
-    product and sum fills it as it builds the matrix (_from_sorted).
-    `keys` is computed each time it is asked for.  A matrix built from
-    triples in key order may share the caller's arrays (from_triples), and
-    first_rows shares its own."""
+    """A complex matrix stored as its entries in row order, never mutated
+    after construction.  Entry k holds data[k] at (rows[k], indices[k]);
+    rows never decrease, and within a row each column comes once and in
+    increasing order.  Products and sums drop the entries that come out
+    exactly zero.  `indptr`, the start of each row's entries and the end of
+    the last (row i is data[indptr[i]:indptr[i + 1]]), is derived from
+    `rows` the first time it is read (_row_pointer) and then kept; of the
+    matrix's own operations only a product reads it, of its right factor.
+    A caller that holds a row pointer may pass it in place of `rows`, which
+    is then filled from it.  `keys` is computed each time it is asked for.
+    A matrix built from triples in key order may share the caller's arrays
+    (from_triples), and a scalar multiple, first_rows and adjoint share
+    their operand's."""
 
-    indptr: np.ndarray
+    rows: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     shape: tuple[int, int]
+
+    def __init__(self, indptr, indices, data, shape, rows=None):
+        if rows is None:
+            rows = np.arange(shape[0]).repeat(indptr[1:] - indptr[:-1])
+        self.__dict__.update(rows=rows, indices=indices, data=data, shape=shape)
+        if indptr is not None:
+            self.__dict__["indptr"] = indptr  # fills the cached_property
 
     @property
     def nnz(self) -> int:
@@ -155,9 +166,9 @@ class CSRMatrix:
     size = nnz
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        """The row of each stored entry."""
-        return np.arange(self.shape[0]).repeat(self.indptr[1:] - self.indptr[:-1])
+    def indptr(self) -> np.ndarray:
+        """Where each row's entries start, and where the last row's end."""
+        return _row_pointer(self.rows, self.shape[0])
 
     @property
     def keys(self) -> np.ndarray:
@@ -169,10 +180,9 @@ class CSRMatrix:
         """The matrix of entries (rows[k], cols[k], vals[k]).  Entries at one
         place add up in the order given; exact zeros are dropped.  Triples
         whose keys (row * width + column) strictly increase are not sorted,
-        and where no zero is dropped the matrix stores the caller's `cols`,
-        `vals` and `rows` as its indices, data and rows.  A sum, whose merged
-        triples are sorted, distinct and nonzero, skips these checks through
-        _from_sorted, where this ends too."""
+        and where no zero is dropped the matrix stores the caller's `rows`,
+        `cols` and `vals` as its rows, indices and data.  No row pointer is
+        built."""
         keys = rows * shape[1] + cols
         if not (keys[1:] > keys[:-1]).all():
             order = keys.argsort(kind="stable")
@@ -186,7 +196,7 @@ class CSRMatrix:
         if not keep.all():
             kept = keep.nonzero()[0]
             rows, cols, vals = rows[kept], cols[kept], vals[kept]
-        return _from_sorted(rows, cols, vals, shape)
+        return cls(None, cols, vals, shape, rows)
 
     @classmethod
     def from_dense(cls, array) -> "CSRMatrix":
@@ -196,12 +206,10 @@ class CSRMatrix:
         return cls.from_triples(rows, cols, array[rows, cols], array.shape)
 
     def first_rows(self, n: int) -> "CSRMatrix":
-        """The first n rows, as views of this matrix's arrays and its rows."""
-        end = self.indptr[n]
-        top = CSRMatrix(self.indptr[:n + 1], self.indices[:end], self.data[:end],
-                        (n, self.shape[1]))
-        top.__dict__["rows"] = self.rows[:end]
-        return top
+        """The first n rows, as views of this matrix's arrays."""
+        end = self.rows.searchsorted(n)
+        return CSRMatrix(None, self.indices[:end], self.data[:end], (n, self.shape[1]),
+                         self.rows[:end])
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=complex)
@@ -210,19 +218,21 @@ class CSRMatrix:
 
     def adjoint(self) -> "CSRMatrix":
         """The conjugate transpose.  A stable sort by column keeps each new
-        row's entries in the order of the old rows, so it comes out sorted.
-        Its `rows` is computed when read: filled here, the rows of the cached
-        creators and of every transform's adjoint raised a verify call's peak
-        RSS by about 0.15 MB."""
+        row's entries in the order of the old rows, so it comes out sorted,
+        and the sorted columns are its rows."""
         order = self.indices.argsort(kind="stable")
-        counts = np.bincount(self.indices, minlength=self.shape[1])
-        return CSRMatrix(np.concatenate(([0], counts.cumsum())), self.rows[order],
-                         self.data[order].conj(), self.shape[::-1])
+        return CSRMatrix(None, self.rows[order], self.data[order].conj(), self.shape[::-1],
+                         self.indices[order])
+
+    def _with_data(self, data) -> "CSRMatrix":
+        """This matrix's places holding `data`: it shares the rows, and the
+        row pointer if one was built."""
+        return CSRMatrix(self.__dict__.get("indptr"), self.indices, data, self.shape, self.rows)
 
     def __mul__(self, scalar) -> "CSRMatrix":
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return CSRMatrix(self.indptr, self.indices, self.data * scalar, self.shape)
+        return self._with_data(self.data * scalar)
 
     __rmul__ = __mul__
 
@@ -243,10 +253,10 @@ class CSRMatrix:
         kept = keep.nonzero()[0]
         keys = keys[kept]
         rows = keys // self.shape[1]
-        return _from_sorted(rows, keys - rows * self.shape[1], vals[kept], self.shape)
+        return CSRMatrix(None, keys - rows * self.shape[1], vals[kept], self.shape, rows)
 
     def __neg__(self) -> "CSRMatrix":
-        return CSRMatrix(self.indptr, self.indices, -self.data, self.shape)
+        return self._with_data(-self.data)
 
     def __sub__(self, other: "CSRMatrix") -> "CSRMatrix":
         return self + (-other)  # x + (-y) rounds as x - y does
@@ -259,14 +269,9 @@ class CSRMatrix:
         return NotImplemented
 
 
-def _from_sorted(rows, cols, vals, shape) -> CSRMatrix:
-    """The matrix of entries already in row order, columns increasing within
-    a row, each place once.  It stores the three arrays as they are and
-    keeps `rows`."""
-    counts = np.bincount(rows, minlength=shape[0])
-    matrix = CSRMatrix(np.concatenate(([0], counts.cumsum())), cols, vals, shape)
-    matrix.__dict__["rows"] = rows  # fills the cached_property
-    return matrix
+def _row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
+    """The int64 row pointer of n rows whose entries, in row order, sit in `rows`."""
+    return np.concatenate(([0], np.bincount(rows, minlength=n).cumsum()))
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -299,7 +304,8 @@ def _run_sums(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def _product(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     """a @ b.  Row i's terms come in the order of row i of a, each a[i, j]
     times row j of b, and add up in that order, as in scipy's csr_matmat,
-    which starts from 0 and so may turn a part's -0.0 into +0.0."""
+    which starts from 0 and so may turn a part's -0.0 into +0.0.  It reads
+    b's row pointer, which b then keeps, and builds none for the result."""
     starts = b.indptr[a.indices]
     lengths = b.indptr[a.indices + 1] - starts
     ends = lengths.cumsum()
@@ -317,7 +323,7 @@ def _apply(a: CSRMatrix, x: np.ndarray) -> np.ndarray:
     np.add.at applies its updates in index order, and a's entries are stored
     row by row.  A block goes through one flat np.add.at at row * k + column
     (k columns), which keeps that order and is about twice as fast as one
-    into a 2-D output.  It reads a's `rows`, which the matrix then keeps."""
+    into a 2-D output."""
     if x.ndim == 1:
         out = np.zeros(a.shape[0], dtype=complex)
         np.add.at(out, a.rows, _times(a.data, x[a.indices]))
@@ -331,11 +337,11 @@ def _apply(a: CSRMatrix, x: np.ndarray) -> np.ndarray:
 
 def vstack(blocks) -> CSRMatrix:
     """The matrices stacked row-wise, all of one width."""
-    ends = np.cumsum([b.nnz for b in blocks])
-    indptr = np.concatenate([[0]] + [b.indptr[1:] + end - b.nnz for b, end in zip(blocks, ends)])
-    return CSRMatrix(indptr, np.concatenate([b.indices for b in blocks]),
+    starts = np.cumsum([0] + [b.shape[0] for b in blocks])
+    return CSRMatrix(None, np.concatenate([b.indices for b in blocks]),
                      np.concatenate([b.data for b in blocks]),
-                     (sum(b.shape[0] for b in blocks), blocks[0].shape[1]))
+                     (int(starts[-1]), blocks[0].shape[1]),
+                     np.concatenate([b.rows + start for b, start in zip(blocks, starts)]))
 
 
 def _check_same_registry(a, b):

@@ -245,6 +245,8 @@ class PacketLayout:
     Probe functions are orthogonalized against the physical packets so the
     probe modes extend the orthonormal mode family exactly.  The auxiliary
     modes need no wavefunction: they never enter a physical expectation.
+    `packet_product` and `aperture_gate` are the numbers the layout's gates
+    read: max_packet_product and aperture_errors of its packets.
     """
 
     grid: Grid
@@ -254,6 +256,8 @@ class PacketLayout:
     probe_functions: tuple[GridFunction, ...]
     centers: tuple[float, float, float]
     width: float
+    packet_product: float
+    aperture_gate: tuple[bool, float, float]
 
     def packet_values(self, x: float) -> np.ndarray:
         i = self.grid.index_of(x)
@@ -301,7 +305,7 @@ def standard_layout(
     if not product <= wsw_tol:
         raise LayoutError(f"layout fails the separation gate: max packet product "
                           f"{product!r} exceeds {wsw_tol!r}")
-    exact, pointwise, integral = aperture_errors(list(apertures), list(packets))
+    aperture_gate = exact, pointwise, integral = aperture_errors(list(apertures), list(packets))
     if not (exact and pointwise <= aperture_tol and integral <= aperture_tol):
         raise LayoutError(f"layout fails the aperture gate: products exact {exact}, "
                           f"pointwise error {pointwise!r}, integral error {integral!r}, "
@@ -314,4 +318,6 @@ def standard_layout(
         probe_functions=tuple(probes),
         centers=tuple(float(c) for c in centers),
         width=float(width),
+        packet_product=product,
+        aperture_gate=aperture_gate,
     )

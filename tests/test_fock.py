@@ -408,6 +408,85 @@ def test_sums_and_products_keep_no_key_array(registry):
         assert "keys" not in m.__dict__
 
 
+def test_chained_results_are_scipys_bit_for_bit(real_operators):
+    # every link's result holds no row pointer until the next product reads it
+    v, vdag, exchange, modes = real_operators
+    for m in modes[:4]:
+        sv, svdag, sx, sm = (_scipy(a) for a in (v, vdag, exchange, m))
+        _assert_bit_identical(((v @ m) + exchange).adjoint() @ vdag,
+                              ((sv @ sm) + sx).conj().T @ svdag)
+        _assert_bit_identical(vdag @ ((m - exchange) * (0.3 - 1.7j)).adjoint() @ (-(v @ m)),
+                              svdag @ ((sm - sx) * (0.3 - 1.7j)).conj().T @ (-(sv @ sm)))
+        _assert_bit_identical((v @ fock.vstack([m.first_rows(1024), vdag.first_rows(1024)])
+                               ).adjoint() @ v,
+                              (sv @ sparse.vstack([sm[:1024], svdag[:1024]])).conj().T @ sv)
+
+
+class _RowPointerSpy:
+    """Counts fock._row_pointer calls: each is one matrix's indptr derived."""
+
+    def __init__(self, monkeypatch):
+        self.calls, inner = 0, fock._row_pointer
+
+        def counted(rows, n):
+            self.calls += 1
+            return inner(rows, n)
+        monkeypatch.setattr(fock, "_row_pointer", counted)
+
+
+def test_results_build_no_row_pointer_until_it_is_read(registry, monkeypatch):
+    a, b = (mode_operator(registry, m).matrix for m in registry.modes[:2])
+    c = mode_operator(registry, registry.modes[2], dagger=True).matrix
+    b.indptr  # read before the spy: a product derives its right factor's
+    spy = _RowPointerSpy(monkeypatch)
+    total = a + c
+    results = [total, a - c, (0.5 - 2j) * total, total * 3.0, -total, total.adjoint(),
+               total @ b, fock.vstack([a, total, c]), total.first_rows(40)]
+    assert spy.calls == 0
+    for k, m in enumerate(results, start=1):
+        want = np.concatenate(([0], np.bincount(m.rows, minlength=m.shape[0]).cumsum()))
+        assert np.array_equal(m.indptr, want) and m.indptr.dtype == np.int64
+        assert m.indptr is m.indptr and spy.calls == k  # derived once, then kept
+    # a scalar multiple or a negation shares its operand's rows and row pointer
+    for m in ((0.5 - 2j) * b, b * 2.0, -b):
+        assert m.rows is b.rows and m.indptr is b.indptr
+    assert spy.calls == len(results)
+    total @ (a + c)  # a product's right factor derives its row pointer
+    assert spy.calls == len(results) + 1
+
+
+def test_default_verify_derives_few_row_pointers(monkeypatch):
+    for cached in (fock._annihilator_matrix, fock._creator_matrix, model._spin_stack,
+                   model._exchange_operator):
+        cached.cache_clear()
+    built, init = [0], fock.CSRMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(fock.CSRMatrix, "__init__", counted)
+    spy = _RowPointerSpy(monkeypatch)
+    checks.run_verify(checks.RunConfig())
+    assert 0 < 4 * spy.calls < built[0], (spy.calls, built[0])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_derived_row_pointer_is_bincounts_and_scipys(data):
+    m, k = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    dense = _dense(data.draw, m, k)
+    if m:  # empty first and last rows, or no entry at all
+        dense[0] = dense[-1] = 0.0
+        if data.draw(st.booleans()):
+            dense[:] = 0.0
+    a = fock.CSRMatrix.from_dense(dense)
+    want = np.concatenate(([0], np.bincount(a.rows, minlength=m).cumsum()))
+    assert a.indptr.dtype == want.dtype == np.int64
+    assert np.array_equal(a.indptr, want)
+    assert np.array_equal(a.indptr, sparse.csr_array(dense).indptr)
+    assert a.indptr.size == m + 1 and a.indptr[0] == 0 and a.indptr[-1] == a.nnz
+
+
 def test_numpy_action_is_scipys_bit_for_bit(real_operators):
     v, _, exchange, modes = real_operators
     rng = np.random.default_rng(3)
@@ -468,6 +547,10 @@ def test_sparse_layer_matches_scipy_on_drawn_matrices(data):
     scalar = data.draw(_entries())
     _assert_scipy_values(scalar * a, scalar * sa)
     _assert_scipy_values(a.adjoint(), sa.conj().T)
+    # chains: each link's right factor derives its row pointer as it is read
+    _assert_scipy_values(((a @ b) + (a2 @ b)).adjoint() @ a,
+                         ((sa @ sb) + (sa2 @ sb)).conj().T @ sa)
+    _assert_scipy_values(a @ (-(scalar * b) - b).adjoint().adjoint(), sa @ (-(scalar * sb) - sb))
     r = data.draw(st.integers(0, m))
     _assert_scipy_values(a.first_rows(r), sa[:r])
     blocks = [_dense(data.draw, data.draw(st.integers(0, 3)), k) for _ in range(

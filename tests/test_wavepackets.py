@@ -141,6 +141,14 @@ def test_standard_layout_widens_span_for_probes():
     assert wp.standard_layout(probe_points=(25.0,)).grid.same_as(wp.standard_layout().grid)
 
 
+def test_standard_layout_keeps_its_gate_numbers():
+    # verify's records 10-13 read these in place of evaluating the gates again
+    for layout in (wp.standard_layout(), wp.standard_layout(width=0.5, probe_points=(36.5,))):
+        assert layout.packet_product == wp.max_packet_product(list(layout.packets))
+        assert layout.aperture_gate == wp.aperture_errors(list(layout.apertures),
+                                                          list(layout.packets))
+
+
 def test_csv_roundtrip(tmp_path, grid, packets):
     f = wp.GridFunction(grid, packets[0].values * np.exp(1.2j))
     path = tmp_path / "packet.csv"
