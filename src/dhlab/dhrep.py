@@ -259,12 +259,19 @@ def field_section(cfg: SystemConfig, x: float, modes: Sequence[FockOperator]) ->
 
 
 def _union_gather(modes: Sequence[FockOperator]) -> np.ndarray:
-    """The modes on their union sparsity pattern (keys row * dim + col merged by
-    np.unique) as a dense (nnz x k) block; each mode stores a place once."""
+    """The modes on their union sparsity pattern, keys row * dim + col in
+    increasing order, as a dense (nnz x k) block; each mode stores a place
+    once, so its keys are a sorted run and one stable argsort merges them."""
     mats = [m.matrix for m in modes]
     keys = np.concatenate([m.keys for m in mats])
-    union, slots = np.unique(keys, return_inverse=True)
-    block = np.zeros((union.size, len(mats)), dtype=complex)
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)  # where each distinct key first comes
+    first[1:] = keys[1:] != keys[:-1]
+    slots = np.empty_like(order)
+    slots[order] = first.cumsum() - 1
+    del keys, order  # freed before the block: a lower traced peak
+    block = np.zeros((np.count_nonzero(first), len(mats)), dtype=complex)
     block[slots, np.repeat(np.arange(len(mats)), [m.nnz for m in mats])] = np.concatenate(
         [m.data for m in mats])
     return block

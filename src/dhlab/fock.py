@@ -192,9 +192,8 @@ class CSRMatrix:
                 keys, vals = keys[starts], _run_sums(vals, starts)
             rows = keys // shape[1]
             cols = keys - rows * shape[1]
-        keep = vals != 0
-        if not keep.all():
-            kept = keep.nonzero()[0]
+        if not vals.all():  # a complex is true where it is != 0, NaN included
+            kept = vals.nonzero()[0]
             rows, cols, vals = rows[kept], cols[kept], vals[kept]
         return cls(None, cols, vals, shape, rows)
 
@@ -248,9 +247,8 @@ class CSRMatrix:
         keys, vals = keys[order], np.concatenate((self.data, other.data))[order]
         second = (keys[1:] == keys[:-1]).nonzero()[0] + 1
         vals[second - 1] += vals[second]
-        keep = vals != 0  # zeros go before the division: most of a CAR-suite sum cancels
-        keep[second] = False
-        kept = keep.nonzero()[0]
+        vals[second] = 0
+        kept = vals.nonzero()[0]  # before the division: most of a CAR-suite sum cancels
         keys = keys[kept]
         rows = keys // self.shape[1]
         return CSRMatrix(None, keys - rows * self.shape[1], vals[kept], self.shape, rows)
@@ -304,17 +302,23 @@ def _run_sums(vals: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def _product(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     """a @ b.  Row i's terms come in the order of row i of a, each a[i, j]
     times row j of b, and add up in that order, as in scipy's csr_matmat,
-    which starts from 0 and so may turn a part's -0.0 into +0.0.  It reads
-    b's row pointer, which b then keeps, and builds none for the result."""
+    which starts from 0 and so may turn a part's -0.0 into +0.0.  Only the
+    entries of a whose row of b stores something make terms, expanded into
+    b's rows only when one of those holds more than one entry (a mode
+    operator or V_un holds at most one; expanding by lengths of 1 changes
+    nothing).  It reads b's row pointer, which b then keeps, and builds none
+    for the result."""
     starts = b.indptr[a.indices]
     lengths = b.indptr[a.indices + 1] - starts
-    ends = lengths.cumsum()
-    total = int(ends[-1]) if ends.size else 0
-    picks = np.arange(total) + (starts - ends + lengths).repeat(lengths)  # b's entries in turn
-    del starts, ends  # freed before the products' arrays: a lower traced peak
-    rows, cols = a.rows.repeat(lengths), b.indices[picks]
-    vals = _times(a.data.repeat(lengths), b.data[picks])
-    return CSRMatrix.from_triples(rows, cols, vals, (a.shape[0], b.shape[1]))
+    met = lengths.nonzero()[0]
+    starts, lengths, rows, vals = starts[met], lengths[met], a.rows[met], a.data[met]
+    if lengths.max(initial=0) > 1:
+        ends = lengths.cumsum()
+        starts = np.arange(ends[-1]) + (starts - ends + lengths).repeat(lengths)  # b's, in turn
+        del ends  # freed before the products' arrays: a lower traced peak
+        rows, vals = rows.repeat(lengths), vals.repeat(lengths)
+    vals = _times(vals, b.data[starts])
+    return CSRMatrix.from_triples(rows, b.indices[starts], vals, (a.shape[0], b.shape[1]))
 
 
 def _apply(a: CSRMatrix, x: np.ndarray) -> np.ndarray:

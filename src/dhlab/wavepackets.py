@@ -52,9 +52,13 @@ class Grid:
         return int(self.points.size)
 
     def index_of(self, x: float) -> int:
-        """Index of the grid point at x (within half a spacing)."""
-        i = int(np.argmin(np.abs(self.points - x)))
-        if abs(self.points[i] - x) > 0.5 * self.spacing + 1e-12:
+        """Index of the grid point at x (within half a spacing): the nearer of
+        the two around x found by bisection, the lower at a tie, as argmin."""
+        pts = self.points
+        i = int(pts.searchsorted(x))
+        if i == pts.size or (i > 0 and abs(pts[i - 1] - x) <= abs(pts[i] - x)):
+            i -= 1
+        if not abs(pts[i] - x) <= 0.5 * self.spacing + 1e-12:  # NaN is off-grid too
             raise LayoutError(f"point {x} is off-grid")
         return i
 

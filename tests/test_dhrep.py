@@ -451,6 +451,38 @@ def test_section_norms_sum_duplicate_entries(cfg_probe):
         dhrep.field_section(cfg_probe, x, modes).norm(), rel=1e-15)
 
 
+def _unique_gather(modes):
+    # oracle: the union of the modes' keys and each entry's slot from np.unique
+    mats = [m.matrix for m in modes]
+    union, slots = np.unique(np.concatenate([m.keys for m in mats]), return_inverse=True)
+    block = np.zeros((union.size, len(mats)), dtype=complex)
+    block[slots, np.repeat(np.arange(len(mats)), [m.nnz for m in mats])] = np.concatenate(
+        [m.data for m in mats])
+    return block
+
+
+@pytest.mark.parametrize("case", ["sections", "moved", "empty", "one-empty", "identical",
+                                  "disjoint", "reversed"])
+def test_union_gather_merges_as_unique_does(cfg_probe, t_en_probe, case):
+    reg = cfg_probe.registry
+    ups = dhrep.section_modes(cfg_probe, "up")
+    dim = reg.dimension
+    rows = [fock.FockOperator(reg, fock.CSRMatrix.from_triples(  # k's entries: rows k, k + 4, ...
+        np.arange(k, dim, 4), np.arange(k, dim, 4)[::-1].copy(), np.full(dim // 4, 1.0 + k * 1j),
+        (dim, dim))) for k in range(4)]
+    modes = {
+        "sections": ups,
+        "moved": [dhrep.conjugate(t_en_probe, m) - m for m in ups],
+        "empty": [fock.zero_operator(reg)] * 3,
+        "one-empty": [ups[0], fock.zero_operator(reg), ups[1]],
+        "identical": [ups[2]] * 4,
+        "disjoint": rows,
+        "reversed": ups[::-1],
+    }[case]
+    got, want = dhrep._union_gather(modes), _unique_gather(modes)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("flavor", ["unentangled", "entangled"])
 def test_locality_report_matches_per_point_conjugation(cfg_probe, t_un_probe, t_en_probe,
                                                        flavor):

@@ -455,10 +455,14 @@ def test_results_build_no_row_pointer_until_it_is_read(registry, monkeypatch):
     assert spy.calls == len(results) + 1
 
 
-def test_default_verify_derives_few_row_pointers(monkeypatch):
+def _clear_mode_caches():
     for cached in (fock._annihilator_matrix, fock._creator_matrix, model._spin_stack,
                    model._exchange_operator):
         cached.cache_clear()
+
+
+def test_default_verify_derives_few_row_pointers(monkeypatch):
+    _clear_mode_caches()
     built, init = [0], fock.CSRMatrix.__init__
 
     def counted(self, *args, **kwargs):
@@ -468,6 +472,25 @@ def test_default_verify_derives_few_row_pointers(monkeypatch):
     spy = _RowPointerSpy(monkeypatch)
     checks.run_verify(checks.RunConfig())
     assert 0 < 4 * spy.calls < built[0], (spy.calls, built[0])
+
+
+def _skips_expansion(a, b):
+    # every row of b that an entry of a meets holds at most one entry
+    return (b.indptr[a.indices + 1] - b.indptr[a.indices]).max(initial=0) <= 1
+
+
+def test_default_verify_skips_most_product_expansions(monkeypatch):
+    # mode operators and V_un hold at most one entry per row, so most products
+    # need no expansion of a's entries into b's rows
+    _clear_mode_caches()
+    calls, product = [], fock._product
+
+    def counted(a, b):
+        calls.append(_skips_expansion(a, b))
+        return product(a, b)
+    monkeypatch.setattr(fock, "_product", counted)
+    checks.run_verify(checks.RunConfig())
+    assert calls and 4 * sum(calls) >= 3 * len(calls), (sum(calls), len(calls))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -574,6 +597,37 @@ def test_sparse_layer_matches_scipy_on_drawn_matrices(data):
         oracle = sparse.coo_array((vals, (rows, cols)), shape=(m, k)).tocsr()
         oracle.eliminate_zeros()
         _assert_scipy_values(fock.CSRMatrix.from_triples(rows, cols, vals, (m, k)), oracle)
+
+
+def _expanded_product(a, b):
+    # the product with every entry of a expanded into its row of b, met or not
+    starts = b.indptr[a.indices]
+    lengths = b.indptr[a.indices + 1] - starts
+    ends = lengths.cumsum()
+    picks = np.arange(ends[-1] if ends.size else 0) + (starts - ends + lengths).repeat(lengths)
+    return fock.CSRMatrix.from_triples(a.rows.repeat(lengths), b.indices[picks], fock._times(
+        a.data.repeat(lengths), b.data[picks]), (a.shape[0], b.shape[1]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_product_skips_only_an_expansion_that_changes_nothing(data):
+    m, k, n = (data.draw(st.integers(0, 7)) for _ in range(3))
+    dense_a, dense_b = _dense(data.draw, m, k), _dense(data.draw, k, n)
+    cap = data.draw(st.sampled_from((0, 1, n)))  # b's rows hold at most 0, 1 or n entries
+    for row in dense_b:
+        row[row.nonzero()[0][data.draw(st.integers(0, cap)):]] = 0.0
+    if m:
+        dense_a[data.draw(st.lists(st.integers(0, m - 1), max_size=m))] = 0.0  # empty rows
+    if data.draw(st.booleans()):
+        (dense_a if data.draw(st.booleans()) else dense_b)[:] = 0.0  # nnz == 0
+    a, b = fock.CSRMatrix.from_dense(dense_a), fock.CSRMatrix.from_dense(dense_b)
+    got, want = a @ b, _expanded_product(a, b)
+    _assert_scipy_values(got, sparse.csr_array(dense_a) @ sparse.csr_array(dense_b))
+    for name in ("rows", "indices", "data"):
+        mine, forced = getattr(got, name), getattr(want, name)
+        assert mine.dtype == forced.dtype and mine.tobytes() == forced.tobytes(), name
+    assert got.shape == want.shape == (m, n)
 
 
 # (rows, cols) in key order; "duplicates" gives three places more than once

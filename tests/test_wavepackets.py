@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhlab import wavepackets as wp
 from dhlab.errors import GridMismatchError, LayoutError
@@ -31,6 +33,26 @@ def test_grid_invariants():
     assert g.index_of(0.25) == 5
     with pytest.raises(LayoutError):
         g.index_of(4.0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_index_of_picks_the_point_argmin_picks(data):
+    lo = data.draw(st.floats(-1e3, 1e3))
+    span = data.draw(st.floats(1e-3, 1e3))
+    g = wp.uniform_grid(lo, lo + span, data.draw(st.integers(16, 2000)))
+    pts = g.points
+    i = data.draw(st.integers(0, g.size - 2))
+    x = data.draw(st.one_of(
+        st.sampled_from([pts[i], pts[i + 1], 0.5 * (pts[i] + pts[i + 1]), pts[0], pts[-1]]),
+        st.floats(pts[0] - span, pts[-1] + span),  # off-grid beyond both ends
+        st.floats(pts[i], pts[i + 1])))
+    want = int(np.argmin(np.abs(pts - x)))
+    if abs(pts[want] - x) > 0.5 * g.spacing + 1e-12:
+        with pytest.raises(LayoutError, match="off-grid"):
+            g.index_of(x)
+    else:
+        assert g.index_of(x) == want
 
 
 def test_gaussian_packet_normalization(grid, packets):
